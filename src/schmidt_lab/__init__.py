@@ -57,9 +57,7 @@ from .spdc import (
 )
 from .tensor_core import (
     AmplitudeMatrix,
-    EigenSystem,
     Grid,
-    hermitian_eig,
     make_grid,
     normalize,
     sample_amplitude,

@@ -24,15 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .schmidt import (
-    DecompositionOptions,
-    SchmidtResult,
-    schmidt_decompose,
-)
-from .tensor_core import AmplitudeMatrix, Grid, make_grid, normalize, sample_amplitude
+from .schmidt import DecompositionOptions, schmidt_decompose, spectrum_drift
+from .tensor_core import AmplitudeMatrix, Grid, enlarged_grid, enlarged_n, make_grid, normalize, sample_amplitude
 
 TAU_APPLICABILITY_WARN = 3.0
-SPECTRUM_DRIFT_MODES = 32
 
 
 @dataclass(frozen=True)
@@ -140,17 +135,22 @@ def coord_grid(
     n: int = 400,
     decay_span: float = 40.0,
     sigma_margin: float = 6.0,
+    enlarge: float = 1.0,
 ) -> Grid:
     """Auto-window for the coordinate amplitude.
 
     p covers [tau - decay_span, tau]; q covers the ridge q = -p broadened
     by sigma_margin times the modulus-width of the Gaussian factor,
-    w = sqrt(1 + (tau eta^2 xi0)^2) / eta.
+    w = sqrt(1 + (tau eta^2 xi0)^2) / eta.  ``enlarge`` grows both margins
+    at the mesh spacing of the n-node window, for the window probe; unlike
+    ``enlarged_grid`` it keeps the light front pinned at p = tau.
     """
     tau, eta, xi0 = params.tau, params.eta, params.xi0
     w = math.sqrt(1.0 + (tau * eta**2 * xi0) ** 2) / eta
+    decay_span, sigma_margin = enlarge * decay_span, enlarge * sigma_margin
     p_lo, p_hi = tau - decay_span, tau
-    return make_grid(p_lo, p_hi, -p_hi - sigma_margin * w, -p_lo + sigma_margin * w, n)
+    q_lo, q_hi = -p_hi - sigma_margin * w, -p_lo + sigma_margin * w
+    return make_grid(p_lo, p_hi, q_lo, q_hi, enlarged_n(n, enlarge))
 
 
 def momentum_grid(n: int = 400, nu_max: float = 60.0, pi_max: float = 6.0) -> Grid:
@@ -175,16 +175,6 @@ def momentum_matrix(params: AtomPhotonParams, grid: Grid) -> AmplitudeMatrix:
     )
 
 
-def _spectrum_drift(a: SchmidtResult, b: SchmidtResult) -> float:
-    m = min(a.rank, b.rank, SPECTRUM_DRIFT_MODES)
-    return float(np.max(np.abs(a.lambdas[:m] - b.lambdas[:m])))
-
-
-def _enlarged(n: int, factor: float) -> int:
-    # Scale the node count with the window so the mesh spacing is unchanged.
-    return int(round(factor * (n - 1))) + 1
-
-
 def coord_capture_drift(
     params: AtomPhotonParams,
     n: int = 400,
@@ -195,11 +185,9 @@ def coord_capture_drift(
 ) -> float:
     """Weight-spectrum drift when the window margins grow by ``enlarge``."""
     base = schmidt_decompose(coord_matrix(params, coord_grid(params, n, decay_span, sigma_margin)), opts)
-    big_grid = coord_grid(
-        params, _enlarged(n, enlarge), enlarge * decay_span, enlarge * sigma_margin
-    )
+    big_grid = coord_grid(params, n, decay_span, sigma_margin, enlarge)
     big = schmidt_decompose(coord_matrix(params, big_grid), opts)
-    return _spectrum_drift(base, big)
+    return spectrum_drift(base, big)
 
 
 def momentum_capture_drift(
@@ -211,10 +199,10 @@ def momentum_capture_drift(
     opts: DecompositionOptions = DecompositionOptions(),
 ) -> float:
     """Weight-spectrum drift when the momentum window doubles (by default)."""
-    base = schmidt_decompose(momentum_matrix(params, momentum_grid(n, nu_max, pi_max)), opts)
-    big_grid = momentum_grid(_enlarged(n, enlarge), enlarge * nu_max, enlarge * pi_max)
-    big = schmidt_decompose(momentum_matrix(params, big_grid), opts)
-    return _spectrum_drift(base, big)
+    grid = momentum_grid(n, nu_max, pi_max)
+    base = schmidt_decompose(momentum_matrix(params, grid), opts)
+    big = schmidt_decompose(momentum_matrix(params, enlarged_grid(grid, enlarge)), opts)
+    return spectrum_drift(base, big)
 
 
 def xi0_estimate(mass_ratio_M_over_m: float) -> float:
@@ -336,7 +324,10 @@ def zero_order_dynamics(tau: float, squared_entropy_weights: bool = True):
 
 
 def full_dynamics(
-    params: AtomPhotonParams, tau: float, policy: GridPolicy = GridPolicy()
+    params: AtomPhotonParams,
+    tau: float,
+    policy: GridPolicy = GridPolicy(),
+    opts: DecompositionOptions = DecompositionOptions(),
 ):
     """Entanglement measures including the photonic fine structure at time tau.
 
@@ -348,6 +339,7 @@ def full_dynamics(
     (eta -> 0) this reduces to the two-level (K0, S0) with the
     spectrum-consistent entropy reading.
 
+    ``opts`` governs the photonic decomposition and its capture check.
     Returns (K, S, lambdas) with lambdas the composite spectrum.
 
     Raises
@@ -370,10 +362,10 @@ def full_dynamics(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         grid = coord_grid(at_tau, policy.n, policy.decay_span, policy.sigma_margin)
-        result = schmidt_decompose(coord_matrix(at_tau, grid))
+        result = schmidt_decompose(coord_matrix(at_tau, grid), opts)
         if policy.capture_check:
             drift = coord_capture_drift(
-                at_tau, policy.n, policy.decay_span, policy.sigma_margin
+                at_tau, policy.n, policy.decay_span, policy.sigma_margin, opts=opts
             )
             if drift >= policy.capture_tol:
                 raise ConvergenceError(

@@ -9,6 +9,10 @@ spdc                   biphoton amplitude, coherence F and polarization state
 spdc-length-sweep      F, K, S versus crystal length
 decompose FILE         Schmidt-decompose a matrix read from a text file
 
+Each subcommand is one entry of ``SUBCOMMANDS``; the parser and the runner
+are both built from that table, so a subcommand accepts exactly the flags
+its model reads.
+
 Value precedence for every parameter: explicit flag > figure preset >
 config file (--config, flat JSON keyed by flag names with underscores) >
 SCHMIDT_LAB_DEFAULT_N (resolution only) > built-in default.
@@ -26,8 +30,9 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -48,9 +53,9 @@ from .atom_photon import (
 from .errors import ConvergenceError, MatrixParseError
 from .output import parse_matrix_file, write_csv, write_json
 from .polarization import coherence, coherence_report, density_matrix_checks, polarization_density_matrix
-from .schmidt import GAUGES, DecompositionOptions, SchmidtResult, mode_overlap, schmidt_decompose
-from .spdc import DEFAULT_D_E, DEFAULT_D_O, DEFAULT_HALF_WIDTH, spdc_grid, spdc_matrix, spdc_params
-from .tensor_core import AmplitudeMatrix, Grid, make_grid, normalize
+from .schmidt import GAUGES, DecompositionOptions, SchmidtResult, mode_overlap, schmidt_decompose, spectrum_drift
+from .spdc import DEFAULT_D_E, DEFAULT_D_O, spdc_grid, spdc_matrix, spdc_params
+from .tensor_core import AmplitudeMatrix, Grid, enlarged_grid, make_grid, normalize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -84,31 +89,54 @@ FIG_PRESETS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run request: command, parameters, grid, output."""
+    """Fully resolved run request: mesh, decomposition, output.
 
-    command: str
+    ``n`` is None for a subcommand without a mesh of its own (decompose);
+    ``window`` is the --window mesh, None when the model picks its own.
+    """
+
     out_dir: Path
     formats: tuple
-    n: int
-    window: tuple | None
-    trunc: float
-    gauge: str
+    n: int | None
+    window: Grid | None
+    opts: DecompositionOptions
     jobs: int
-    model: dict
 
 
 @dataclass(frozen=True, eq=False)
-class RunSummary:
-    """What a run computed, plus its wall-clock duration.
+class ModelRun:
+    """What one model computed, before the runner adds the shared parts.
 
-    ``payload`` is the deterministic JSON-serializable summary (schema,
-    resolved parameters, results, grid-convergence deltas).  The duration
-    is kept out of the payload so output files stay byte-reproducible.
+    The runner appends n, the sampling ``grid`` (if any), trunc and gauge
+    to ``params``; ``blocks`` go between params and results.  ``tables``
+    maps an output format to {file name: (header, rows)}.
     """
 
-    command: str
-    payload: dict
-    duration_seconds: float
+    params: dict
+    results: dict
+    tables: dict
+    blocks: dict = field(default_factory=dict)
+    convergence: dict | None = None
+    grid: Grid | None = None
+
+
+@dataclass(frozen=True)
+class Subcommand:
+    """One CLI subcommand: its parser entry and the model it runs.
+
+    ``flags`` are the keys of the model's own parameters (see _flag);
+    ``figs`` name FIG_PRESETS entries; ``default_n`` is None when there
+    is no --n.  ``model(res, config)`` reads its parameters through
+    ``res`` and returns a ModelRun.
+    """
+
+    help: str
+    model: Callable
+    flags: tuple = ()
+    figs: tuple = ()
+    default_n: int | None = None
+    window: bool = False
+    jobs: bool = False
 
 
 def _parse_window(text: str):
@@ -133,21 +161,34 @@ def _parse_formats(text: str):
     return toks
 
 
+def _flag(key: str) -> str:
+    """Command-line flag of a parameter key, which is also its config key."""
+    return "--" + key.replace("_", "-")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="schmidt-lab",
         description="Schmidt-mode analysis of two-variable amplitudes",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--n", type=int, help="nodes per axis")
-        p.add_argument(
-            "--window",
-            type=_parse_window,
-            metavar="P_MIN,P_MAX,Q_MIN,Q_MAX",
-            help="override the automatic sampling window",
-        )
+    for name, cmd in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        for key in cmd.flags:
+            flag = key if key == "file" else _flag(key)
+            p.add_argument(flag, type=FLAG_TYPES.get(key, float), help=FLAG_HELP.get(key))
+        for fig in cmd.figs:
+            preset = " ".join(f"{k}={v:g}" for k, v in FIG_PRESETS[fig].items())
+            p.add_argument(f"--{fig}", action="store_true", help=preset)
+        if cmd.default_n is not None:
+            p.add_argument("--n", type=int, help=f"nodes per axis (default {cmd.default_n})")
+        if cmd.window:
+            p.add_argument(
+                "--window",
+                type=_parse_window,
+                metavar="P_MIN,P_MAX,Q_MIN,Q_MAX",
+                help="override the automatic sampling window",
+            )
         p.add_argument("--trunc", type=float, help="relative weight truncation threshold")
         p.add_argument("--gauge", choices=list(GAUGES), help="mode phase convention")
         p.add_argument("--out", help="output directory (default: out)")
@@ -157,66 +198,16 @@ def build_parser() -> argparse.ArgumentParser:
             type=_parse_formats,
             help=f"comma-separated subset of: {', '.join(FORMATS)}",
         )
-        p.add_argument("--jobs", type=int, help="concurrent sweep evaluations")
+        if cmd.jobs:
+            p.add_argument("--jobs", type=int, help="concurrent sweep evaluations")
         p.add_argument("--config", help="flat JSON config file (flags win)")
-
-    p = sub.add_parser("atom-photon-coord", help="coordinate-space emission amplitude")
-    add_common(p)
-    p.add_argument("--xi0", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--fig1", action="store_true", help="xi0=100 eta=0.03 tau=10 n=800")
-
-    p = sub.add_parser("atom-photon-momentum", help="momentum-space emission amplitude")
-    add_common(p)
-    p.add_argument("--xi0", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--tau", type=float, help="unused by the momentum model; kept for symmetry")
-    p.add_argument("--fig3", action="store_true", help="xi0=100 eta=0.03 n=400")
-
-    p = sub.add_parser("atom-photon-dynamics", help="K(tau), S(tau) sweep")
-    add_common(p)
-    p.add_argument("--xi0", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--tau-start", type=float)
-    p.add_argument("--tau-stop", type=float)
-    p.add_argument("--tau-steps", type=int)
-    p.add_argument("--tau-list", help="comma-separated tau values (overrides the range)")
-    p.add_argument(
-        "--fig2", action="store_true", help="xi0=100 eta=0.03 tau in [0.1,10], 34 steps"
-    )
-
-    p = sub.add_parser("spdc", help="biphoton amplitude and polarization coherence")
-    add_common(p)
-    p.add_argument("--L", type=float, help="crystal length (mm)")
-    p.add_argument("--sigma", type=float, help="pump bandwidth (1/ps)")
-    p.add_argument("--d-o", type=float, help="ordinary-ray group delay (ps/mm)")
-    p.add_argument("--d-e", type=float, help="extraordinary-ray group delay (ps/mm)")
-    p.add_argument("--fig5", action="store_true", help="L=0.5 sigma=10 n=512")
-    p.add_argument("--fig6", action="store_true", help="L=4 sigma=10 n=512")
-
-    p = sub.add_parser("spdc-length-sweep", help="F, K, S versus crystal length")
-    add_common(p)
-    p.add_argument("--L-start", type=float)
-    p.add_argument("--L-stop", type=float)
-    p.add_argument("--L-steps", type=int)
-    p.add_argument("--L-list", help="comma-separated lengths (overrides the range)")
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--d-o", type=float)
-    p.add_argument("--d-e", type=float)
-    p.add_argument("--fig4", action="store_true", help="sigma=10, L in [0.25,4], 16 steps")
-
-    p = sub.add_parser("decompose", help="Schmidt-decompose a matrix from a text file")
-    add_common(p)
-    p.add_argument("file", help="whitespace-separated matrix file")
-
     return ap
 
 
 class _Resolver:
     """Parameter lookup with precedence flag > preset > config > default."""
 
-    def __init__(self, args, command: str):
+    def __init__(self, args):
         self.args = args
         self.preset = {}
         figs = [f for f in FIG_PRESETS if getattr(args, f, False)]
@@ -229,10 +220,8 @@ class _Resolver:
             path = Path(args.config)
             try:
                 loaded = json.loads(path.read_text(encoding="utf-8"))
-            except OSError as exc:
+            except (OSError, json.JSONDecodeError) as exc:
                 raise ValueError(f"cannot read config file {path}: {exc}")
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"config file {path} is not valid JSON: {exc}")
             if not isinstance(loaded, dict):
                 raise ValueError(f"config file {path} must hold a JSON object")
             known = set(vars(args)) - {"command", "config", "file"}
@@ -254,90 +243,58 @@ class _Resolver:
         return default
 
     def resolve_n(self, command_default: int) -> int:
-        v = self.get("n")
-        if v is None:
-            env = os.environ.get(ENV_DEFAULT_N)
-            if env is not None:
-                try:
-                    v = int(env)
-                except ValueError:
-                    raise ValueError(f"{ENV_DEFAULT_N}={env!r} is not an integer")
-        n = int(v) if v is not None else command_default
+        v = self.get("n", os.environ.get(ENV_DEFAULT_N, command_default))
+        try:
+            n = int(v)
+        except (TypeError, ValueError):
+            raise ValueError(f"n must be an integer, got {v!r}")
         if n < 2:
             raise ValueError(f"n must be at least 2, got {n}")
         return n
 
-    def require(self, key, what):
+    def require(self, key):
         v = self.get(key)
         if v is None:
-            raise ValueError(f"missing required parameter {what}")
+            raise ValueError(f"missing required parameter {_flag(key)}")
         return v
 
+    def number(self, key) -> float:
+        return float(self.require(key))
 
-def _build_config(args, model: dict, default_n: int, res: _Resolver) -> RunConfig:
+
+def _build_config(cmd: Subcommand, res: _Resolver) -> RunConfig:
+    n = None if cmd.default_n is None else res.resolve_n(cmd.default_n)
     window = res.get("window")
     if window is not None:
-        window = tuple(float(x) for x in window)
         if len(window) != 4:
             raise ValueError(f"window needs 4 values, got {window!r}")
-    formats = res.get("formats")
-    if formats is None:
-        formats = FORMATS
-    elif isinstance(formats, str):
+        window = make_grid(*(float(x) for x in window), n)
+    formats = res.get("formats", FORMATS)
+    if isinstance(formats, str):
         formats = _parse_formats(formats)
-    else:
-        formats = tuple(formats)
     jobs = int(res.get("jobs", 1))
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    defaults = DecompositionOptions()
     return RunConfig(
-        command=args.command,
         out_dir=Path(res.get("out", "out")),
-        formats=formats,
-        n=res.resolve_n(default_n),
+        formats=tuple(formats),
+        n=n,
         window=window,
-        trunc=float(res.get("trunc", DecompositionOptions().truncation_threshold)),
-        gauge=str(res.get("gauge", DecompositionOptions().gauge)),
+        opts=DecompositionOptions(
+            truncation_threshold=float(res.get("trunc", defaults.truncation_threshold)),
+            gauge=str(res.get("gauge", defaults.gauge)),
+        ),
         jobs=jobs,
-        model=model,
     )
 
 
-def _opts(config: RunConfig) -> DecompositionOptions:
-    return DecompositionOptions(truncation_threshold=config.trunc, gauge=config.gauge)
-
-
-def _scaled_n(n: int, factor: float) -> int:
-    return int(round(factor * (n - 1))) + 1
-
-
-def _enlarged_window_grid(grid: Grid, factor: float) -> Grid:
-    """Scale both windows about their centers, keeping the mesh spacing."""
-    pc = 0.5 * (grid.p_min + grid.p_max)
-    qc = 0.5 * (grid.q_min + grid.q_max)
-    hp = 0.5 * (grid.p_max - grid.p_min) * factor
-    hq = 0.5 * (grid.q_max - grid.q_min) * factor
-    return make_grid(pc - hp, pc + hp, qc - hq, qc + hq, _scaled_n(grid.n, factor))
-
-
 def _convergence_deltas(base: SchmidtResult, big: SchmidtResult, **extra) -> dict:
-    m = min(base.rank, big.rank, TOP_LAMBDAS)
-    out = {
-        "lambda_drift": float(np.max(np.abs(base.lambdas[:m] - big.lambdas[:m]))),
+    return {
+        "lambda_drift": spectrum_drift(base, big),
         "dK": big.schmidt_number - base.schmidt_number,
         "dS": big.entropy - base.entropy,
-    }
-    out.update(extra)
-    return out
-
-
-def _grid_payload(grid: Grid) -> dict:
-    return {
-        "p_min": grid.p_min,
-        "p_max": grid.p_max,
-        "q_min": grid.q_min,
-        "q_max": grid.q_max,
-        "n": grid.n,
+        **extra,
     }
 
 
@@ -349,96 +306,6 @@ def _result_payload(result: SchmidtResult) -> dict:
         "reconstruction_error": result.reconstruction_error,
         "lambdas": [float(x) for x in result.lambdas[:TOP_LAMBDAS]],
     }
-
-
-def _emit(config: RunConfig, payload: dict, csv_files: dict) -> None:
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    if "json-summary" in config.formats:
-        write_json(config.out_dir / "summary.json", payload)
-    for fmt, files in csv_files.items():
-        if fmt not in config.formats:
-            continue
-        for name, (header, rows) in files.items():
-            write_csv(config.out_dir / name, header, rows)
-
-
-def _validity_payload(params: AtomPhotonParams) -> dict:
-    rep = validity_check(params)
-    return {
-        "eta_lower": rep.eta_lower,
-        "eta_upper": rep.eta_upper,
-        "packet_ratio": rep.packet_ratio,
-        "satisfied": rep.satisfied,
-        "messages": list(rep.messages),
-    }
-
-
-def run_atom_photon_coord(config: RunConfig) -> RunSummary:
-    """Decompose the coordinate-space amplitude; emit spectrum, modes, overlaps."""
-    t0 = time.perf_counter()
-    m = config.model
-    params = AtomPhotonParams(xi0=m["xi0"], eta=m["eta"], tau=m["tau"])
-    opts = _opts(config)
-    auto = config.window is None
-    grid = coord_grid(params, config.n) if auto else make_grid(*config.window, config.n)
-    A = coord_matrix(params, grid)
-    result = schmidt_decompose(A, opts)
-
-    overlaps = []
-    p_nodes = grid.p_nodes()
-    for k in range(min(5, result.rank)):
-        lk = laguerre_mode(k, params.tau, p_nodes)
-        overlaps.append((k, abs(mode_overlap(lk, result.modes_p[k]))))
-
-    if auto:
-        big_grid = coord_grid(params, _scaled_n(config.n, 1.5), 1.5 * 40.0, 1.5 * 6.0)
-    else:
-        big_grid = _enlarged_window_grid(grid, 1.5)
-    big = schmidt_decompose(coord_matrix(params, big_grid), opts)
-
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": config.command,
-        "params": {
-            "xi0": params.xi0,
-            "eta": params.eta,
-            "tau": params.tau,
-            "n": config.n,
-            "window": _grid_payload(grid),
-            "trunc": config.trunc,
-            "gauge": config.gauge,
-        },
-        "validity": _validity_payload(params),
-        "results": {
-            **_result_payload(result),
-            "laguerre_overlaps": [
-                {"k": k, "overlap_modulus": v} for k, v in overlaps
-            ],
-        },
-        "grid_convergence": _convergence_deltas(result, big),
-    }
-    csv_files = {
-        "csv-spectrum": {"spectrum.csv": _spectrum_table(result)},
-        "csv-modes": {
-            "modes_p.csv": _modes_table("p", p_nodes, result.modes_p),
-            "modes_q.csv": _modes_table("q", grid.q_nodes(), result.modes_q),
-            "laguerre_overlaps.csv": (
-                ("k", "overlap_modulus"),
-                [(k, v) for k, v in overlaps],
-            ),
-        },
-    }
-    _emit(config, payload, csv_files)
-    return RunSummary(config.command, payload, time.perf_counter() - t0)
-
-
-def _spectrum_table(result: SchmidtResult):
-    rows = []
-    cum = 0.0
-    for k, lam in enumerate(result.lambdas, start=1):
-        cum += float(lam)
-        rows.append((k, float(lam), cum))
-    return ("k", "lambda_k", "cumulative_weight"), rows
 
 
 def _modes_table(coord_name: str, coords, modes, count=MODES_EMITTED):
@@ -464,78 +331,37 @@ def _density_table(coord_name: str, coords, modes, count=MODES_EMITTED):
     return tuple(header), rows
 
 
-def run_atom_photon_momentum(config: RunConfig) -> RunSummary:
-    """Decompose the momentum-space amplitude; emit modes and densities."""
-    t0 = time.perf_counter()
-    m = config.model
-    params = AtomPhotonParams(xi0=m["xi0"], eta=m["eta"], tau=m["tau"])
-    opts = _opts(config)
-    auto = config.window is None
-    grid = momentum_grid(config.n) if auto else make_grid(*config.window, config.n)
-    A = momentum_matrix(params, grid)
-    result = schmidt_decompose(A, opts)
-
-    if auto:
-        big_grid = momentum_grid(_scaled_n(config.n, 2.0), 2.0 * 60.0, 2.0 * 6.0)
-    else:
-        big_grid = _enlarged_window_grid(grid, 2.0)
-    big = schmidt_decompose(momentum_matrix(params, big_grid), opts)
-
-    k_inf, s_inf = asymptotics(params.eta)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": config.command,
-        "params": {
-            "xi0": params.xi0,
-            "eta": params.eta,
-            "n": config.n,
-            "window": _grid_payload(grid),
-            "trunc": config.trunc,
-            "gauge": config.gauge,
-        },
-        "validity": _validity_payload(params),
-        "asymptotics": {"K_inf": k_inf, "S_inf": s_inf},
-        "results": _result_payload(result),
-        "grid_convergence": _convergence_deltas(result, big),
-    }
-    nu = grid.p_nodes()
-    pi = grid.q_nodes()
-    csv_files = {
-        "csv-spectrum": {"spectrum.csv": _spectrum_table(result)},
-        "csv-modes": {
-            "modes_nu.csv": _modes_table("nu_ph", nu, result.modes_p),
-            "modes_pi.csv": _modes_table("pi_a", pi, result.modes_q),
-            "densities_nu.csv": _density_table("nu_ph", nu, result.modes_p),
-            "densities_pi.csv": _density_table("pi_a", pi, result.modes_q),
-        },
-    }
-    _emit(config, payload, csv_files)
-    return RunSummary(config.command, payload, time.perf_counter() - t0)
+def _mode_tables(result: SchmidtResult, modes: dict) -> dict:
+    """The weight spectrum table plus a model's mode tables."""
+    rows = []
+    cum = 0.0
+    for k, lam in enumerate(result.lambdas, start=1):
+        cum += float(lam)
+        rows.append((k, float(lam), cum))
+    spectrum = (("k", "lambda_k", "cumulative_weight"), rows)
+    return {"csv-spectrum": {"spectrum.csv": spectrum}, "csv-modes": modes}
 
 
-def _parse_value_list(text, what: str):
-    try:
-        vals = [float(t) for t in str(text).split(",") if t.strip()]
-    except ValueError:
-        raise ValueError(f"{what} must be a comma-separated list of numbers, got {text!r}")
-    if not vals:
-        raise ValueError(f"{what} is empty")
-    return vals
-
-
-def _sweep_values(res: _Resolver, prefix: str, what: str):
+def _sweep_values(res: _Resolver, prefix: str):
     explicit = res.get(f"{prefix}_list")
     if explicit is not None:
-        if isinstance(explicit, (list, tuple)):
-            return [float(v) for v in explicit]
-        return _parse_value_list(explicit, f"{prefix}_list")
-    start = res.require(f"{prefix}_start", f"--{what}-start")
-    stop = res.require(f"{prefix}_stop", f"--{what}-stop")
-    steps = int(res.require(f"{prefix}_steps", f"--{what}-steps"))
+        items = explicit if isinstance(explicit, (list, tuple)) else str(explicit).split(",")
+        try:
+            vals = [float(t) for t in items if str(t).strip()]
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"{prefix}_list must be a comma-separated list of numbers, got {explicit!r}"
+            )
+        if not vals:
+            raise ValueError(f"{prefix}_list is empty")
+        return vals
+    start = res.require(f"{prefix}_start")
+    stop = res.require(f"{prefix}_stop")
+    steps = int(res.require(f"{prefix}_steps"))
     if steps < 1:
-        raise ValueError(f"--{what}-steps must be at least 1, got {steps}")
+        raise ValueError(f"--{prefix}-steps must be at least 1, got {steps}")
     if stop < start:
-        raise ValueError(f"--{what}-stop must be >= --{what}-start")
+        raise ValueError(f"--{prefix}-stop must be >= --{prefix}-start")
     return [float(v) for v in np.linspace(float(start), float(stop), steps)]
 
 
@@ -546,7 +372,85 @@ def _map_jobs(fn, values, jobs: int):
         return list(ex.map(fn, values))
 
 
-def run_atom_photon_dynamics(config: RunConfig) -> RunSummary:
+def _spdc_constants(res: _Resolver):
+    """(sigma, d_o, d_e) with the crystal's default group delays."""
+    return (
+        res.number("sigma"),
+        float(res.get("d_o", DEFAULT_D_O)),
+        float(res.get("d_e", DEFAULT_D_E)),
+    )
+
+
+# Model functions.  Each samples the base grid before the enlarged probe
+# grid, and looks the sampling, decomposition, coherence and dynamics
+# functions up in this module's globals at call time, where
+# bench/tracing.py wraps them.
+
+
+def _coord(res: _Resolver, config: RunConfig) -> ModelRun:
+    """Decompose the coordinate-space amplitude; emit spectrum, modes, overlaps."""
+    params = AtomPhotonParams(res.number("xi0"), res.number("eta"), res.number("tau"))
+    if config.window is None:
+        grid = coord_grid(params, config.n)
+        big_grid = coord_grid(params, config.n, enlarge=1.5)
+    else:
+        grid = config.window
+        big_grid = enlarged_grid(grid, 1.5)
+    result = schmidt_decompose(coord_matrix(params, grid), config.opts)
+    big = schmidt_decompose(coord_matrix(params, big_grid), config.opts)
+    p_nodes = grid.p_nodes()
+    overlaps = [
+        (k, abs(mode_overlap(laguerre_mode(k, params.tau, p_nodes), result.modes_p[k])))
+        for k in range(min(5, result.rank))
+    ]
+    modes = {
+        "modes_p.csv": _modes_table("p", p_nodes, result.modes_p),
+        "modes_q.csv": _modes_table("q", grid.q_nodes(), result.modes_q),
+        "laguerre_overlaps.csv": (("k", "overlap_modulus"), overlaps),
+    }
+    return ModelRun(
+        params={"xi0": params.xi0, "eta": params.eta, "tau": params.tau},
+        grid=grid,
+        blocks={"validity": asdict(validity_check(params))},
+        results={
+            **_result_payload(result),
+            "laguerre_overlaps": [{"k": k, "overlap_modulus": v} for k, v in overlaps],
+        },
+        convergence=_convergence_deltas(result, big),
+        tables=_mode_tables(result, modes),
+    )
+
+
+def _momentum(res: _Resolver, config: RunConfig) -> ModelRun:
+    """Decompose the momentum-space amplitude; emit modes and densities."""
+    # The momentum amplitude is the long-time limit, so tau plays no part.
+    params = AtomPhotonParams(res.number("xi0"), res.number("eta"), tau=1.0)
+    grid = config.window or momentum_grid(config.n)
+    result = schmidt_decompose(momentum_matrix(params, grid), config.opts)
+    big = schmidt_decompose(momentum_matrix(params, enlarged_grid(grid, 2.0)), config.opts)
+    k_inf, s_inf = asymptotics(params.eta)
+    nu = grid.p_nodes()
+    pi = grid.q_nodes()
+    modes = {
+        "modes_nu.csv": _modes_table("nu_ph", nu, result.modes_p),
+        "modes_pi.csv": _modes_table("pi_a", pi, result.modes_q),
+        "densities_nu.csv": _density_table("nu_ph", nu, result.modes_p),
+        "densities_pi.csv": _density_table("pi_a", pi, result.modes_q),
+    }
+    return ModelRun(
+        params={"xi0": params.xi0, "eta": params.eta},
+        grid=grid,
+        blocks={
+            "validity": asdict(validity_check(params)),
+            "asymptotics": {"K_inf": k_inf, "S_inf": s_inf},
+        },
+        results=_result_payload(result),
+        convergence=_convergence_deltas(result, big),
+        tables=_mode_tables(result, modes),
+    )
+
+
+def _dynamics(res: _Resolver, config: RunConfig) -> ModelRun:
     """Sweep tau; emit per-row zero-order and composite measures.
 
     The S0 column uses the spectrum-consistent entropy reading (weights
@@ -554,99 +458,58 @@ def run_atom_photon_dynamics(config: RunConfig) -> RunSummary:
     K0 is identical under both readings.  Window capture is checked once
     at the largest tau, where the Gaussian ridge is widest.
     """
-    t0 = time.perf_counter()
-    m = config.model
-    params = AtomPhotonParams(xi0=m["xi0"], eta=m["eta"], tau=max(m["taus"]))
-    taus = m["taus"]
+    xi0, eta = res.number("xi0"), res.number("eta")
+    taus = _sweep_values(res, "tau")
+    params = AtomPhotonParams(xi0, eta, max(taus))
     policy = GridPolicy(n=config.n, capture_check=False)
 
     def point(tau: float):
         k0, _ = zero_order_dynamics(tau)
         _, s0 = zero_order_dynamics(tau, squared_entropy_weights=False)
-        k, s, _ = full_dynamics(params, tau, policy)
+        k, s, _ = full_dynamics(params, tau, policy, config.opts)
         return (tau, k0, s0, k, s, k - k0, s - s0)
 
+    header = ("tau", "K0", "S0", "K", "S", "K_minus_K0", "S_minus_S0")
     rows = _map_jobs(point, taus, config.jobs)
-    drift = coord_capture_drift(params, config.n)
-    if drift >= GridPolicy().capture_tol:
+    drift = coord_capture_drift(params, config.n, opts=config.opts)
+    if drift >= policy.capture_tol:
         raise ConvergenceError(
             f"window capture check failed at tau={params.tau:g}: spectrum drift "
-            f"{drift:.3e} >= {GridPolicy().capture_tol:.1e}; widen the window or raise n"
+            f"{drift:.3e} >= {policy.capture_tol:.1e}; widen the window or raise n"
         )
-
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": config.command,
-        "params": {
-            "xi0": params.xi0,
-            "eta": params.eta,
-            "tau_values": [float(t) for t in taus],
-            "n": config.n,
-            "trunc": config.trunc,
-            "gauge": config.gauge,
-        },
-        "validity": _validity_payload(params),
-        "results": {
+    return ModelRun(
+        params={"xi0": xi0, "eta": eta, "tau_values": [float(t) for t in taus]},
+        blocks={"validity": asdict(validity_check(params))},
+        results={
             "rows": len(rows),
             "max_abs_K_minus_K0": max(abs(r[5]) for r in rows),
             "max_abs_S_minus_S0": max(abs(r[6]) for r in rows),
         },
-        "grid_convergence": {"endpoint_lambda_drift": drift},
-    }
-    csv_files = {
-        "csv-sweep": {
-            "sweep.csv": (
-                ("tau", "K0", "S0", "K", "S", "K_minus_K0", "S_minus_S0"),
-                rows,
-            )
-        }
-    }
-    _emit(config, payload, csv_files)
-    return RunSummary(config.command, payload, time.perf_counter() - t0)
-
-
-def run_spdc(config: RunConfig) -> RunSummary:
-    """Decompose the biphoton amplitude; emit F, rho, mixture and modes."""
-    t0 = time.perf_counter()
-    m = config.model
-    params = spdc_params(m["L"], m["sigma"], m["d_o"], m["d_e"])
-    opts = _opts(config)
-    auto = config.window is None
-    grid = (
-        spdc_grid(params, config.n)
-        if auto
-        else make_grid(*config.window, config.n)
+        convergence={"endpoint_lambda_drift": drift},
+        tables={"csv-sweep": {"sweep.csv": (header, rows)}},
     )
+
+
+def _spdc(res: _Resolver, config: RunConfig) -> ModelRun:
+    """Decompose the biphoton amplitude; emit F, rho, mixture and modes."""
+    params = spdc_params(res.number("L"), *_spdc_constants(res))
+    grid = config.window or spdc_grid(params, config.n)
     A = spdc_matrix(params, grid)
-    result = schmidt_decompose(A, opts)
+    result = schmidt_decompose(A, config.opts)
+    A_big = spdc_matrix(params, enlarged_grid(grid, 1.5))
+    big = schmidt_decompose(A_big, config.opts)
     report = coherence_report(A, result)
     rho = polarization_density_matrix(report.F)
     checks = density_matrix_checks(rho.rho)
-
-    if auto:
-        big_grid = spdc_grid(params, _scaled_n(config.n, 1.5), 1.5 * DEFAULT_HALF_WIDTH)
-    else:
-        big_grid = _enlarged_window_grid(grid, 1.5)
-    A_big = spdc_matrix(params, big_grid)
-    big = schmidt_decompose(A_big, opts)
     d_f = coherence(A_big).real - report.F.real
-
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": config.command,
-        "params": {
-            "L": params.L,
-            "sigma": params.sigma,
-            "d_o": params.d_o,
-            "d_e": params.d_e,
-            "X_o": params.X_o,
-            "X_e": params.X_e,
-            "n": config.n,
-            "window": _grid_payload(grid),
-            "trunc": config.trunc,
-            "gauge": config.gauge,
-        },
-        "results": {
+    modes = {
+        "modes_o.csv": _modes_table("p", grid.p_nodes(), result.modes_p),
+        "modes_e.csv": _modes_table("q", grid.q_nodes(), result.modes_q),
+    }
+    return ModelRun(
+        params={**asdict(params), "X_o": params.X_o, "X_e": params.X_e},
+        grid=grid,
+        results={
             **_result_payload(result),
             "F": complex(report.F),
             "weight_plus": report.weight_plus,
@@ -656,181 +519,169 @@ def run_spdc(config: RunConfig) -> RunSummary:
             "rho_basis": list(rho.basis),
             "messages": list(report.messages),
         },
-        "grid_convergence": _convergence_deltas(result, big, dF=d_f),
-    }
-    csv_files = {
-        "csv-spectrum": {"spectrum.csv": _spectrum_table(result)},
-        "csv-modes": {
-            "modes_o.csv": _modes_table("p", grid.p_nodes(), result.modes_p),
-            "modes_e.csv": _modes_table("q", grid.q_nodes(), result.modes_q),
-        },
-    }
-    _emit(config, payload, csv_files)
-    return RunSummary(config.command, payload, time.perf_counter() - t0)
+        convergence=_convergence_deltas(result, big, dF=d_f),
+        tables=_mode_tables(result, modes),
+    )
 
 
-def run_spdc_length_sweep(config: RunConfig) -> RunSummary:
+def _spdc_length_sweep(res: _Resolver, config: RunConfig) -> ModelRun:
     """Sweep the crystal length; emit per-row X_o, X_e, F, K, S.
 
     Rows depend on (L, sigma) only through the products X = d L sigma, so
     a sweep at (c L, sigma / c) reproduces the same physics columns.
     """
-    t0 = time.perf_counter()
-    m = config.model
+    Ls = _sweep_values(res, "L")
+    sigma, d_o, d_e = _spdc_constants(res)
 
     def point(L: float):
-        params = spdc_params(L, m["sigma"], m["d_o"], m["d_e"])
-        grid = (
-            spdc_grid(params, config.n)
-            if config.window is None
-            else make_grid(*config.window, config.n)
-        )
-        A = spdc_matrix(params, grid)
-        result = schmidt_decompose(A, _opts(config))
+        params = spdc_params(L, sigma, d_o, d_e)
+        A = spdc_matrix(params, config.window or spdc_grid(params, config.n))
+        result = schmidt_decompose(A, config.opts)
         F = coherence(A)
-        return (
-            L,
-            params.X_o,
-            params.X_e,
-            F.real,
-            result.schmidt_number,
-            result.entropy,
-        )
+        return (L, params.X_o, params.X_e, F.real, result.schmidt_number, result.entropy)
 
-    rows = _map_jobs(point, m["Ls"], config.jobs)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": config.command,
-        "params": {
-            "L_values": [float(v) for v in m["Ls"]],
-            "sigma": m["sigma"],
-            "d_o": m["d_o"],
-            "d_e": m["d_e"],
-            "n": config.n,
-            "trunc": config.trunc,
-            "gauge": config.gauge,
-        },
-        "results": {
-            "rows": len(rows),
-            "F_first": rows[0][3],
-            "F_last": rows[-1][3],
-        },
-    }
-    csv_files = {
-        "csv-sweep": {
-            "sweep.csv": (("L", "X_o", "X_e", "F", "K", "S"), rows)
-        }
-    }
-    _emit(config, payload, csv_files)
-    return RunSummary(config.command, payload, time.perf_counter() - t0)
+    rows = _map_jobs(point, Ls, config.jobs)
+    return ModelRun(
+        params={"L_values": [float(v) for v in Ls], "sigma": sigma, "d_o": d_o, "d_e": d_e},
+        results={"rows": len(rows), "F_first": rows[0][3], "F_last": rows[-1][3]},
+        tables={"csv-sweep": {"sweep.csv": (("L", "X_o", "X_e", "F", "K", "S"), rows)}},
+    )
 
 
-def run_generic_schmidt(config: RunConfig) -> RunSummary:
+def _decompose(res: _Resolver, config: RunConfig) -> ModelRun:
     """Normalize and decompose a matrix read from a text file."""
-    t0 = time.perf_counter()
-    entries = parse_matrix_file(config.model["file"])
+    entries = parse_matrix_file(res.args.file)
     if entries.shape[0] != entries.shape[1]:
         raise MatrixParseError(
             f"matrix must be square, got {entries.shape[0]}x{entries.shape[1]}"
         )
     n = entries.shape[0]
     hi = float(max(n - 1, 1))
-    grid = Grid(0.0, hi, 0.0, hi, n)
     try:
-        A = normalize(AmplitudeMatrix(grid=grid, entries=entries))
+        A = normalize(AmplitudeMatrix(grid=Grid(0.0, hi, 0.0, hi, n), entries=entries))
     except ValueError as exc:
         raise MatrixParseError(str(exc))
-    result = schmidt_decompose(A, _opts(config))
+    result = schmidt_decompose(A, config.opts)
+    idx = np.arange(n, dtype=float)
+    modes = {
+        "modes_p.csv": _modes_table("row_index", idx, result.modes_p),
+        "modes_q.csv": _modes_table("col_index", idx, result.modes_q),
+    }
+    return ModelRun(
+        params={"file": str(res.args.file), "n": n},
+        results=_result_payload(result),
+        tables=_mode_tables(result, modes),
+    )
 
+
+# Model flags take floats unless listed here; key "d_o" is the flag --d-o.
+FLAG_TYPES = {"tau_steps": int, "L_steps": int, "tau_list": str, "L_list": str, "file": str}
+FLAG_HELP = {
+    "L": "crystal length (mm)",
+    "sigma": "pump bandwidth (1/ps)",
+    "d_o": "ordinary-ray group delay (ps/mm)",
+    "d_e": "extraordinary-ray group delay (ps/mm)",
+    "tau_list": "comma-separated tau values (overrides the range)",
+    "L_list": "comma-separated lengths (overrides the range)",
+    "file": "whitespace-separated matrix file",
+}
+
+SUBCOMMANDS = {
+    "atom-photon-coord": Subcommand(
+        "coordinate-space emission amplitude",
+        _coord,
+        flags=("xi0", "eta", "tau"),
+        figs=("fig1",),
+        default_n=ATOM_DEFAULT_N,
+        window=True,
+    ),
+    "atom-photon-momentum": Subcommand(
+        "momentum-space emission amplitude",
+        _momentum,
+        flags=("xi0", "eta"),
+        figs=("fig3",),
+        default_n=ATOM_DEFAULT_N,
+        window=True,
+    ),
+    "atom-photon-dynamics": Subcommand(
+        "K(tau), S(tau) sweep",
+        _dynamics,
+        flags=("xi0", "eta", "tau_start", "tau_stop", "tau_steps", "tau_list"),
+        figs=("fig2",),
+        default_n=ATOM_DEFAULT_N,
+        jobs=True,
+    ),
+    "spdc": Subcommand(
+        "biphoton amplitude and polarization coherence",
+        _spdc,
+        flags=("L", "sigma", "d_o", "d_e"),
+        figs=("fig5", "fig6"),
+        default_n=SPDC_DEFAULT_N,
+        window=True,
+    ),
+    "spdc-length-sweep": Subcommand(
+        "F, K, S versus crystal length",
+        _spdc_length_sweep,
+        flags=("L_start", "L_stop", "L_steps", "L_list", "sigma", "d_o", "d_e"),
+        figs=("fig4",),
+        default_n=SPDC_DEFAULT_N,
+        window=True,
+        jobs=True,
+    ),
+    "decompose": Subcommand(
+        "Schmidt-decompose a matrix from a text file",
+        _decompose,
+        flags=("file",),
+    ),
+}
+
+
+def run(args) -> dict:
+    """Run one parsed command line: resolve, compute, emit; return the summary.
+
+    The wall-clock duration stays out of the summary so it is reproducible.
+    """
+    cmd = SUBCOMMANDS[args.command]
+    res = _Resolver(args)
+    config = _build_config(cmd, res)
+    out = cmd.model(res, config)
+    params = dict(out.params)
+    if config.n is not None:
+        params["n"] = config.n
+    if out.grid is not None:
+        params["window"] = asdict(out.grid)
+    params["trunc"] = config.opts.truncation_threshold
+    params["gauge"] = config.opts.gauge
     payload = {
         "schema": SCHEMA_VERSION,
-        "command": config.command,
-        "params": {
-            "file": str(config.model["file"]),
-            "n": n,
-            "trunc": config.trunc,
-            "gauge": config.gauge,
-        },
-        "results": _result_payload(result),
+        "command": args.command,
+        "params": params,
+        **out.blocks,
+        "results": out.results,
     }
-    idx = np.arange(n, dtype=float)
-    csv_files = {
-        "csv-spectrum": {"spectrum.csv": _spectrum_table(result)},
-        "csv-modes": {
-            "modes_p.csv": _modes_table("row_index", idx, result.modes_p),
-            "modes_q.csv": _modes_table("col_index", idx, result.modes_q),
-        },
-    }
-    _emit(config, payload, csv_files)
-    return RunSummary(config.command, payload, time.perf_counter() - t0)
-
-
-def _dispatch(args) -> RunSummary:
-    res = _Resolver(args, args.command)
-    cmd = args.command
-    if cmd == "atom-photon-coord":
-        model = {
-            "xi0": float(res.require("xi0", "--xi0")),
-            "eta": float(res.require("eta", "--eta")),
-            "tau": float(res.require("tau", "--tau")),
-        }
-        return run_atom_photon_coord(_build_config(args, model, ATOM_DEFAULT_N, res))
-    if cmd == "atom-photon-momentum":
-        model = {
-            "xi0": float(res.require("xi0", "--xi0")),
-            "eta": float(res.require("eta", "--eta")),
-            "tau": float(res.get("tau", 10.0)),
-        }
-        return run_atom_photon_momentum(_build_config(args, model, ATOM_DEFAULT_N, res))
-    if cmd == "atom-photon-dynamics":
-        model = {
-            "xi0": float(res.require("xi0", "--xi0")),
-            "eta": float(res.require("eta", "--eta")),
-            "taus": _sweep_values(res, "tau", "tau"),
-        }
-        return run_atom_photon_dynamics(_build_config(args, model, ATOM_DEFAULT_N, res))
-    if cmd == "spdc":
-        model = {
-            "L": float(res.require("L", "--L")),
-            "sigma": float(res.require("sigma", "--sigma")),
-            "d_o": float(res.get("d_o", DEFAULT_D_O)),
-            "d_e": float(res.get("d_e", DEFAULT_D_E)),
-        }
-        return run_spdc(_build_config(args, model, SPDC_DEFAULT_N, res))
-    if cmd == "spdc-length-sweep":
-        model = {
-            "Ls": _sweep_values(res, "L", "L"),
-            "sigma": float(res.require("sigma", "--sigma")),
-            "d_o": float(res.get("d_o", DEFAULT_D_O)),
-            "d_e": float(res.get("d_e", DEFAULT_D_E)),
-        }
-        return run_spdc_length_sweep(_build_config(args, model, SPDC_DEFAULT_N, res))
-    if cmd == "decompose":
-        model = {"file": args.file}
-        return run_generic_schmidt(_build_config(args, model, SPDC_DEFAULT_N, res))
-    raise ValueError(f"unknown command {cmd!r}")
+    if out.convergence is not None:
+        payload["grid_convergence"] = out.convergence
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    if "json-summary" in config.formats:
+        write_json(config.out_dir / "summary.json", payload)
+    for fmt, files in out.tables.items():
+        if fmt in config.formats:
+            for name, (header, rows) in files.items():
+                write_csv(config.out_dir / name, header, rows)
+    return payload
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        summary = _dispatch(args)
-    except MatrixParseError as exc:
+        run(args)
+    except (ConvergenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    print(
-        f"{summary.command}: completed in {summary.duration_seconds:.3f} s",
-        file=sys.stderr,
-    )
+        if isinstance(exc, MatrixParseError):
+            return EXIT_PARSE
+        return EXIT_CONVERGENCE if isinstance(exc, ConvergenceError) else EXIT_CONFIG
+    print(f"{args.command}: completed in {time.perf_counter() - t0:.3f} s", file=sys.stderr)
     return EXIT_OK
 
 

@@ -6,9 +6,8 @@ weights lambda_k summing to 1.  The weights are the squared singular
 values of A; they carry all entanglement information through the Schmidt
 number K = 1 / sum(lambda^2) and the entropy S = -sum(lambda log2 lambda).
 
-Two routes produce the factorization: a direct SVD, and an eigendecomposition
-of the Gram matrix A A^+ followed by projection of the q-modes.  Both are
-exposed so one can cross-check the other.
+The factorization is a direct SVD; the tests cross-check its weights
+against an independent power-iteration eigensolver.
 """
 
 from __future__ import annotations
@@ -17,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import AmplitudeMatrix, Grid, hermitian_eig, svd
+from .tensor_core import AmplitudeMatrix, Grid, svd
 
 GAUGES = ("largest-real-positive", "none")
-METHODS = ("svd", "gram-eig")
 WEIGHT_SUM_ATOL = 1e-10
+SPECTRUM_DRIFT_MODES = 32
 
 
 @dataclass(frozen=True)
@@ -31,37 +30,23 @@ class DecompositionOptions:
     truncation_threshold
         Relative weight cutoff: modes with lambda_k / lambda_1 below it are
         dropped.  Must lie in [0, 1).
-    regularization_epsilon
-        Additive regularizer used by the gram-eig route when inverting the
-        eigenvalue matrix.  Must lie in [1e-16, 1e-10].
     gauge
         "largest-real-positive" rotates each p-mode so its largest-modulus
         component is real and positive (the paired q-mode absorbs the
         inverse phase, leaving every rank-1 term unchanged); "none" keeps
         the raw factor phases.
-    method
-        "svd" or "gram-eig".
     """
 
     truncation_threshold: float = 1e-14
-    regularization_epsilon: float = 1e-12
     gauge: str = "largest-real-positive"
-    method: str = "svd"
 
     def __post_init__(self):
         if not 0.0 <= self.truncation_threshold < 1.0:
             raise ValueError(
                 f"truncation_threshold must be in [0, 1), got {self.truncation_threshold}"
             )
-        if not 1e-16 <= self.regularization_epsilon <= 1e-10:
-            raise ValueError(
-                "regularization_epsilon must be in [1e-16, 1e-10], "
-                f"got {self.regularization_epsilon}"
-            )
         if self.gauge not in GAUGES:
             raise ValueError(f"gauge must be one of {GAUGES}, got {self.gauge!r}")
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,21 +131,10 @@ def schmidt_decompose(
     """
     if not A.normalized:
         raise ValueError("schmidt_decompose requires a normalized AmplitudeMatrix")
-    psi = A.entries
-
-    if opts.method == "svd":
-        U, s, Vh = svd(psi)
-        lam_raw = s**2
-        u = U.T.copy()
-        v = Vh.copy()
-    else:
-        # Gram route: diagonalize M = psi psi^+, then project the q-modes
-        # out of psi with a regularized inverse square root of the spectrum.
-        eig = hermitian_eig(psi @ psi.conj().T)
-        lam_raw = np.clip(eig.eigenvalues, 0.0, None)
-        u = eig.eigenvectors.T.copy()
-        inv_sqrt = 1.0 / np.sqrt(lam_raw + opts.regularization_epsilon)
-        v = (inv_sqrt[:, None] * u.conj()) @ psi
+    U, s, Vh = svd(A.entries)
+    lam_raw = s**2
+    u = U.T.copy()
+    v = Vh.copy()
 
     total = float(lam_raw.sum())
     lam_raw = lam_raw / total
@@ -170,13 +144,6 @@ def schmidt_decompose(
     lam_kept = lam_raw[:rank]
     u = u[:rank]
     v = v[:rank]
-
-    if opts.method == "gram-eig":
-        # The regularizer shrinks projected q-mode norms by
-        # sqrt(lam / (lam + eps)); restore unit norm on the kept modes.
-        norms = np.linalg.norm(v, axis=1)
-        norms[norms == 0.0] = 1.0
-        v = v / norms[:, None]
 
     if opts.gauge == "largest-real-positive":
         u, v = _apply_gauge(u, v)
@@ -192,6 +159,16 @@ def schmidt_decompose(
         entropy=entanglement_entropy(lam),
         reconstruction_error=float(np.sqrt(discarded)),
     )
+
+
+def spectrum_drift(a: SchmidtResult, b: SchmidtResult) -> float:
+    """Largest change among the leading weights of two decompositions.
+
+    Compares at most the top ``SPECTRUM_DRIFT_MODES`` weights that both
+    results kept; used to judge a run against its enlarged-window probe.
+    """
+    m = min(a.rank, b.rank, SPECTRUM_DRIFT_MODES)
+    return float(np.max(np.abs(a.lambdas[:m] - b.lambdas[:m])))
 
 
 def truncate_rank(result: SchmidtResult, r: int) -> SchmidtResult:

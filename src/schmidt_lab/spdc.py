@@ -139,8 +139,7 @@ def check_resolution(params: SpdcParams, grid: Grid) -> None:
     step = 0.5 * max(abs(params.X_o) * grid.dp, abs(params.X_e) * grid.dq)
     if step > MAX_PHASE_STEP:
         span = max(grid.p_max - grid.p_min, grid.q_max - grid.q_min)
-        steepest = 0.5 * max(abs(params.X_o), abs(params.X_e)) * span
-        need = max(2, int(math.ceil(steepest / MAX_PHASE_STEP)) + 1)
+        need = required_n(params, 0.5 * span)
         raise ConvergenceError(
             f"n={grid.n} under-resolves the phase-matching oscillation "
             f"(phase step {step:.3f} rad exceeds {MAX_PHASE_STEP:.3f}); "

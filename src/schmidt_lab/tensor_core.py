@@ -15,7 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-HERMITICITY_RTOL = 1e-10
 NORM_ATOL = 1e-9
 
 
@@ -71,6 +70,23 @@ def make_grid(p_min: float, p_max: float, q_min: float, q_max: float, n: int) ->
     return Grid(float(p_min), float(p_max), float(q_min), float(q_max), n)
 
 
+def enlarged_n(n: int, factor: float) -> int:
+    """Node count that keeps the mesh spacing when a window grows by ``factor``."""
+    return int(round(factor * (n - 1))) + 1
+
+
+def enlarged_grid(grid: Grid, factor: float) -> Grid:
+    """Scale both windows about their centres by ``factor`` at fixed spacing.
+
+    This is the window the convergence probe of a sampled run compares against.
+    """
+    pc = 0.5 * (grid.p_min + grid.p_max)
+    qc = 0.5 * (grid.q_min + grid.q_max)
+    hp = 0.5 * (grid.p_max - grid.p_min) * factor
+    hq = 0.5 * (grid.q_max - grid.q_min) * factor
+    return make_grid(pc - hp, pc + hp, qc - hq, qc + hq, enlarged_n(grid.n, factor))
+
+
 @dataclass(frozen=True, eq=False)
 class AmplitudeMatrix:
     """A discretized two-variable amplitude on a Grid.
@@ -107,13 +123,14 @@ class AmplitudeMatrix:
 def sample_amplitude(f: Callable, grid: Grid) -> AmplitudeMatrix:
     """Evaluate ``f(p, q)`` on the mesh and wrap the result.
 
-    ``f`` may be vectorized over numpy arrays or a plain scalar function;
-    vectorized evaluation is tried first.  The result is not normalized.
+    ``f`` must be vectorized: it is called once with the two (n, n) node
+    arrays and must return an (n, n) array.  The result is not normalized.
 
     Raises
     ------
     ValueError
-        If any sampled value is non-finite; the message names the first
+        If ``f`` rejects array arguments, returns the wrong shape, or any
+        sampled value is non-finite; the last message names the first
         offending node by index and coordinates.
     """
     p = grid.p_nodes()
@@ -121,13 +138,12 @@ def sample_amplitude(f: Callable, grid: Grid) -> AmplitudeMatrix:
     P, Q = np.meshgrid(p, q, indexing="ij")
     try:
         vals = np.asarray(f(P, Q), dtype=complex)
-        if vals.shape != P.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.empty((grid.n, grid.n), dtype=complex)
-        for j1 in range(grid.n):
-            for j2 in range(grid.n):
-                vals[j1, j2] = complex(f(p[j1], q[j2]))
+    except TypeError as exc:
+        raise ValueError(f"amplitude function must accept numpy arrays: {exc}") from exc
+    if vals.shape != P.shape:
+        raise ValueError(
+            f"amplitude function returned shape {vals.shape}, expected {P.shape}"
+        )
     bad = ~(np.isfinite(vals.real) & np.isfinite(vals.imag))
     if np.any(bad):
         j1, j2 = (int(i) for i in np.argwhere(bad)[0])
@@ -152,50 +168,17 @@ def normalize(A: AmplitudeMatrix) -> AmplitudeMatrix:
     return AmplitudeMatrix(grid=A.grid, entries=A.entries / nrm, normalized=True)
 
 
-def _check_square_finite(M: np.ndarray, name: str) -> np.ndarray:
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
-        raise ValueError(f"{name} must have finite entries")
-    return M.astype(complex)
-
-
-@dataclass(frozen=True, eq=False)
-class EigenSystem:
-    """Eigenvalues (non-increasing) and matching orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eig(M: np.ndarray) -> EigenSystem:
-    """Full eigensystem of a Hermitian matrix, eigenvalues non-increasing.
-
-    Raises
-    ------
-    ValueError
-        If M is not square, not finite, or deviates from Hermiticity by
-        more than 1e-10 relative to its largest modulus.
-    """
-    M = _check_square_finite(M, "hermitian_eig input")
-    scale = float(np.max(np.abs(M))) or 1.0
-    dev = float(np.max(np.abs(M - M.conj().T)))
-    if dev > HERMITICITY_RTOL * scale:
-        raise ValueError(
-            f"matrix is not Hermitian: max |M - M^+| = {dev:.3e} "
-            f"exceeds {HERMITICITY_RTOL:.0e} relative to max |M| = {scale:.3e}"
-        )
-    vals, vecs = np.linalg.eigh(M)
-    return EigenSystem(eigenvalues=vals[::-1].copy(), eigenvectors=vecs[:, ::-1].copy())
-
-
 def svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full singular value decomposition ``A = U @ diag(s) @ V``.
 
     Returns ``(U, s, V)`` where the columns of U and the rows of V are
-    orthonormal and s is non-negative and non-increasing.
+    orthonormal and s is non-negative and non-increasing.  Raises
+    ValueError if A is not square or has non-finite entries.
     """
-    A = _check_square_finite(A, "svd input")
-    U, s, Vh = np.linalg.svd(A)
+    A = np.asarray(A)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"svd input must be a square matrix, got shape {A.shape}")
+    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
+        raise ValueError("svd input must have finite entries")
+    U, s, Vh = np.linalg.svd(A.astype(complex))
     return U, s, Vh

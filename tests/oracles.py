@@ -1,7 +1,7 @@
 """Hand-rolled spectral oracles, independent of the library's solvers.
 
 Everything here is plain power iteration with deflation so the test suite
-can cross-check the library eigen/SVD route against a second, structurally
+can cross-check the library's SVD route against a second, structurally
 different implementation.
 """
 
@@ -46,14 +46,6 @@ def psd_eigensystem(M, tol=1e-13, max_iter=200000, seed=12345):
         B = B - mu * np.outer(v, v.conj())
     order = np.argsort(vals)[::-1]
     return vals[order], vecs[:, order]
-
-
-def hermitian_eigenvalues(M, **kw):
-    """Eigenvalues of a (possibly indefinite) Hermitian matrix, descending."""
-    M = np.asarray(M, dtype=complex)
-    shift = float(np.sum(np.abs(M))) + 1.0
-    vals, _ = psd_eigensystem(M + shift * np.eye(M.shape[0]), **kw)
-    return vals - shift
 
 
 def singular_values(A, **kw):

@@ -387,3 +387,112 @@ def test_module_entry_point_subprocess(tmp_path):
     assert (out / "summary.json").exists()
     # no timestamps or durations leak into the data files
     assert "duration" not in (out / "summary.json").read_text()
+
+
+# (extra argv, files written, summary.json top-level keys, params keys) per
+# subcommand, at meshes small enough to run in well under a second each.
+OUTPUT_SCHEMA = {
+    "atom-photon-coord": (
+        ["--fig1", "--n", "48"],
+        {"summary.json", "spectrum.csv", "modes_p.csv", "modes_q.csv", "laguerre_overlaps.csv"},
+        ["schema", "command", "params", "validity", "results", "grid_convergence"],
+        ["xi0", "eta", "tau", "n", "window", "trunc", "gauge"],
+    ),
+    "atom-photon-momentum": (
+        ["--fig3", "--n", "32"],
+        {
+            "summary.json",
+            "spectrum.csv",
+            "modes_nu.csv",
+            "modes_pi.csv",
+            "densities_nu.csv",
+            "densities_pi.csv",
+        },
+        ["schema", "command", "params", "validity", "asymptotics", "results", "grid_convergence"],
+        ["xi0", "eta", "n", "window", "trunc", "gauge"],
+    ),
+    "atom-photon-dynamics": (
+        ["--xi0", "100", "--eta", "0.03", "--tau-list", "1,10", "--n", "64"],
+        {"summary.json", "sweep.csv"},
+        ["schema", "command", "params", "validity", "results", "grid_convergence"],
+        ["xi0", "eta", "tau_values", "n", "trunc", "gauge"],
+    ),
+    "spdc": (
+        ["--fig5", "--n", "64"],
+        {"summary.json", "spectrum.csv", "modes_o.csv", "modes_e.csv"},
+        ["schema", "command", "params", "results", "grid_convergence"],
+        ["L", "sigma", "d_o", "d_e", "X_o", "X_e", "n", "window", "trunc", "gauge"],
+    ),
+    "spdc-length-sweep": (
+        ["--L-list", "0.5", "--sigma", "10", "--n", "64"],
+        {"summary.json", "sweep.csv"},
+        ["schema", "command", "params", "results"],
+        ["L_values", "sigma", "d_o", "d_e", "n", "trunc", "gauge"],
+    ),
+    "decompose": (
+        ["eye.txt"],
+        {"summary.json", "spectrum.csv", "modes_p.csv", "modes_q.csv"},
+        ["schema", "command", "params", "results"],
+        ["file", "n", "trunc", "gauge"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_SCHEMA))
+def test_output_files_and_key_order(tmp_path, command):
+    extra, files, top_keys, param_keys = OUTPUT_SCHEMA[command]
+    _write_matrix(tmp_path / "eye.txt", np.eye(2))
+    extra = [str(tmp_path / a) if a == "eye.txt" else a for a in extra]
+    out = tmp_path / "out"
+    assert main([command, *extra, "--out", str(out)]) == 0
+    assert {f.name for f in out.iterdir()} == files
+    s = _summary(out)
+    assert list(s) == top_keys
+    assert list(s["params"]) == param_keys
+
+
+# A flag the subcommand would ignore, given as a flag and as a config key.
+IGNORED_FLAGS = [
+    (["atom-photon-momentum", "--fig3"], "tau", "10"),
+    (["atom-photon-dynamics", "--fig2"], "window", "-1,1,-1,1"),
+    (["decompose", "m.txt"], "n", "4"),
+    (["decompose", "m.txt"], "window", "-1,1,-1,1"),
+    (["atom-photon-coord", "--fig1"], "jobs", "2"),
+    (["atom-photon-momentum", "--fig3"], "jobs", "2"),
+    (["spdc", "--fig5"], "jobs", "2"),
+    (["decompose", "m.txt"], "jobs", "2"),
+]
+
+
+@pytest.mark.parametrize("argv,key,value", IGNORED_FLAGS)
+def test_flags_a_subcommand_ignores_are_rejected(tmp_path, argv, key, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"--{key}={value}", "--out", str(tmp_path / "a")])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "b")]) == 2
+    assert not (tmp_path / "b").exists()
+
+
+def test_decompose_ignores_default_n_env_var(tmp_path, monkeypatch):
+    f = tmp_path / "eye.txt"
+    _write_matrix(f, np.eye(3))
+    monkeypatch.setenv(cli.ENV_DEFAULT_N, "x")
+    assert main(["decompose", str(f), "--out", str(tmp_path / "out")]) == 0
+    assert _summary(tmp_path / "out")["params"]["n"] == 3
+
+
+def test_dynamics_honours_trunc(tmp_path):
+    args = ["atom-photon-dynamics", "--xi0", "100", "--eta", "0.03", "--tau-list", "1,10"]
+    out = tmp_path / "out"
+    assert main([*args, "--n", "64", "--trunc", "0.5", "--out", str(out)]) == 0
+    # Only the dominant photonic mode survives, so the composite spectrum
+    # is the two-level one.
+    header, rows = _read_csv(out / "sweep.csv")
+    col = {name: i for i, name in enumerate(header)}
+    for row in rows:
+        assert float(row[col["K"]]) == pytest.approx(float(row[col["K0"]]), abs=1e-12)
+        assert float(row[col["S"]]) == pytest.approx(float(row[col["S0"]]), abs=1e-12)
+    assert _summary(out)["params"]["trunc"] == 0.5
+    assert main([*args, "--n", "64", "--trunc", "7", "--out", str(tmp_path / "bad")]) == 2

@@ -3,14 +3,14 @@ import pytest
 
 from schmidt_lab.tensor_core import (
     AmplitudeMatrix,
-    hermitian_eig,
+    enlarged_grid,
     make_grid,
     normalize,
     sample_amplitude,
     svd,
 )
 
-from oracles import hermitian_eigenvalues, singular_values
+from oracles import singular_values
 
 
 def test_make_grid_nodes_and_spacing():
@@ -32,6 +32,19 @@ def test_make_grid_rejects_bad_windows():
         make_grid(0.0, np.nan, 0.0, 1.0, 4)
 
 
+def test_enlarged_grid_scales_about_centre_at_fixed_spacing():
+    for n in (2, 64, 97, 400, 512, 800):
+        # the momentum (factor 2) and SPDC (factor 1.5) probe windows
+        big = enlarged_grid(make_grid(-60.0, 60.0, -6.0, 6.0, n), 2.0)
+        assert big == make_grid(-120.0, 120.0, -12.0, 12.0, int(round(2.0 * (n - 1))) + 1)
+        big = enlarged_grid(make_grid(-40.0, 40.0, -40.0, 40.0, n), 1.5)
+        assert big == make_grid(-60.0, 60.0, -60.0, 60.0, int(round(1.5 * (n - 1))) + 1)
+    g = make_grid(1.0, 3.0, -1.0, 0.0, 5)
+    big = enlarged_grid(g, 3.0)
+    assert (big.p_min, big.p_max, big.q_min, big.q_max, big.n) == (-1.0, 5.0, -2.0, 1.0, 13)
+    assert (big.dp, big.dq) == (g.dp, g.dq)
+
+
 def test_sample_amplitude_vectorized():
     g = make_grid(0.0, 1.0, 0.0, 1.0, 2)
     A = sample_amplitude(lambda p, q: p * q, g)
@@ -39,14 +52,17 @@ def test_sample_amplitude_vectorized():
     assert not A.normalized
 
 
-def test_sample_amplitude_scalar_fallback():
+def test_sample_amplitude_rejects_unvectorized_or_misshapen_f():
     import math
 
     g = make_grid(0.0, 1.0, 0.0, 1.0, 3)
-    # math.exp rejects arrays, forcing the per-node path
-    A = sample_amplitude(lambda p, q: complex(math.exp(-p), q), g)
-    ref = sample_amplitude(lambda p, q: np.exp(-p) + 1j * q, g)
-    np.testing.assert_allclose(A.entries, ref.entries, atol=1e-15)
+    # math.exp rejects arrays; there is no per-node fallback
+    with pytest.raises(ValueError, match="numpy arrays"):
+        sample_amplitude(lambda p, q: complex(math.exp(-p), q), g)
+    with pytest.raises(ValueError, match=r"shape \(\), expected \(3, 3\)"):
+        sample_amplitude(lambda p, q: 1.0, g)
+    with pytest.raises(ValueError, match="shape"):
+        sample_amplitude(lambda p, q: p[0], g)
 
 
 def test_sample_amplitude_names_offending_node():
@@ -85,45 +101,6 @@ def test_amplitude_matrix_validation():
         AmplitudeMatrix(grid=g, entries=ok, normalized=True)
 
 
-def test_hermitian_eig_diagonal():
-    sys = hermitian_eig(np.diag([3.0, 1.0, 2.0]))
-    np.testing.assert_allclose(sys.eigenvalues, [3.0, 2.0, 1.0])
-    M = np.diag([3.0, 1.0, 2.0]).astype(complex)
-    for k in range(3):
-        v = sys.eigenvectors[:, k]
-        np.testing.assert_allclose(M @ v, sys.eigenvalues[k] * v, atol=1e-12)
-
-
-def test_hermitian_eig_complex_offdiagonal():
-    M = np.array([[0.0, -1j], [1j, 0.0]])
-    sys = hermitian_eig(M)
-    np.testing.assert_allclose(sys.eigenvalues, [1.0, -1.0], atol=1e-14)
-    V = sys.eigenvectors
-    np.testing.assert_allclose(V.conj().T @ V, np.eye(2), atol=1e-14)
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="Hermitian"):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError, match="square"):
-        hermitian_eig(np.zeros((2, 3)))
-
-
-def test_hermitian_eig_matches_power_iteration_oracle():
-    rng = np.random.default_rng(42)
-    for _ in range(20):
-        n = int(rng.integers(2, 9))
-        X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        M = (X + X.conj().T) / 2
-        sys = hermitian_eig(M)
-        ref = hermitian_eigenvalues(M)
-        np.testing.assert_allclose(sys.eigenvalues, ref, atol=1e-8)
-        V = sys.eigenvectors
-        assert np.max(np.abs(V.conj().T @ V - np.eye(n))) < 1e-10
-        R = V @ np.diag(sys.eigenvalues) @ V.conj().T
-        assert np.max(np.abs(R - M)) < 1e-10
-
-
 def test_svd_examples():
     U, s, V = svd(np.diag([2.0, 1.0]))
     np.testing.assert_allclose(s, [2.0, 1.0])
@@ -139,8 +116,6 @@ def test_svd_matches_gram_eigenvalues():
         n = int(rng.integers(2, 9))
         A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         _, s, _ = svd(A)
-        lib = hermitian_eig(A @ A.conj().T).eigenvalues
-        np.testing.assert_allclose(s, np.sqrt(np.clip(lib, 0, None)), atol=1e-9)
         np.testing.assert_allclose(s, singular_values(A), atol=1e-8)
 
 
