@@ -97,11 +97,13 @@ def coord_amplitude(params: AtomPhotonParams, p, q):
 
     with theta(0) = 1.  Accepts scalars or broadcastable arrays.  Warns
     (without rejecting) below tau = 3 where the long-time form is only
-    qualitative; dynamics sweeps rely on this leniency.
+    qualitative; dynamics sweeps rely on this leniency.  The message does
+    not name tau, so the default warning filter prints it once per call
+    site rather than once per sweep point.
     """
     if params.tau < TAU_APPLICABILITY_WARN:
         warnings.warn(
-            f"coordinate amplitude is a long-time approximation; tau={params.tau} < 3",
+            "coordinate amplitude is a long-time approximation, only qualitative below tau = 3",
             stacklevel=2,
         )
     p, q = _as_finite_arrays(p, q)
@@ -359,20 +361,18 @@ def full_dynamics(
         return 1.0, 0.0, lam
 
     at_tau = AtomPhotonParams(params.xi0, params.eta, tau)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        grid = coord_grid(at_tau, policy.n, policy.decay_span, policy.sigma_margin)
-        result = schmidt_decompose(coord_matrix(at_tau, grid), opts)
-        if policy.capture_check:
-            drift = coord_capture_drift(
-                at_tau, policy.n, policy.decay_span, policy.sigma_margin, opts=opts
+    grid = coord_grid(at_tau, policy.n, policy.decay_span, policy.sigma_margin)
+    result = schmidt_decompose(coord_matrix(at_tau, grid), opts)
+    if policy.capture_check:
+        drift = coord_capture_drift(
+            at_tau, policy.n, policy.decay_span, policy.sigma_margin, opts=opts
+        )
+        if drift >= policy.capture_tol:
+            raise ConvergenceError(
+                f"window capture check failed at tau={tau:g}: enlarging the "
+                f"margins by 50% moves the weight spectrum by {drift:.3e} "
+                f">= {policy.capture_tol:.1e}; widen the window or raise n"
             )
-            if drift >= policy.capture_tol:
-                raise ConvergenceError(
-                    f"window capture check failed at tau={tau:g}: enlarging the "
-                    f"margins by 50% moves the weight spectrum by {drift:.3e} "
-                    f">= {policy.capture_tol:.1e}; widen the window or raise n"
-                )
 
     lam = np.concatenate(([le], lg * result.lambdas))
     lam = lam / lam.sum()

@@ -11,11 +11,14 @@ decompose FILE         Schmidt-decompose a matrix read from a text file
 
 Each subcommand is one entry of ``SUBCOMMANDS``; the parser and the runner
 are both built from that table, so a subcommand accepts exactly the flags
-its model reads.
+its model reads.  Each flag has one type, in ``FLAG_TYPES``: a --config
+value is turned into that flag's text (a JSON list joined by commas) and
+parsed by the same function, and SCHMIDT_LAB_DEFAULT_N is parsed as --n.
 
 Value precedence for every parameter: explicit flag > figure preset >
-config file (--config, flat JSON keyed by flag names with underscores) >
-SCHMIDT_LAB_DEFAULT_N (resolution only) > built-in default.
+config file (--config, flat JSON keyed by flag names with underscores;
+booleans, null and preset keys are rejected) > SCHMIDT_LAB_DEFAULT_N
+(resolution only) > built-in default.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-convergence
 failure, 4 input-parse failure.  Data files never contain timestamps;
@@ -87,22 +90,6 @@ FIG_PRESETS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run request: mesh, decomposition, output.
-
-    ``n`` is None for a subcommand without a mesh of its own (decompose);
-    ``window`` is the --window mesh, None when the model picks its own.
-    """
-
-    out_dir: Path
-    formats: tuple
-    n: int | None
-    window: Grid | None
-    opts: DecompositionOptions
-    jobs: int
-
-
 @dataclass(frozen=True, eq=False)
 class ModelRun:
     """What one model computed, before the runner adds the shared parts.
@@ -120,35 +107,41 @@ class ModelRun:
     grid: Grid | None = None
 
 
+SHARED_FLAGS = ("trunc", "gauge", "out", "format")
+
+
 @dataclass(frozen=True)
 class Subcommand:
     """One CLI subcommand: its parser entry and the model it runs.
 
-    ``flags`` are the keys of the model's own parameters (see _flag);
-    ``figs`` name FIG_PRESETS entries; ``default_n`` is None when there
-    is no --n.  ``model(res, config)`` reads its parameters through
-    ``res`` and returns a ModelRun.
+    ``flags`` are the keys of every flag it takes besides --config and the
+    presets (see _flag); all but the positional ``file`` are also config
+    keys.  ``figs`` name FIG_PRESETS entries; ``default_n`` is the --n
+    default.  ``model(req)`` reads its parameters through the resolved
+    request ``req`` and returns a ModelRun.
     """
 
     help: str
     model: Callable
-    flags: tuple = ()
+    flags: tuple
     figs: tuple = ()
     default_n: int | None = None
-    window: bool = False
-    jobs: bool = False
 
 
-def _parse_window(text: str):
-    parts = text.split(",")
-    if len(parts) != 4:
+def _parse_floats(text: str) -> tuple:
+    try:
+        return tuple(float(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+
+
+def _parse_window(text: str) -> tuple:
+    vals = _parse_floats(text)
+    if len(vals) != 4:
         raise argparse.ArgumentTypeError(
             f"window needs 4 comma-separated numbers p_min,p_max,q_min,q_max, got {text!r}"
         )
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"window values must be numbers, got {text!r}")
+    return vals
 
 
 def _parse_formats(text: str):
@@ -166,6 +159,14 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
+def _parse(key: str, text: str, source: str):
+    """Parse text as the flag of ``key`` does; an error names ``source``."""
+    try:
+        return FLAG_TYPES.get(key, float)(text)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ValueError(f"{source}: {exc}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="schmidt-lab",
@@ -175,118 +176,91 @@ def build_parser() -> argparse.ArgumentParser:
     for name, cmd in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=cmd.help)
         for key in cmd.flags:
+            text = FLAG_HELP.get(key)
+            if key == "n":
+                text = f"{text} (default {cmd.default_n})"
             flag = key if key == "file" else _flag(key)
-            p.add_argument(flag, type=FLAG_TYPES.get(key, float), help=FLAG_HELP.get(key))
+            p.add_argument(flag, type=FLAG_TYPES.get(key, float), help=text)
         for fig in cmd.figs:
             preset = " ".join(f"{k}={v:g}" for k, v in FIG_PRESETS[fig].items())
             p.add_argument(f"--{fig}", action="store_true", help=preset)
-        if cmd.default_n is not None:
-            p.add_argument("--n", type=int, help=f"nodes per axis (default {cmd.default_n})")
-        if cmd.window:
-            p.add_argument(
-                "--window",
-                type=_parse_window,
-                metavar="P_MIN,P_MAX,Q_MIN,Q_MAX",
-                help="override the automatic sampling window",
-            )
-        p.add_argument("--trunc", type=float, help="relative weight truncation threshold")
-        p.add_argument("--gauge", choices=list(GAUGES), help="mode phase convention")
-        p.add_argument("--out", help="output directory (default: out)")
-        p.add_argument(
-            "--format",
-            dest="formats",
-            type=_parse_formats,
-            help=f"comma-separated subset of: {', '.join(FORMATS)}",
-        )
-        if cmd.jobs:
-            p.add_argument("--jobs", type=int, help="concurrent sweep evaluations")
         p.add_argument("--config", help="flat JSON config file (flags win)")
     return ap
 
 
-class _Resolver:
-    """Parameter lookup with precedence flag > preset > config > default."""
+def _read_config(path: Path, flags: tuple) -> dict:
+    """Config values parsed as the text of their flags.
 
-    def __init__(self, args):
+    A JSON list stands for a comma-separated value; booleans, null and
+    keys other than the named ``flags`` are rejected.
+    """
+    try:
+        loaded = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValueError(f"cannot read config file {path}: {exc}")
+    if not isinstance(loaded, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
+    keys = sorted(set(flags) - {"file"})
+    unknown = sorted(set(loaded) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown config key(s) {unknown}; valid keys: {keys}")
+    config = {}
+    for key, value in loaded.items():
+        items = value if isinstance(value, list) else [value]
+        if any(isinstance(v, bool) or not isinstance(v, (int, float, str)) for v in items):
+            raise ValueError(
+                f"config key {key!r}: expected a number, a string or a list of them, got {value!r}"
+            )
+        config[key] = _parse(key, ",".join(str(v) for v in items), f"config key {key!r}")
+    return config
+
+
+class _Resolver:
+    """One resolved run request; precedence flag > preset > config > default.
+
+    ``n`` is None for a subcommand without --n (decompose); ``window`` is
+    the --window mesh, None when the model picks its own.  A model reads
+    its own parameters with ``get`` and ``require``.
+    """
+
+    def __init__(self, cmd: Subcommand, args):
         self.args = args
-        self.preset = {}
-        figs = [f for f in FIG_PRESETS if getattr(args, f, False)]
+        figs = [f for f in cmd.figs if getattr(args, f)]
         if len(figs) > 1:
             raise ValueError(f"conflicting figure presets: {', '.join(figs)}")
-        if figs:
-            self.preset = FIG_PRESETS[figs[0]]
-        self.config = {}
-        if getattr(args, "config", None):
-            path = Path(args.config)
-            try:
-                loaded = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
-                raise ValueError(f"cannot read config file {path}: {exc}")
-            if not isinstance(loaded, dict):
-                raise ValueError(f"config file {path} must hold a JSON object")
-            known = set(vars(args)) - {"command", "config", "file"}
-            unknown = sorted(set(loaded) - known)
-            if unknown:
-                raise ValueError(
-                    f"unknown config key(s) {unknown}; valid keys: {sorted(known)}"
-                )
-            self.config = loaded
+        self.preset = FIG_PRESETS[figs[0]] if figs else {}
+        self.config = _read_config(Path(args.config), cmd.flags) if args.config else {}
+        n = self.get("n")
+        if n is None and cmd.default_n is not None:
+            env = os.environ.get(ENV_DEFAULT_N)
+            n = cmd.default_n if env is None else _parse("n", env, ENV_DEFAULT_N)
+        if n is not None and n < 2:
+            raise ValueError(f"n must be at least 2, got {n}")
+        self.n = n
+        window = self.get("window")
+        self.window = None if window is None else make_grid(*window, n)
+        self.jobs = self.get("jobs", 1)
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        defaults = DecompositionOptions()
+        self.opts = DecompositionOptions(
+            truncation_threshold=self.get("trunc", defaults.truncation_threshold),
+            gauge=self.get("gauge", defaults.gauge),
+        )
+        self.out_dir = Path(self.get("out", "out"))
+        self.formats = self.get("format", FORMATS)
 
     def get(self, key, default=None):
         v = getattr(self.args, key, None)
-        if v is not None and v is not False:
+        if v is not None:
             return v
-        if key in self.preset:
-            return self.preset[key]
-        if key in self.config:
-            return self.config[key]
-        return default
-
-    def resolve_n(self, command_default: int) -> int:
-        v = self.get("n", os.environ.get(ENV_DEFAULT_N, command_default))
-        try:
-            n = int(v)
-        except (TypeError, ValueError):
-            raise ValueError(f"n must be an integer, got {v!r}")
-        if n < 2:
-            raise ValueError(f"n must be at least 2, got {n}")
-        return n
+        return self.preset.get(key, self.config.get(key, default))
 
     def require(self, key):
         v = self.get(key)
         if v is None:
             raise ValueError(f"missing required parameter {_flag(key)}")
         return v
-
-    def number(self, key) -> float:
-        return float(self.require(key))
-
-
-def _build_config(cmd: Subcommand, res: _Resolver) -> RunConfig:
-    n = None if cmd.default_n is None else res.resolve_n(cmd.default_n)
-    window = res.get("window")
-    if window is not None:
-        if len(window) != 4:
-            raise ValueError(f"window needs 4 values, got {window!r}")
-        window = make_grid(*(float(x) for x in window), n)
-    formats = res.get("formats", FORMATS)
-    if isinstance(formats, str):
-        formats = _parse_formats(formats)
-    jobs = int(res.get("jobs", 1))
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    defaults = DecompositionOptions()
-    return RunConfig(
-        out_dir=Path(res.get("out", "out")),
-        formats=tuple(formats),
-        n=n,
-        window=window,
-        opts=DecompositionOptions(
-            truncation_threshold=float(res.get("trunc", defaults.truncation_threshold)),
-            gauge=str(res.get("gauge", defaults.gauge)),
-        ),
-        jobs=jobs,
-    )
 
 
 def _convergence_deltas(base: SchmidtResult, big: SchmidtResult, **extra) -> dict:
@@ -342,27 +316,18 @@ def _mode_tables(result: SchmidtResult, modes: dict) -> dict:
     return {"csv-spectrum": {"spectrum.csv": spectrum}, "csv-modes": modes}
 
 
-def _sweep_values(res: _Resolver, prefix: str):
-    explicit = res.get(f"{prefix}_list")
+def _sweep_values(req: _Resolver, prefix: str):
+    explicit = req.get(f"{prefix}_list")
     if explicit is not None:
-        items = explicit if isinstance(explicit, (list, tuple)) else str(explicit).split(",")
-        try:
-            vals = [float(t) for t in items if str(t).strip()]
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"{prefix}_list must be a comma-separated list of numbers, got {explicit!r}"
-            )
-        if not vals:
-            raise ValueError(f"{prefix}_list is empty")
-        return vals
-    start = res.require(f"{prefix}_start")
-    stop = res.require(f"{prefix}_stop")
-    steps = int(res.require(f"{prefix}_steps"))
+        return list(explicit)
+    start = req.require(f"{prefix}_start")
+    stop = req.require(f"{prefix}_stop")
+    steps = req.require(f"{prefix}_steps")
     if steps < 1:
         raise ValueError(f"--{prefix}-steps must be at least 1, got {steps}")
     if stop < start:
         raise ValueError(f"--{prefix}-stop must be >= --{prefix}-start")
-    return [float(v) for v in np.linspace(float(start), float(stop), steps)]
+    return [float(v) for v in np.linspace(start, stop, steps)]
 
 
 def _map_jobs(fn, values, jobs: int):
@@ -372,13 +337,9 @@ def _map_jobs(fn, values, jobs: int):
         return list(ex.map(fn, values))
 
 
-def _spdc_constants(res: _Resolver):
+def _spdc_constants(req: _Resolver):
     """(sigma, d_o, d_e) with the crystal's default group delays."""
-    return (
-        res.number("sigma"),
-        float(res.get("d_o", DEFAULT_D_O)),
-        float(res.get("d_e", DEFAULT_D_E)),
-    )
+    return req.require("sigma"), req.get("d_o", DEFAULT_D_O), req.get("d_e", DEFAULT_D_E)
 
 
 # Model functions.  Each samples the base grid before the enlarged probe
@@ -387,17 +348,17 @@ def _spdc_constants(res: _Resolver):
 # bench/tracing.py wraps them.
 
 
-def _coord(res: _Resolver, config: RunConfig) -> ModelRun:
+def _coord(req: _Resolver) -> ModelRun:
     """Decompose the coordinate-space amplitude; emit spectrum, modes, overlaps."""
-    params = AtomPhotonParams(res.number("xi0"), res.number("eta"), res.number("tau"))
-    if config.window is None:
-        grid = coord_grid(params, config.n)
-        big_grid = coord_grid(params, config.n, enlarge=1.5)
+    params = AtomPhotonParams(req.require("xi0"), req.require("eta"), req.require("tau"))
+    if req.window is None:
+        grid = coord_grid(params, req.n)
+        big_grid = coord_grid(params, req.n, enlarge=1.5)
     else:
-        grid = config.window
+        grid = req.window
         big_grid = enlarged_grid(grid, 1.5)
-    result = schmidt_decompose(coord_matrix(params, grid), config.opts)
-    big = schmidt_decompose(coord_matrix(params, big_grid), config.opts)
+    result = schmidt_decompose(coord_matrix(params, grid), req.opts)
+    big = schmidt_decompose(coord_matrix(params, big_grid), req.opts)
     p_nodes = grid.p_nodes()
     overlaps = [
         (k, abs(mode_overlap(laguerre_mode(k, params.tau, p_nodes), result.modes_p[k])))
@@ -421,13 +382,13 @@ def _coord(res: _Resolver, config: RunConfig) -> ModelRun:
     )
 
 
-def _momentum(res: _Resolver, config: RunConfig) -> ModelRun:
+def _momentum(req: _Resolver) -> ModelRun:
     """Decompose the momentum-space amplitude; emit modes and densities."""
     # The momentum amplitude is the long-time limit, so tau plays no part.
-    params = AtomPhotonParams(res.number("xi0"), res.number("eta"), tau=1.0)
-    grid = config.window or momentum_grid(config.n)
-    result = schmidt_decompose(momentum_matrix(params, grid), config.opts)
-    big = schmidt_decompose(momentum_matrix(params, enlarged_grid(grid, 2.0)), config.opts)
+    params = AtomPhotonParams(req.require("xi0"), req.require("eta"), tau=1.0)
+    grid = req.window or momentum_grid(req.n)
+    result = schmidt_decompose(momentum_matrix(params, grid), req.opts)
+    big = schmidt_decompose(momentum_matrix(params, enlarged_grid(grid, 2.0)), req.opts)
     k_inf, s_inf = asymptotics(params.eta)
     nu = grid.p_nodes()
     pi = grid.q_nodes()
@@ -450,7 +411,7 @@ def _momentum(res: _Resolver, config: RunConfig) -> ModelRun:
     )
 
 
-def _dynamics(res: _Resolver, config: RunConfig) -> ModelRun:
+def _dynamics(req: _Resolver) -> ModelRun:
     """Sweep tau; emit per-row zero-order and composite measures.
 
     The S0 column uses the spectrum-consistent entropy reading (weights
@@ -458,27 +419,26 @@ def _dynamics(res: _Resolver, config: RunConfig) -> ModelRun:
     K0 is identical under both readings.  Window capture is checked once
     at the largest tau, where the Gaussian ridge is widest.
     """
-    xi0, eta = res.number("xi0"), res.number("eta")
-    taus = _sweep_values(res, "tau")
+    xi0, eta = req.require("xi0"), req.require("eta")
+    taus = _sweep_values(req, "tau")
     params = AtomPhotonParams(xi0, eta, max(taus))
-    policy = GridPolicy(n=config.n, capture_check=False)
+    policy = GridPolicy(n=req.n, capture_check=False)
 
     def point(tau: float):
-        k0, _ = zero_order_dynamics(tau)
-        _, s0 = zero_order_dynamics(tau, squared_entropy_weights=False)
-        k, s, _ = full_dynamics(params, tau, policy, config.opts)
+        k0, s0 = zero_order_dynamics(tau, squared_entropy_weights=False)
+        k, s, _ = full_dynamics(params, tau, policy, req.opts)
         return (tau, k0, s0, k, s, k - k0, s - s0)
 
     header = ("tau", "K0", "S0", "K", "S", "K_minus_K0", "S_minus_S0")
-    rows = _map_jobs(point, taus, config.jobs)
-    drift = coord_capture_drift(params, config.n, opts=config.opts)
+    rows = _map_jobs(point, taus, req.jobs)
+    drift = coord_capture_drift(params, req.n, opts=req.opts)
     if drift >= policy.capture_tol:
         raise ConvergenceError(
             f"window capture check failed at tau={params.tau:g}: spectrum drift "
             f"{drift:.3e} >= {policy.capture_tol:.1e}; widen the window or raise n"
         )
     return ModelRun(
-        params={"xi0": xi0, "eta": eta, "tau_values": [float(t) for t in taus]},
+        params={"xi0": xi0, "eta": eta, "tau_values": taus},
         blocks={"validity": asdict(validity_check(params))},
         results={
             "rows": len(rows),
@@ -490,14 +450,14 @@ def _dynamics(res: _Resolver, config: RunConfig) -> ModelRun:
     )
 
 
-def _spdc(res: _Resolver, config: RunConfig) -> ModelRun:
+def _spdc(req: _Resolver) -> ModelRun:
     """Decompose the biphoton amplitude; emit F, rho, mixture and modes."""
-    params = spdc_params(res.number("L"), *_spdc_constants(res))
-    grid = config.window or spdc_grid(params, config.n)
+    params = spdc_params(req.require("L"), *_spdc_constants(req))
+    grid = req.window or spdc_grid(params, req.n)
     A = spdc_matrix(params, grid)
-    result = schmidt_decompose(A, config.opts)
+    result = schmidt_decompose(A, req.opts)
     A_big = spdc_matrix(params, enlarged_grid(grid, 1.5))
-    big = schmidt_decompose(A_big, config.opts)
+    big = schmidt_decompose(A_big, req.opts)
     report = coherence_report(A, result)
     rho = polarization_density_matrix(report.F)
     checks = density_matrix_checks(rho.rho)
@@ -524,33 +484,33 @@ def _spdc(res: _Resolver, config: RunConfig) -> ModelRun:
     )
 
 
-def _spdc_length_sweep(res: _Resolver, config: RunConfig) -> ModelRun:
+def _spdc_length_sweep(req: _Resolver) -> ModelRun:
     """Sweep the crystal length; emit per-row X_o, X_e, F, K, S.
 
     Rows depend on (L, sigma) only through the products X = d L sigma, so
     a sweep at (c L, sigma / c) reproduces the same physics columns.
     """
-    Ls = _sweep_values(res, "L")
-    sigma, d_o, d_e = _spdc_constants(res)
+    Ls = _sweep_values(req, "L")
+    sigma, d_o, d_e = _spdc_constants(req)
 
     def point(L: float):
         params = spdc_params(L, sigma, d_o, d_e)
-        A = spdc_matrix(params, config.window or spdc_grid(params, config.n))
-        result = schmidt_decompose(A, config.opts)
+        A = spdc_matrix(params, req.window or spdc_grid(params, req.n))
+        result = schmidt_decompose(A, req.opts)
         F = coherence(A)
         return (L, params.X_o, params.X_e, F.real, result.schmidt_number, result.entropy)
 
-    rows = _map_jobs(point, Ls, config.jobs)
+    rows = _map_jobs(point, Ls, req.jobs)
     return ModelRun(
-        params={"L_values": [float(v) for v in Ls], "sigma": sigma, "d_o": d_o, "d_e": d_e},
+        params={"L_values": Ls, "sigma": sigma, "d_o": d_o, "d_e": d_e},
         results={"rows": len(rows), "F_first": rows[0][3], "F_last": rows[-1][3]},
         tables={"csv-sweep": {"sweep.csv": (("L", "X_o", "X_e", "F", "K", "S"), rows)}},
     )
 
 
-def _decompose(res: _Resolver, config: RunConfig) -> ModelRun:
+def _decompose(req: _Resolver) -> ModelRun:
     """Normalize and decompose a matrix read from a text file."""
-    entries = parse_matrix_file(res.args.file)
+    entries = parse_matrix_file(req.args.file)
     if entries.shape[0] != entries.shape[1]:
         raise MatrixParseError(
             f"matrix must be square, got {entries.shape[0]}x{entries.shape[1]}"
@@ -561,22 +521,41 @@ def _decompose(res: _Resolver, config: RunConfig) -> ModelRun:
         A = normalize(AmplitudeMatrix(grid=Grid(0.0, hi, 0.0, hi, n), entries=entries))
     except ValueError as exc:
         raise MatrixParseError(str(exc))
-    result = schmidt_decompose(A, config.opts)
+    result = schmidt_decompose(A, req.opts)
     idx = np.arange(n, dtype=float)
     modes = {
         "modes_p.csv": _modes_table("row_index", idx, result.modes_p),
         "modes_q.csv": _modes_table("col_index", idx, result.modes_q),
     }
     return ModelRun(
-        params={"file": str(res.args.file), "n": n},
+        params={"file": req.args.file, "n": n},
         results=_result_payload(result),
         tables=_mode_tables(result, modes),
     )
 
 
-# Model flags take floats unless listed here; key "d_o" is the flag --d-o.
-FLAG_TYPES = {"tau_steps": int, "L_steps": int, "tau_list": str, "L_list": str, "file": str}
+# Flags take floats unless listed here; key "d_o" is the flag --d-o.
+FLAG_TYPES = {
+    "n": int,
+    "window": _parse_window,
+    "jobs": int,
+    "gauge": str,
+    "out": str,
+    "format": _parse_formats,
+    "tau_steps": int,
+    "L_steps": int,
+    "tau_list": _parse_floats,
+    "L_list": _parse_floats,
+    "file": str,
+}
 FLAG_HELP = {
+    "n": "nodes per axis",
+    "window": "p_min,p_max,q_min,q_max overriding the automatic sampling window",
+    "jobs": "concurrent sweep evaluations",
+    "trunc": "relative weight truncation threshold",
+    "gauge": f"mode phase convention: {', '.join(GAUGES)}",
+    "out": "output directory (default: out)",
+    "format": f"comma-separated subset of: {', '.join(FORMATS)}",
     "L": "crystal length (mm)",
     "sigma": "pump bandwidth (1/ps)",
     "d_o": "ordinary-ray group delay (ps/mm)",
@@ -590,48 +569,48 @@ SUBCOMMANDS = {
     "atom-photon-coord": Subcommand(
         "coordinate-space emission amplitude",
         _coord,
-        flags=("xi0", "eta", "tau"),
+        flags=("xi0", "eta", "tau", "n", "window", *SHARED_FLAGS),
         figs=("fig1",),
         default_n=ATOM_DEFAULT_N,
-        window=True,
     ),
     "atom-photon-momentum": Subcommand(
         "momentum-space emission amplitude",
         _momentum,
-        flags=("xi0", "eta"),
+        flags=("xi0", "eta", "n", "window", *SHARED_FLAGS),
         figs=("fig3",),
         default_n=ATOM_DEFAULT_N,
-        window=True,
     ),
     "atom-photon-dynamics": Subcommand(
         "K(tau), S(tau) sweep",
         _dynamics,
-        flags=("xi0", "eta", "tau_start", "tau_stop", "tau_steps", "tau_list"),
+        flags=(
+            "xi0", "eta", "tau_start", "tau_stop", "tau_steps", "tau_list",
+            "n", "jobs", *SHARED_FLAGS,
+        ),
         figs=("fig2",),
         default_n=ATOM_DEFAULT_N,
-        jobs=True,
     ),
     "spdc": Subcommand(
         "biphoton amplitude and polarization coherence",
         _spdc,
-        flags=("L", "sigma", "d_o", "d_e"),
+        flags=("L", "sigma", "d_o", "d_e", "n", "window", *SHARED_FLAGS),
         figs=("fig5", "fig6"),
         default_n=SPDC_DEFAULT_N,
-        window=True,
     ),
     "spdc-length-sweep": Subcommand(
         "F, K, S versus crystal length",
         _spdc_length_sweep,
-        flags=("L_start", "L_stop", "L_steps", "L_list", "sigma", "d_o", "d_e"),
+        flags=(
+            "L_start", "L_stop", "L_steps", "L_list", "sigma", "d_o", "d_e",
+            "n", "window", "jobs", *SHARED_FLAGS,
+        ),
         figs=("fig4",),
         default_n=SPDC_DEFAULT_N,
-        window=True,
-        jobs=True,
     ),
     "decompose": Subcommand(
         "Schmidt-decompose a matrix from a text file",
         _decompose,
-        flags=("file",),
+        flags=("file", *SHARED_FLAGS),
     ),
 }
 
@@ -642,16 +621,15 @@ def run(args) -> dict:
     The wall-clock duration stays out of the summary so it is reproducible.
     """
     cmd = SUBCOMMANDS[args.command]
-    res = _Resolver(args)
-    config = _build_config(cmd, res)
-    out = cmd.model(res, config)
+    req = _Resolver(cmd, args)
+    out = cmd.model(req)
     params = dict(out.params)
-    if config.n is not None:
-        params["n"] = config.n
+    if req.n is not None:
+        params["n"] = req.n
     if out.grid is not None:
         params["window"] = asdict(out.grid)
-    params["trunc"] = config.opts.truncation_threshold
-    params["gauge"] = config.opts.gauge
+    params["trunc"] = req.opts.truncation_threshold
+    params["gauge"] = req.opts.gauge
     payload = {
         "schema": SCHEMA_VERSION,
         "command": args.command,
@@ -661,13 +639,13 @@ def run(args) -> dict:
     }
     if out.convergence is not None:
         payload["grid_convergence"] = out.convergence
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    if "json-summary" in config.formats:
-        write_json(config.out_dir / "summary.json", payload)
+    req.out_dir.mkdir(parents=True, exist_ok=True)
+    if "json-summary" in req.formats:
+        write_json(req.out_dir / "summary.json", payload)
     for fmt, files in out.tables.items():
-        if fmt in config.formats:
+        if fmt in req.formats:
             for name, (header, rows) in files.items():
-                write_csv(config.out_dir / name, header, rows)
+                write_csv(req.out_dir / name, header, rows)
     return payload
 
 

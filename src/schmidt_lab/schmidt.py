@@ -133,8 +133,6 @@ def schmidt_decompose(
         raise ValueError("schmidt_decompose requires a normalized AmplitudeMatrix")
     U, s, Vh = svd(A.entries)
     lam_raw = s**2
-    u = U.T.copy()
-    v = Vh.copy()
 
     total = float(lam_raw.sum())
     lam_raw = lam_raw / total
@@ -142,8 +140,9 @@ def schmidt_decompose(
     keep = lam_raw >= opts.truncation_threshold * lam_raw[0]
     rank = int(np.count_nonzero(keep))
     lam_kept = lam_raw[:rank]
-    u = u[:rank]
-    v = v[:rank]
+    # Copy only the kept modes, so no full n x n factor outlives the call.
+    u = U[:, :rank].T.copy()
+    v = Vh[:rank].copy()
 
     if opts.gauge == "largest-real-positive":
         u, v = _apply_gauge(u, v)

@@ -180,5 +180,5 @@ def svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError(f"svd input must be a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
         raise ValueError("svd input must have finite entries")
-    U, s, Vh = np.linalg.svd(A.astype(complex))
+    U, s, Vh = np.linalg.svd(np.asarray(A, dtype=complex))
     return U, s, Vh

@@ -2,12 +2,18 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import schmidt_lab.cli as cli
-from schmidt_lab.cli import FIG_PRESETS, main
+from schmidt_lab.cli import FIG_PRESETS, FORMATS, main
+from schmidt_lab.schmidt import GAUGES
 
 
 def _write_matrix(path, m):
@@ -496,3 +502,116 @@ def test_dynamics_honours_trunc(tmp_path):
         assert float(row[col["S"]]) == pytest.approx(float(row[col["S0"]]), abs=1e-12)
     assert _summary(out)["params"]["trunc"] == 0.5
     assert main([*args, "--n", "64", "--trunc", "7", "--out", str(tmp_path / "bad")]) == 2
+
+
+def test_dynamics_sweep_leaves_warning_filters_alone(tmp_path, monkeypatch):
+    # A process-wide filter change from one sweep thread would race the
+    # others, so the sweep must not touch the filters at all.
+    calls = []
+    monkeypatch.setattr(warnings, "simplefilter", lambda *a, **k: calls.append(a))
+    before = list(warnings.filters)
+    argv = ["atom-photon-dynamics", "--xi0", "100", "--eta", "0.03", "--n", "48"]
+    taus = "0.5,0.8,1.1,1.4,1.7,2.0,2.5,4"
+    assert main([*argv, "--tau-list", taus, "--jobs", "2", "--out", str(tmp_path / "o")]) == 0
+    assert calls == []
+    assert warnings.filters == before
+
+
+def _files(out_dir):
+    return {f.name: f.read_bytes() for f in sorted(Path(out_dir).iterdir())}
+
+
+# Other parameters of each subcommand, as a config file.
+CONFIG_BASE = {
+    "spdc": {"L": 0.5, "sigma": 10.0, "n": 64},
+    "atom-photon-dynamics": {
+        "xi0": 100.0,
+        "eta": 0.03,
+        "tau_start": 3.5,
+        "tau_stop": 4.0,
+        "tau_steps": 2,
+        "n": 48,
+    },
+}
+
+# A config value the flag's own type rejects, and text the error must name.
+BAD_CONFIG = [
+    ("spdc", {"n": 64.7}, "64.7"),
+    ("atom-photon-dynamics", {"tau_steps": 3.9}, "3.9"),
+    ("atom-photon-dynamics", {"jobs": 1.5}, "1.5"),
+    ("spdc", {"L": True}, "True"),
+    ("spdc", {"fig5": True}, "fig5"),
+    ("spdc", {"format": ["json-summary", "bogus"]}, "bogus"),
+]
+
+
+@pytest.mark.parametrize("command,value,named", BAD_CONFIG)
+def test_config_value_is_rejected_as_its_flag_text_would_be(
+    tmp_path, capsys, command, value, named
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CONFIG_BASE[command], **value}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    (key,) = value
+    assert f"'{key}'" in err and named in err
+    assert not out.exists()
+
+
+# A config value and the flags that must give the same files.
+GOOD_CONFIG = [
+    ("atom-photon-dynamics", {"tau_start": "3"}, ["--tau-start", "3"]),
+    ("spdc", {"window": "-40,40,-40,40"}, ["--window=-40,40,-40,40"]),
+    ("spdc", {"window": [-40, 40, -40, 40]}, ["--window=-40,40,-40,40"]),
+    ("spdc", {"format": "csv-spectrum"}, ["--format", "csv-spectrum"]),
+    ("atom-photon-dynamics", {"tau_list": [3, 4.5]}, ["--tau-list", "3,4.5"]),
+]
+
+
+@pytest.mark.parametrize("command,value,flags", GOOD_CONFIG)
+def test_config_value_runs_as_its_flag_does(tmp_path, command, value, flags):
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps(CONFIG_BASE[command]))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CONFIG_BASE[command], **value}))
+    from_config, from_flags = tmp_path / "c", tmp_path / "f"
+    assert main([command, "--config", str(cfg), "--out", str(from_config)]) == 0
+    assert main([command, "--config", str(base), *flags, "--out", str(from_flags)]) == 0
+    assert _files(from_config) == _files(from_flags)
+
+
+def test_unknown_gauge_exits_through_the_run_error_path(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["spdc", "--fig5", "--n", "64", "--gauge", "bogus", "--out", str(out)]) == 2
+    assert "gauge must be one of" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    L=st.floats(0.1, 1.0),
+    sigma=st.floats(2.0, 10.0),
+    n=st.integers(72, 160),
+    trunc=st.floats(0.0, 0.5),
+    gauge=st.sampled_from(GAUGES),
+    formats=st.lists(st.sampled_from(FORMATS), min_size=1, unique=True),
+    half_width=st.none() | st.floats(20.0, 40.0),
+)
+def test_spdc_config_file_and_flags_write_identical_files(
+    L, sigma, n, trunc, gauge, formats, half_width
+):
+    # n >= 72 resolves the sinc for X = d L sigma <= 2.66 on half-width 40.
+    config = {"L": L, "sigma": sigma, "n": n, "trunc": trunc, "gauge": gauge, "format": formats}
+    flags = ["--L", repr(L), "--sigma", repr(sigma), "--n", str(n), "--trunc", repr(trunc)]
+    flags += ["--gauge", gauge, "--format", ",".join(formats)]
+    if half_width is not None:
+        config["window"] = [-half_width, half_width, -half_width, half_width]
+        flags.append("--window=" + ",".join(repr(v) for v in config["window"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        from_config, from_flags = Path(tmp) / "c", Path(tmp) / "f"
+        assert main(["spdc", "--config", str(cfg), "--out", str(from_config)]) == 0
+        assert main(["spdc", *flags, "--out", str(from_flags)]) == 0
+        assert _files(from_config) == _files(from_flags)
