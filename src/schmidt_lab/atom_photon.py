@@ -186,9 +186,10 @@ def coord_capture_drift(
     opts: DecompositionOptions = DecompositionOptions(),
 ) -> float:
     """Weight-spectrum drift when the window margins grow by ``enlarge``."""
-    base = schmidt_decompose(coord_matrix(params, coord_grid(params, n, decay_span, sigma_margin)), opts)
+    grid = coord_grid(params, n, decay_span, sigma_margin)
+    base = schmidt_decompose(coord_matrix(params, grid), opts, modes=False)
     big_grid = coord_grid(params, n, decay_span, sigma_margin, enlarge)
-    big = schmidt_decompose(coord_matrix(params, big_grid), opts)
+    big = schmidt_decompose(coord_matrix(params, big_grid), opts, modes=False)
     return spectrum_drift(base, big)
 
 
@@ -202,8 +203,9 @@ def momentum_capture_drift(
 ) -> float:
     """Weight-spectrum drift when the momentum window doubles (by default)."""
     grid = momentum_grid(n, nu_max, pi_max)
-    base = schmidt_decompose(momentum_matrix(params, grid), opts)
-    big = schmidt_decompose(momentum_matrix(params, enlarged_grid(grid, enlarge)), opts)
+    base = schmidt_decompose(momentum_matrix(params, grid), opts, modes=False)
+    big_grid = enlarged_grid(grid, enlarge)
+    big = schmidt_decompose(momentum_matrix(params, big_grid), opts, modes=False)
     return spectrum_drift(base, big)
 
 
@@ -362,7 +364,7 @@ def full_dynamics(
 
     at_tau = AtomPhotonParams(params.xi0, params.eta, tau)
     grid = coord_grid(at_tau, policy.n, policy.decay_span, policy.sigma_margin)
-    result = schmidt_decompose(coord_matrix(at_tau, grid), opts)
+    result = schmidt_decompose(coord_matrix(at_tau, grid), opts, modes=False)
     if policy.capture_check:
         drift = coord_capture_drift(
             at_tau, policy.n, policy.decay_span, policy.sigma_margin, opts=opts

@@ -146,6 +146,10 @@ def _parse_window(text: str) -> tuple:
 
 def _parse_formats(text: str):
     toks = tuple(t.strip() for t in text.split(",") if t.strip())
+    if not toks:
+        raise argparse.ArgumentTypeError(
+            f"empty format selection; choose from {', '.join(FORMATS)}"
+        )
     bad = [t for t in toks if t not in FORMATS]
     if bad:
         raise argparse.ArgumentTypeError(
@@ -345,7 +349,8 @@ def _spdc_constants(req: _Resolver):
 # Model functions.  Each samples the base grid before the enlarged probe
 # grid, and looks the sampling, decomposition, coherence and dynamics
 # functions up in this module's globals at call time, where
-# bench/tracing.py wraps them.
+# bench/tracing.py wraps them.  Decompositions whose modes are never read
+# (probes, sweep points) pass modes=False.
 
 
 def _coord(req: _Resolver) -> ModelRun:
@@ -358,7 +363,7 @@ def _coord(req: _Resolver) -> ModelRun:
         grid = req.window
         big_grid = enlarged_grid(grid, 1.5)
     result = schmidt_decompose(coord_matrix(params, grid), req.opts)
-    big = schmidt_decompose(coord_matrix(params, big_grid), req.opts)
+    big = schmidt_decompose(coord_matrix(params, big_grid), req.opts, modes=False)
     p_nodes = grid.p_nodes()
     overlaps = [
         (k, abs(mode_overlap(laguerre_mode(k, params.tau, p_nodes), result.modes_p[k])))
@@ -388,7 +393,7 @@ def _momentum(req: _Resolver) -> ModelRun:
     params = AtomPhotonParams(req.require("xi0"), req.require("eta"), tau=1.0)
     grid = req.window or momentum_grid(req.n)
     result = schmidt_decompose(momentum_matrix(params, grid), req.opts)
-    big = schmidt_decompose(momentum_matrix(params, enlarged_grid(grid, 2.0)), req.opts)
+    big = schmidt_decompose(momentum_matrix(params, enlarged_grid(grid, 2.0)), req.opts, modes=False)
     k_inf, s_inf = asymptotics(params.eta)
     nu = grid.p_nodes()
     pi = grid.q_nodes()
@@ -457,7 +462,7 @@ def _spdc(req: _Resolver) -> ModelRun:
     A = spdc_matrix(params, grid)
     result = schmidt_decompose(A, req.opts)
     A_big = spdc_matrix(params, enlarged_grid(grid, 1.5))
-    big = schmidt_decompose(A_big, req.opts)
+    big = schmidt_decompose(A_big, req.opts, modes=False)
     report = coherence_report(A, result)
     rho = polarization_density_matrix(report.F)
     checks = density_matrix_checks(rho.rho)
@@ -496,7 +501,7 @@ def _spdc_length_sweep(req: _Resolver) -> ModelRun:
     def point(L: float):
         params = spdc_params(L, sigma, d_o, d_e)
         A = spdc_matrix(params, req.window or spdc_grid(params, req.n))
-        result = schmidt_decompose(A, req.opts)
+        result = schmidt_decompose(A, req.opts, modes=False)
         F = coherence(A)
         return (L, params.X_o, params.X_e, F.real, result.schmidt_number, result.entropy)
 

@@ -92,18 +92,13 @@ def write_csv(path, header, rows) -> None:
 
 def _parse_token(tok: str, line_no: int, col_no: int) -> complex:
     try:
-        val = complex(tok)
+        return complex(tok)
     except ValueError:
         raise MatrixParseError(
             f"invalid matrix entry {tok!r} (expected `re` or `re+imj`)",
             line=line_no,
             column=col_no,
         ) from None
-    if not (np.isfinite(val.real) and np.isfinite(val.imag)):
-        raise MatrixParseError(
-            f"non-finite matrix entry {tok!r}", line=line_no, column=col_no
-        )
-    return val
 
 
 def parse_matrix_file(path) -> np.ndarray:
@@ -122,6 +117,7 @@ def parse_matrix_file(path) -> np.ndarray:
     except OSError as exc:
         raise MatrixParseError(f"cannot read matrix file {path}: {exc}") from exc
     rows = []
+    row_lines = []  # source line number of each row
     width = None
     for line_no, line in enumerate(text.splitlines(), start=1):
         toks = line.split()
@@ -138,6 +134,16 @@ def parse_matrix_file(path) -> np.ndarray:
         rows.append(
             [_parse_token(t, line_no, c) for c, t in enumerate(toks, start=1)]
         )
+        row_lines.append(line_no)
     if not rows:
         raise MatrixParseError("matrix file contains no rows")
-    return np.array(rows, dtype=complex)
+    entries = np.array(rows, dtype=complex)
+    finite = np.isfinite(entries)
+    if not finite.all():
+        i, j = (int(k) for k in np.argwhere(~finite)[0])
+        line_no = row_lines[i]
+        tok = text.splitlines()[line_no - 1].split()[j]
+        raise MatrixParseError(
+            f"non-finite matrix entry {tok!r}", line=line_no, column=j + 1
+        )
+    return entries

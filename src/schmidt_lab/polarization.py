@@ -151,11 +151,11 @@ def coherence_report(
 ) -> CoherenceReport:
     """Bundle F, the mixture weights and the Schmidt measures of A.
 
-    Decomposes A unless a precomputed result is supplied.
+    Decomposes A, weights only, unless a precomputed result is supplied.
     """
     F = coherence(A)
     if result is None:
-        result = schmidt_decompose(A, opts)
+        result = schmidt_decompose(A, opts, modes=False)
     messages = []
     if abs(F.imag) > IMAG_FLAG_THRESHOLD:
         messages.append(

@@ -7,7 +7,9 @@ values of A; they carry all entanglement information through the Schmidt
 number K = 1 / sum(lambda^2) and the entropy S = -sum(lambda log2 lambda).
 
 The factorization is a direct SVD; the tests cross-check its weights
-against an independent power-iteration eigensolver.
+against an independent power-iteration eigensolver.  A caller that reads
+only the weights passes ``modes=False``, which computes the singular
+values alone (in real arithmetic for a real amplitude).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import AmplitudeMatrix, Grid, svd
+from .tensor_core import AmplitudeMatrix, Grid, singular_values, svd
 
 GAUGES = ("largest-real-positive", "none")
 WEIGHT_SUM_ATOL = 1e-10
@@ -58,6 +60,7 @@ class SchmidtResult:
     modes_p, modes_q
         Arrays of shape (rank, n); row k holds the k-th discrete mode in
         the p and q variable respectively, each with unit Euclidean norm.
+        Both are None when the result was decomposed with ``modes=False``.
     reconstruction_error
         Relative Frobenius error committed by the truncation, i.e. the
         square root of the discarded weight mass (0.0 when nothing was
@@ -65,8 +68,8 @@ class SchmidtResult:
     """
 
     lambdas: np.ndarray
-    modes_p: np.ndarray
-    modes_q: np.ndarray
+    modes_p: np.ndarray | None
+    modes_q: np.ndarray | None
     rank: int
     schmidt_number: float
     entropy: float
@@ -120,9 +123,15 @@ def _apply_gauge(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def schmidt_decompose(
-    A: AmplitudeMatrix, opts: DecompositionOptions = DecompositionOptions()
+    A: AmplitudeMatrix,
+    opts: DecompositionOptions = DecompositionOptions(),
+    modes: bool = True,
 ) -> SchmidtResult:
     """Factor a normalized amplitude matrix into Schmidt modes and weights.
+
+    With ``modes=False`` only the singular values are computed: the
+    weights, rank, K, S and reconstruction error follow as on the full
+    route, and ``modes_p``/``modes_q`` are None.
 
     Raises
     ------
@@ -131,7 +140,10 @@ def schmidt_decompose(
     """
     if not A.normalized:
         raise ValueError("schmidt_decompose requires a normalized AmplitudeMatrix")
-    U, s, Vh = svd(A.entries)
+    if modes:
+        U, s, Vh = svd(A.entries)
+    else:
+        s = singular_values(A.entries)
     lam_raw = s**2
 
     total = float(lam_raw.sum())
@@ -140,12 +152,13 @@ def schmidt_decompose(
     keep = lam_raw >= opts.truncation_threshold * lam_raw[0]
     rank = int(np.count_nonzero(keep))
     lam_kept = lam_raw[:rank]
-    # Copy only the kept modes, so no full n x n factor outlives the call.
-    u = U[:, :rank].T.copy()
-    v = Vh[:rank].copy()
-
-    if opts.gauge == "largest-real-positive":
-        u, v = _apply_gauge(u, v)
+    u = v = None
+    if modes:
+        # Copy only the kept modes, so no full n x n factor outlives the call.
+        u = U[:, :rank].T.copy()
+        v = Vh[:rank].copy()
+        if opts.gauge == "largest-real-positive":
+            u, v = _apply_gauge(u, v)
 
     discarded = max(float(lam_raw[rank:].sum()), 0.0)
     lam = lam_kept / float(lam_kept.sum())
@@ -170,12 +183,21 @@ def spectrum_drift(a: SchmidtResult, b: SchmidtResult) -> float:
     return float(np.max(np.abs(a.lambdas[:m] - b.lambdas[:m])))
 
 
+def _require_modes(result: SchmidtResult, op: str) -> None:
+    if result.modes_p is None:
+        raise ValueError(
+            f"{op} needs Schmidt modes, but the result was decomposed with modes=False"
+        )
+
+
 def truncate_rank(result: SchmidtResult, r: int) -> SchmidtResult:
     """Keep only the r dominant modes, renormalizing the weights.
 
     The reconstruction error grows by the newly discarded weight mass,
-    measured in the original (untruncated) normalization.
+    measured in the original (untruncated) normalization.  Raises
+    ValueError for a result decomposed with ``modes=False``.
     """
+    _require_modes(result, "truncate_rank")
     if not 1 <= r <= result.rank:
         raise ValueError(f"rank must be in [1, {result.rank}], got {r}")
     captured_before = 1.0 - result.reconstruction_error**2
@@ -199,7 +221,9 @@ def reconstruct(result: SchmidtResult, grid: Grid) -> AmplitudeMatrix:
     Weights are rescaled to their share of the original unit norm, so a
     truncated result reproduces the dominant part of the amplitude and the
     remaining Frobenius mismatch equals ``result.reconstruction_error``.
+    Raises ValueError for a result decomposed with ``modes=False``.
     """
+    _require_modes(result, "reconstruct")
     n = result.modes_p.shape[1]
     if grid.n != n:
         raise ValueError(f"grid has n={grid.n} but modes have length {n}")

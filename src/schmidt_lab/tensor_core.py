@@ -168,6 +168,15 @@ def normalize(A: AmplitudeMatrix) -> AmplitudeMatrix:
     return AmplitudeMatrix(grid=A.grid, entries=A.entries / nrm, normalized=True)
 
 
+def _square_finite(A, op: str) -> np.ndarray:
+    A = np.asarray(A)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"{op} input must be a square matrix, got shape {A.shape}")
+    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
+        raise ValueError(f"{op} input must have finite entries")
+    return A
+
+
 def svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full singular value decomposition ``A = U @ diag(s) @ V``.
 
@@ -175,10 +184,18 @@ def svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     orthonormal and s is non-negative and non-increasing.  Raises
     ValueError if A is not square or has non-finite entries.
     """
-    A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"svd input must be a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
-        raise ValueError("svd input must have finite entries")
+    A = _square_finite(A, "svd")
     U, s, Vh = np.linalg.svd(np.asarray(A, dtype=complex))
     return U, s, Vh
+
+
+def singular_values(A: np.ndarray) -> np.ndarray:
+    """Singular values of A, non-negative and non-increasing, without factors.
+
+    A complex A whose imaginary parts are all zero is decomposed as its
+    real part, in real arithmetic.  Raises ValueError as ``svd`` does.
+    """
+    A = _square_finite(A, "singular_values")
+    if np.iscomplexobj(A) and not A.imag.any():
+        A = A.real
+    return np.linalg.svd(A, compute_uv=False)

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import schmidt_lab.atom_photon as atom_photon
 import schmidt_lab.cli as cli
+from schmidt_lab import schmidt
 from schmidt_lab.cli import FIG_PRESETS, FORMATS, main
 from schmidt_lab.schmidt import GAUGES
 
@@ -296,7 +298,7 @@ def test_spdc_length_sweep_with_list(tmp_path):
 
 
 def test_jobs_do_not_change_output(tmp_path):
-    args = ["spdc-length-sweep", "--L-list", "0.5,1.0,2.0", "--sigma", "10", "--n", "160"]
+    args = ["spdc-length-sweep", "--L-list", "0.5,1.0,2.0", "--sigma", "10", "--n", "272"]
     out1, out2 = tmp_path / "j1", tmp_path / "j2"
     assert main(args + ["--jobs", "1", "--out", str(out1)]) == 0
     assert main(args + ["--jobs", "2", "--out", str(out2)]) == 0
@@ -615,3 +617,53 @@ def test_spdc_config_file_and_flags_write_identical_files(
         assert main(["spdc", "--config", str(cfg), "--out", str(from_config)]) == 0
         assert main(["spdc", *flags, "--out", str(from_flags)]) == 0
         assert _files(from_config) == _files(from_flags)
+
+
+def test_empty_format_selection_exits_2(tmp_path, capsys):
+    args = ["spdc", "--fig5", "--n", "64"]
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--format", "", "--out", str(tmp_path / "flag")])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    for i, value in enumerate(([], "")):
+        cfg = tmp_path / f"cfg{i}.json"
+        cfg.write_text(json.dumps({"format": value}))
+        out = tmp_path / f"config{i}"
+        assert main(args + ["--config", str(cfg), "--out", str(out)]) == 2
+        assert "'format'" in capsys.readouterr().err
+        assert not out.exists()
+    assert not (tmp_path / "flag").exists()
+
+
+# Sweep K and S from the values-only route must match the full route on the
+# same matrices to this absolute tolerance.  n = 272 resolves the SPDC sinc
+# up to L = 4 at sigma = 10.
+ROUTE_ATOL = 1e-12
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spdc-length-sweep", "--L-list", "0.25,1,2,4", "--sigma", "10", "--n", "272"],
+        ["atom-photon-dynamics", "--xi0", "100", "--eta", "0.03", "--tau-list", "4,7,10", "--n", "96"],
+    ],
+)
+def test_sweep_values_only_route_matches_full_route(tmp_path, monkeypatch, argv):
+    requested = []
+
+    def full_route(A, opts=schmidt.DecompositionOptions(), modes=True):
+        requested.append(modes)
+        return schmidt.schmidt_decompose(A, opts)
+
+    assert main(argv + ["--out", str(tmp_path / "values")]) == 0
+    for mod in (cli, atom_photon):
+        monkeypatch.setattr(mod, "schmidt_decompose", full_route)
+    assert main(argv + ["--out", str(tmp_path / "full")]) == 0
+    # Every sweep point and the dynamics capture probe read weights only.
+    assert requested and not any(requested)
+    header, values = _read_csv(tmp_path / "values" / "sweep.csv")
+    _, full = _read_csv(tmp_path / "full" / "sweep.csv")
+    cols = [header.index(c) for c in ("K", "S")]
+    got = np.array([[float(r[c]) for c in cols] for r in values])
+    want = np.array([[float(r[c]) for c in cols] for r in full])
+    np.testing.assert_allclose(got, want, rtol=0, atol=ROUTE_ATOL)

@@ -124,6 +124,16 @@ def test_parse_matrix_file_rejections(tmp_path):
         parse_matrix_file(tmp_path / "missing.txt")
 
 
+def test_parse_matrix_file_locates_non_finite_entry_after_blank_lines(tmp_path):
+    f = tmp_path / "m.txt"
+    f.write_text("1 2 3\n\n  \n4 5 6\n7 8 -inf+1j\n")
+    with pytest.raises(MatrixParseError) as exc:
+        parse_matrix_file(f)
+    assert (exc.value.line, exc.value.column) == (5, 3)
+    assert "non-finite matrix entry '-inf+1j'" in str(exc.value)
+    assert "line 5, column 3" in str(exc.value)
+
+
 def test_matrix_write_parse_round_trip(tmp_path):
     rng = np.random.default_rng(17)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schmidt_lab.schmidt import (
     DecompositionOptions,
@@ -209,3 +211,64 @@ def test_mode_overlap():
         mode_overlap(a, np.ones(3))
     with pytest.raises(ValueError, match="zero"):
         mode_overlap(a, np.zeros(2))
+
+
+def test_values_only_result_refuses_mode_operations():
+    A = _wrap(np.eye(3))
+    res = schmidt_decompose(A, modes=False)
+    assert res.modes_p is None and res.modes_q is None
+    with pytest.raises(ValueError, match="modes=False"):
+        truncate_rank(res, 1)
+    with pytest.raises(ValueError, match="modes=False"):
+        reconstruct(res, A.grid)
+
+
+# Both routes must agree to this absolute tolerance on every weight and measure.
+ROUTE_ATOL = 1e-12
+
+
+@st.composite
+def _amplitudes(draw):
+    """A = U diag(s) V with random U, V and singular values drawn in decades.
+
+    Kept weights stay above lambda_1 * 1e-8, far from the default 1e-14
+    truncation threshold, so the rank is not decided by rounding.
+    """
+    n = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(("real", "complex", "complex, zero imaginary")))
+    rank = draw(st.integers(1, n))
+    quarter_decades = draw(st.lists(st.integers(0, 16), min_size=rank, max_size=rank))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def basis():
+        M = rng.standard_normal((n, n))
+        if kind == "complex":
+            M = M + 1j * rng.standard_normal((n, n))
+        return np.linalg.qr(M)[0]
+
+    s = np.zeros(n)
+    s[:rank] = 10.0 ** (-np.array(quarter_decades) / 4.0)
+    entries = (basis() * s) @ basis()
+    if kind == "complex, zero imaginary":
+        entries = entries.astype(complex)
+    g = make_grid(0.0, float(n - 1), 0.0, float(n - 1), n)
+    return normalize(AmplitudeMatrix(grid=g, entries=entries))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(A=_amplitudes())
+def test_values_only_route_matches_full_route(A):
+    full = schmidt_decompose(A)
+    vals = schmidt_decompose(A, modes=False)
+    assert vals.rank == full.rank
+    np.testing.assert_allclose(vals.lambdas, full.lambdas, rtol=0, atol=ROUTE_ATOL)
+    assert vals.schmidt_number == pytest.approx(full.schmidt_number, rel=0, abs=ROUTE_ATOL)
+    assert vals.entropy == pytest.approx(full.entropy, rel=0, abs=ROUTE_ATOL)
+    assert vals.reconstruction_error == pytest.approx(
+        full.reconstruction_error, rel=0, abs=ROUTE_ATOL
+    )
+    assert float(vals.lambdas.sum()) == pytest.approx(1.0, rel=0, abs=ROUTE_ATOL)
+    assert 1.0 - ROUTE_ATOL <= vals.schmidt_number <= vals.rank + ROUTE_ATOL
+    assert vals.entropy <= np.log2(vals.rank) + ROUTE_ATOL
+    ref = schmidt_weights(A.entries)
+    np.testing.assert_allclose(vals.lambdas, ref[: vals.rank], rtol=0, atol=1e-8)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from schmidt_lab import tensor_core
 from schmidt_lab.tensor_core import (
     AmplitudeMatrix,
     enlarged_grid,
@@ -138,3 +139,25 @@ def test_svd_rejects_bad_input():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
         svd(bad)
+
+
+def test_singular_values_match_svd_in_real_arithmetic_for_real_input(monkeypatch):
+    rng = np.random.default_rng(19)
+    real = rng.standard_normal((6, 6))
+    cplx = real + 1j * rng.standard_normal((6, 6))
+    dtypes = []
+    lapack_svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        dtypes.append(a.dtype)
+        return lapack_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    for A in (real, real.astype(complex), cplx):
+        np.testing.assert_allclose(tensor_core.singular_values(A), svd(A)[1], rtol=0, atol=1e-12)
+    # singular_values, svd for each input in turn
+    assert dtypes == [float, complex, float, complex, complex, complex]
+    with pytest.raises(ValueError, match="square"):
+        tensor_core.singular_values(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="finite"):
+        tensor_core.singular_values(np.array([[1.0, np.inf], [0.0, 1.0]]))
