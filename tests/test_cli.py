@@ -298,7 +298,7 @@ def test_spdc_length_sweep_with_list(tmp_path):
 
 
 def test_jobs_do_not_change_output(tmp_path):
-    args = ["spdc-length-sweep", "--L-list", "0.5,1.0,2.0", "--sigma", "10", "--n", "272"]
+    args = ["spdc-length-sweep", "--L-list", "0.5,1.0,2.0", "--sigma", "10", "--n", "160"]
     out1, out2 = tmp_path / "j1", tmp_path / "j2"
     assert main(args + ["--jobs", "1", "--out", str(out1)]) == 0
     assert main(args + ["--jobs", "2", "--out", str(out2)]) == 0
