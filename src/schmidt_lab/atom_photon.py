@@ -24,10 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .schmidt import DecompositionOptions, schmidt_decompose, spectrum_drift
+from .schmidt import DecompositionOptions, entanglement_entropy, schmidt_decompose, schmidt_number, spectrum_drift
 from .tensor_core import AmplitudeMatrix, Grid, enlarged_grid, enlarged_n, make_grid, normalize, sample_amplitude
 
 TAU_APPLICABILITY_WARN = 3.0
+# Window growth of each model's convergence probe, at fixed mesh spacing.
+COORD_PROBE_FACTOR = 1.5
+MOMENTUM_PROBE_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -67,9 +70,10 @@ class GridPolicy:
 
     The p window spans ``decay_span`` decay lengths behind the light
     front; the q window covers the Gaussian ridge within ``sigma_margin``
-    modulus-widths.  With ``capture_check`` on, every decomposition is
-    repeated with margins enlarged by 50% (mesh spacing held fixed) and
-    the weight spectra must agree within ``capture_tol``.
+    modulus-widths.  With ``capture_check`` on, the amplitude is also
+    decomposed with margins enlarged by COORD_PROBE_FACTOR (mesh spacing
+    held fixed), and its weight spectrum must agree with the base
+    decomposition's within ``capture_tol``.
     """
 
     n: int = 400
@@ -182,7 +186,7 @@ def coord_capture_drift(
     n: int = 400,
     decay_span: float = 40.0,
     sigma_margin: float = 6.0,
-    enlarge: float = 1.5,
+    enlarge: float = COORD_PROBE_FACTOR,
     opts: DecompositionOptions = DecompositionOptions(),
 ) -> float:
     """Weight-spectrum drift when the window margins grow by ``enlarge``."""
@@ -198,7 +202,7 @@ def momentum_capture_drift(
     n: int = 400,
     nu_max: float = 60.0,
     pi_max: float = 6.0,
-    enlarge: float = 2.0,
+    enlarge: float = MOMENTUM_PROBE_FACTOR,
     opts: DecompositionOptions = DecompositionOptions(),
 ) -> float:
     """Weight-spectrum drift when the momentum window doubles (by default)."""
@@ -363,25 +367,22 @@ def full_dynamics(
         return 1.0, 0.0, lam
 
     at_tau = AtomPhotonParams(params.xi0, params.eta, tau)
-    grid = coord_grid(at_tau, policy.n, policy.decay_span, policy.sigma_margin)
-    result = schmidt_decompose(coord_matrix(at_tau, grid), opts, modes=False)
+    window = (policy.n, policy.decay_span, policy.sigma_margin)
+    result = schmidt_decompose(coord_matrix(at_tau, coord_grid(at_tau, *window)), opts, modes=False)
     if policy.capture_check:
-        drift = coord_capture_drift(
-            at_tau, policy.n, policy.decay_span, policy.sigma_margin, opts=opts
-        )
+        big_grid = coord_grid(at_tau, *window, enlarge=COORD_PROBE_FACTOR)
+        big = schmidt_decompose(coord_matrix(at_tau, big_grid), opts, modes=False)
+        drift = spectrum_drift(result, big)
         if drift >= policy.capture_tol:
             raise ConvergenceError(
                 f"window capture check failed at tau={tau:g}: enlarging the "
-                f"margins by 50% moves the weight spectrum by {drift:.3e} "
-                f">= {policy.capture_tol:.1e}; widen the window or raise n"
+                f"margins by {COORD_PROBE_FACTOR - 1:.0%} moves the weight spectrum by "
+                f"{drift:.3e} >= {policy.capture_tol:.1e}; widen the window or raise n"
             )
 
     lam = np.concatenate(([le], lg * result.lambdas))
     lam = lam / lam.sum()
-    k = float(1.0 / np.sum(lam**2))
-    live = lam[lam > 0.0]
-    s = float(-np.sum(live * np.log2(live)))
-    return k, s, lam
+    return schmidt_number(lam), entanglement_entropy(lam), lam
 
 
 def asymptotics(eta: float):

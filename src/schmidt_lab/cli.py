@@ -40,6 +40,8 @@ from typing import Callable
 import numpy as np
 
 from .atom_photon import (
+    COORD_PROBE_FACTOR,
+    MOMENTUM_PROBE_FACTOR,
     AtomPhotonParams,
     GridPolicy,
     asymptotics,
@@ -57,7 +59,7 @@ from .errors import ConvergenceError, MatrixParseError
 from .output import parse_matrix_file, write_csv, write_json
 from .polarization import coherence, coherence_report, density_matrix_checks, polarization_density_matrix
 from .schmidt import GAUGES, DecompositionOptions, SchmidtResult, mode_overlap, schmidt_decompose, spectrum_drift
-from .spdc import DEFAULT_D_E, DEFAULT_D_O, spdc_grid, spdc_matrix, spdc_params
+from .spdc import DEFAULT_D_E, DEFAULT_D_O, SPDC_PROBE_FACTOR, spdc_grid, spdc_matrix, spdc_params
 from .tensor_core import AmplitudeMatrix, Grid, enlarged_grid, make_grid, normalize
 
 EXIT_OK = 0
@@ -358,10 +360,10 @@ def _coord(req: _Resolver) -> ModelRun:
     params = AtomPhotonParams(req.require("xi0"), req.require("eta"), req.require("tau"))
     if req.window is None:
         grid = coord_grid(params, req.n)
-        big_grid = coord_grid(params, req.n, enlarge=1.5)
+        big_grid = coord_grid(params, req.n, enlarge=COORD_PROBE_FACTOR)
     else:
         grid = req.window
-        big_grid = enlarged_grid(grid, 1.5)
+        big_grid = enlarged_grid(grid, COORD_PROBE_FACTOR)
     result = schmidt_decompose(coord_matrix(params, grid), req.opts)
     big = schmidt_decompose(coord_matrix(params, big_grid), req.opts, modes=False)
     p_nodes = grid.p_nodes()
@@ -393,7 +395,8 @@ def _momentum(req: _Resolver) -> ModelRun:
     params = AtomPhotonParams(req.require("xi0"), req.require("eta"), tau=1.0)
     grid = req.window or momentum_grid(req.n)
     result = schmidt_decompose(momentum_matrix(params, grid), req.opts)
-    big = schmidt_decompose(momentum_matrix(params, enlarged_grid(grid, 2.0)), req.opts, modes=False)
+    big_grid = enlarged_grid(grid, MOMENTUM_PROBE_FACTOR)
+    big = schmidt_decompose(momentum_matrix(params, big_grid), req.opts, modes=False)
     k_inf, s_inf = asymptotics(params.eta)
     nu = grid.p_nodes()
     pi = grid.q_nodes()
@@ -461,7 +464,7 @@ def _spdc(req: _Resolver) -> ModelRun:
     grid = req.window or spdc_grid(params, req.n)
     A = spdc_matrix(params, grid)
     result = schmidt_decompose(A, req.opts)
-    A_big = spdc_matrix(params, enlarged_grid(grid, 1.5))
+    A_big = spdc_matrix(params, enlarged_grid(grid, SPDC_PROBE_FACTOR))
     big = schmidt_decompose(A_big, req.opts, modes=False)
     report = coherence_report(A, result)
     rho = polarization_density_matrix(report.F)

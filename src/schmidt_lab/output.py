@@ -8,6 +8,7 @@ No timestamps appear in data files.
 
 from __future__ import annotations
 
+import json
 import numbers
 from pathlib import Path
 
@@ -33,7 +34,8 @@ def _json_value(obj, indent: int) -> str:
         if not obj:
             return "{}"
         items = [
-            f'{inner}"{k}": {_json_value(v, indent + 2)}' for k, v in obj.items()
+            f"{inner}{json.dumps(str(k), ensure_ascii=False)}: {_json_value(v, indent + 2)}"
+            for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
@@ -47,10 +49,7 @@ def _json_value(obj, indent: int) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, str):
-        escaped = (
-            obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        )
-        return f'"{escaped}"'
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (complex, np.complexfloating)):

@@ -6,10 +6,11 @@ weights lambda_k summing to 1.  The weights are the squared singular
 values of A; they carry all entanglement information through the Schmidt
 number K = 1 / sum(lambda^2) and the entropy S = -sum(lambda log2 lambda).
 
-The factorization is a direct SVD; the tests cross-check its weights
-against an independent power-iteration eigensolver.  A caller that reads
-only the weights passes ``modes=False``, which computes the singular
-values alone (in real arithmetic for a real amplitude).
+The factorization is a direct SVD of the matrix AmplitudeMatrix has
+already checked; the tests cross-check its weights against an
+independent power-iteration eigensolver.  A caller that reads only the
+weights passes ``modes=False``, which computes the singular values alone
+(in real arithmetic for a real amplitude).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import AmplitudeMatrix, Grid, singular_values, svd
+from .tensor_core import AmplitudeMatrix, Grid
 
 GAUGES = ("largest-real-positive", "none")
 WEIGHT_SUM_ATOL = 1e-10
@@ -129,9 +130,10 @@ def schmidt_decompose(
 ) -> SchmidtResult:
     """Factor a normalized amplitude matrix into Schmidt modes and weights.
 
-    With ``modes=False`` only the singular values are computed: the
-    weights, rank, K, S and reconstruction error follow as on the full
-    route, and ``modes_p``/``modes_q`` are None.
+    With ``modes=False`` only the singular values are computed, in real
+    arithmetic when every imaginary part is zero: the weights, rank, K, S
+    and reconstruction error follow as on the full route, and
+    ``modes_p``/``modes_q`` are None.
 
     Raises
     ------
@@ -140,10 +142,11 @@ def schmidt_decompose(
     """
     if not A.normalized:
         raise ValueError("schmidt_decompose requires a normalized AmplitudeMatrix")
+    e = A.entries
     if modes:
-        U, s, Vh = svd(A.entries)
+        U, s, Vh = np.linalg.svd(np.asarray(e, dtype=complex))
     else:
-        s = singular_values(A.entries)
+        s = np.linalg.svd(e.real if not e.imag.any() else e, compute_uv=False)
     lam_raw = s**2
 
     total = float(lam_raw.sum())

@@ -31,6 +31,8 @@ SINC_SERIES_CUTOFF = 1e-4
 # spectrum is converged to ~1e-4 well below this; the guard only catches
 # grids that genuinely cannot represent the oscillation.
 MAX_PHASE_STEP = math.pi / 2.0
+# Window growth of the convergence probe, at fixed mesh spacing.
+SPDC_PROBE_FACTOR = 1.5
 
 
 @dataclass(frozen=True)
@@ -59,13 +61,22 @@ def spdc_params(
     Raises
     ------
     ValueError
-        For non-positive L or sigma.
+        For non-positive L or sigma, non-finite d_o or d_e, or walk-offs
+        X_o, X_e that overflow.
     """
     if not (np.isfinite(L) and L > 0):
         raise ValueError(f"crystal length must be positive, got {L!r}")
     if not (np.isfinite(sigma) and sigma > 0):
         raise ValueError(f"pump bandwidth must be positive, got {sigma!r}")
-    return SpdcParams(float(L), float(sigma), float(d_o), float(d_e))
+    for name, d in (("d_o", d_o), ("d_e", d_e)):
+        if not np.isfinite(d):
+            raise ValueError(f"group delay {name} must be finite, got {d!r}")
+    params = SpdcParams(float(L), float(sigma), float(d_o), float(d_e))
+    if not (np.isfinite(params.X_o) and np.isfinite(params.X_e)):
+        raise ValueError(
+            f"walk-offs X_o={params.X_o!r}, X_e={params.X_e!r} overflow; reduce L, sigma, d_o or d_e"
+        )
+    return params
 
 
 def pump_envelope(p, q):
@@ -110,21 +121,10 @@ def spdc_grid(params: SpdcParams, n: int = DEFAULT_N, half_width: float = DEFAUL
     """Square window [-half_width, half_width]^2 for the biphoton amplitude.
 
     The default half-width of 40 is set by the slowly decaying sinc tail,
-    not by the pump Gaussian; the doubling-based drift check guards it.
-
-    Raises
-    ------
-    ConvergenceError
-        If n under-resolves the sinc oscillation; the message names the
-        smallest adequate n.
+    not by the pump Gaussian; the enlarged-window probe guards it.  The
+    window is not checked against the sinc oscillation here: spdc_matrix
+    does that for every grid it samples.
     """
-    need = required_n(params, half_width)
-    if n < need:
-        raise ConvergenceError(
-            f"n={n} under-resolves the phase-matching oscillation for "
-            f"X_o={params.X_o:g}, X_e={params.X_e:g} on half-width {half_width:g}; "
-            f"use n >= {need}"
-        )
     return make_grid(-half_width, half_width, -half_width, half_width, n)
 
 

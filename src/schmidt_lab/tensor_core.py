@@ -94,6 +94,12 @@ class AmplitudeMatrix:
     ``entries[j1, j2] = psi(p_j1, q_j2)``.  ``normalized`` records whether
     the sum of squared moduli has been scaled to 1; operations that require
     unit norm check this flag.
+
+    Construction is the one place a matrix is checked: shape, finiteness
+    (a non-finite entry is named by node index and (p, q)) and, when
+    flagged, unit norm.  Each check is one pass over the entries; for a
+    flagged matrix the squared-modulus sum doubles as the finiteness test,
+    since any inf or NaN entry makes it non-finite.
     """
 
     grid: Grid
@@ -106,14 +112,22 @@ class AmplitudeMatrix:
             raise ValueError(
                 f"entries shape {e.shape} does not match grid n={self.grid.n}"
             )
-        if not np.all(np.isfinite(e.real)) or not np.all(np.isfinite(e.imag)):
-            raise ValueError("amplitude entries must be finite")
         if self.normalized:
-            total = float(np.sum(np.abs(e) ** 2))
-            if abs(total - 1.0) > NORM_ATOL:
-                raise ValueError(
-                    f"matrix flagged normalized but squared-modulus sum is {total!r}"
-                )
+            total = float(np.vdot(e, e).real)
+            # "<=", not "not >": a NaN total must fail the test.
+            if abs(total - 1.0) <= NORM_ATOL:
+                return
+        elif np.isfinite(e).all():
+            return
+        bad = ~np.isfinite(e)
+        if bad.any():
+            j1, j2 = (int(i) for i in np.argwhere(bad)[0])
+            p, q = self.grid.p_nodes()[j1], self.grid.q_nodes()[j2]
+            raise ValueError(
+                f"amplitude is not finite at node ({j1}, {j2}), "
+                f"(p, q) = ({float(p)!r}, {float(q)!r})"
+            )
+        raise ValueError(f"matrix flagged normalized but squared-modulus sum is {total!r}")
 
     def norm(self) -> float:
         """Frobenius norm, i.e. sqrt of the total squared modulus."""
@@ -130,8 +144,8 @@ def sample_amplitude(f: Callable, grid: Grid) -> AmplitudeMatrix:
     ------
     ValueError
         If ``f`` rejects array arguments, returns the wrong shape, or any
-        sampled value is non-finite; the last message names the first
-        offending node by index and coordinates.
+        sampled value is non-finite; the last message, from AmplitudeMatrix,
+        names the first offending node by index and coordinates.
     """
     p = grid.p_nodes()
     q = grid.q_nodes()
@@ -143,13 +157,6 @@ def sample_amplitude(f: Callable, grid: Grid) -> AmplitudeMatrix:
     if vals.shape != P.shape:
         raise ValueError(
             f"amplitude function returned shape {vals.shape}, expected {P.shape}"
-        )
-    bad = ~(np.isfinite(vals.real) & np.isfinite(vals.imag))
-    if np.any(bad):
-        j1, j2 = (int(i) for i in np.argwhere(bad)[0])
-        raise ValueError(
-            f"amplitude is not finite at node ({j1}, {j2}), "
-            f"(p, q) = ({p[j1]!r}, {q[j2]!r})"
         )
     return AmplitudeMatrix(grid=grid, entries=vals, normalized=False)
 
@@ -168,15 +175,6 @@ def normalize(A: AmplitudeMatrix) -> AmplitudeMatrix:
     return AmplitudeMatrix(grid=A.grid, entries=A.entries / nrm, normalized=True)
 
 
-def _square_finite(A, op: str) -> np.ndarray:
-    A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"{op} input must be a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
-        raise ValueError(f"{op} input must have finite entries")
-    return A
-
-
 def svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full singular value decomposition ``A = U @ diag(s) @ V``.
 
@@ -184,18 +182,9 @@ def svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     orthonormal and s is non-negative and non-increasing.  Raises
     ValueError if A is not square or has non-finite entries.
     """
-    A = _square_finite(A, "svd")
-    U, s, Vh = np.linalg.svd(np.asarray(A, dtype=complex))
-    return U, s, Vh
-
-
-def singular_values(A: np.ndarray) -> np.ndarray:
-    """Singular values of A, non-negative and non-increasing, without factors.
-
-    A complex A whose imaginary parts are all zero is decomposed as its
-    real part, in real arithmetic.  Raises ValueError as ``svd`` does.
-    """
-    A = _square_finite(A, "singular_values")
-    if np.iscomplexobj(A) and not A.imag.any():
-        A = A.real
-    return np.linalg.svd(A, compute_uv=False)
+    A = np.asarray(A)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"svd input must be a square matrix, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError("svd input must have finite entries")
+    return np.linalg.svd(np.asarray(A, dtype=complex))

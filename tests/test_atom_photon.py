@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import scipy.special
 
+import schmidt_lab.atom_photon as atom_photon
 from schmidt_lab.atom_photon import (
+    COORD_PROBE_FACTOR,
     AtomPhotonParams,
     GridPolicy,
     asymptotics,
@@ -25,6 +27,7 @@ from schmidt_lab.atom_photon import (
 )
 from schmidt_lab.errors import ConvergenceError
 from schmidt_lab.schmidt import mode_overlap, schmidt_decompose
+from schmidt_lab.tensor_core import enlarged_n
 
 FIG_PARAMS = AtomPhotonParams(xi0=100.0, eta=0.03, tau=10.0)
 
@@ -239,6 +242,27 @@ def test_full_dynamics_approaches_asymptotic_k():
     k, _, _ = full_dynamics(FIG_PARAMS, 10.0, GridPolicy(n=300, capture_check=False))
     eta_sq = FIG_PARAMS.eta**2
     assert eta_sq / 2.0 <= k - 1.0 <= 2.0 * eta_sq
+
+
+def test_full_dynamics_capture_check_reuses_base_decomposition(monkeypatch):
+    # Default policy: one base and one enlarged-window SVD per tau, and the
+    # check changes nothing it returns.
+    taus = (5.0, 10.0)
+    unchecked = [full_dynamics(FIG_PARAMS, tau, GridPolicy(capture_check=False)) for tau in taus]
+    sizes = []
+    decompose = atom_photon.schmidt_decompose
+
+    def recording(A, *args, **kwargs):
+        sizes.append(A.grid.n)
+        return decompose(A, *args, **kwargs)
+
+    monkeypatch.setattr(atom_photon, "schmidt_decompose", recording)
+    checked = [full_dynamics(FIG_PARAMS, tau) for tau in taus]
+    n = GridPolicy().n
+    assert sizes == [n, enlarged_n(n, COORD_PROBE_FACTOR)] * len(taus)
+    for (k, s, lam), (k0, s0, lam0) in zip(checked, unchecked):
+        assert (k, s) == (k0, s0)
+        assert np.array_equal(lam, lam0)
 
 
 def test_full_dynamics_capture_failure_raises():

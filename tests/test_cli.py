@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -667,3 +668,53 @@ def test_sweep_values_only_route_matches_full_route(tmp_path, monkeypatch, argv)
     got = np.array([[float(r[c]) for c in cols] for r in values])
     want = np.array([[float(r[c]) for c in cols] for r in full])
     np.testing.assert_allclose(got, want, rtol=0, atol=ROUTE_ATOL)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spdc", "--L", "0.5", "--sigma", "10", "--n", "64"],
+        ["spdc-length-sweep", "--L-list", "0.5,1", "--sigma", "10", "--n", "64"],
+    ],
+)
+@pytest.mark.parametrize("flag, value", [("--d-o", "inf"), ("--d-e", "nan"), ("--d-o", "-inf")])
+def test_non_finite_group_delay_exits_2(tmp_path, capsys, argv, flag, value):
+    out = tmp_path / "out"
+    assert main(argv + [f"{flag}={value}", "--out", str(out)]) == 2
+    assert f"group delay {flag[2:].replace('-', '_')} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_summary_json_round_trips_a_path_with_a_tab(tmp_path):
+    f = tmp_path / "tab\there.txt"
+    _write_matrix(f, np.eye(2))
+    out = tmp_path / "out"
+    assert main(["decompose", str(f), "--out", str(out)]) == 0
+    assert _summary(out)["params"]["file"] == str(f)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["spdc", "--fig5", "--n", "96"], {"summary.json", "spectrum.csv", "modes_o.csv", "modes_e.csv"}),
+        (
+            ["atom-photon-dynamics", "--xi0", "100", "--eta", "0.03", "--tau-list", "2,10", "--n", "64", "--jobs", "2"],
+            {"summary.json", "sweep.csv"},
+        ),
+    ],
+)
+def test_separate_processes_write_byte_identical_files(tmp_path, argv, files):
+    # Byte-identity holds at a pinned BLAS thread count, across interpreters.
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "PYTHONPATH": path}
+    written = []
+    for run in ("first", "second"):
+        out = tmp_path / run
+        cmd = [sys.executable, "-m", "schmidt_lab.cli", *argv, "--out", str(out)]
+        subprocess.run(cmd, env=env, check=True, capture_output=True)
+        written.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert set(written[0]) == files
+    assert written[0] == written[1]

@@ -60,6 +60,16 @@ def test_dump_json_is_deterministic_and_standard():
         dump_json({"bad": object()})
 
 
+def test_dump_json_escapes_control_characters():
+    text = "tab\tcr\rsoh\x01 nl\n quote\" backslash\\ \u00e9"
+    out = dump_json({"text": text, "key\twith tab": 1})
+    assert json.loads(out) == {"text": text, "key\twith tab": 1}
+    for raw in ("\t", "\r", "\x01"):
+        assert raw not in out
+    # non-ASCII stays as UTF-8 text, as before
+    assert "\u00e9" in out
+
+
 def test_write_json_and_csv_files(tmp_path):
     p = tmp_path / "summary.json"
     write_json(p, {"a": 1.5})

@@ -27,6 +27,27 @@ def _random_matrix(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
+def test_values_only_route_uses_real_arithmetic_for_real_input(monkeypatch):
+    rng = np.random.default_rng(19)
+    real = rng.standard_normal((6, 6))
+    cplx = real + 1j * rng.standard_normal((6, 6))
+    g = make_grid(0.0, 5.0, 0.0, 5.0, 6)
+    mats = [normalize(AmplitudeMatrix(grid=g, entries=e)) for e in (real, real.astype(complex), cplx)]
+    full = [schmidt_decompose(A) for A in mats]
+    dtypes = []
+    lapack_svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        dtypes.append(a.dtype)
+        return lapack_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    for A, ref in zip(mats, full):
+        res = schmidt_decompose(A, modes=False)
+        np.testing.assert_allclose(res.lambdas, ref.lambdas, rtol=0, atol=1e-12)
+    assert dtypes == [float, float, complex]
+
+
 def test_rank_one_product_state():
     u = np.array([1.0, 2.0j, -0.5, 0.25])
     v = np.array([0.5, 1.0, 1.0j, -2.0])

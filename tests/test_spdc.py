@@ -32,6 +32,18 @@ def test_params_products():
         spdc_params(L=1.0, sigma=0.0)
 
 
+@pytest.mark.parametrize("name", ["d_o", "d_e"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_params_reject_non_finite_group_delay(name, value):
+    with pytest.raises(ValueError, match=f"group delay {name} must be finite"):
+        spdc_params(L=0.5, sigma=10.0, **{name: value})
+
+
+def test_params_reject_overflowing_walk_off():
+    with pytest.raises(ValueError, match="X_o=inf"):
+        spdc_params(L=10.0, sigma=10.0, d_o=1e307)
+
+
 def test_pump_envelope_values_and_symmetry():
     assert pump_envelope(0.0, 0.0) == pytest.approx(1.0)
     assert pump_envelope(1.0, -1.0) == pytest.approx(1.0)
@@ -103,8 +115,9 @@ def test_resolution_guard():
         check_resolution(params, coarse)
     with pytest.raises(ConvergenceError):
         spdc_matrix(params, coarse)
-    with pytest.raises(ConvergenceError, match=str(need)):
-        spdc_grid(params, n=need - 1)
+    # spdc_grid only builds the window; spdc_matrix is the one resolution check
+    with pytest.raises(ConvergenceError, match=f"use n >= {need}$"):
+        spdc_matrix(params, spdc_grid(params, n=need - 1))
     # the default preset resolution is accepted
     check_resolution(params, spdc_grid(params, n=512))
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from schmidt_lab import tensor_core
 from schmidt_lab.tensor_core import (
     AmplitudeMatrix,
     enlarged_grid,
@@ -95,11 +94,30 @@ def test_amplitude_matrix_validation():
         AmplitudeMatrix(grid=g, entries=np.zeros((2, 2), dtype=complex))
     bad = np.zeros((3, 3), dtype=complex)
     bad[1, 1] = np.inf
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=r"not finite at node \(1, 1\), \(p, q\) = \(0\.5, 0\.5\)"):
         AmplitudeMatrix(grid=g, entries=bad)
     ok = np.full((3, 3), 0.5, dtype=complex)
-    with pytest.raises(ValueError, match="normalized"):
+    with pytest.raises(ValueError, match="flagged normalized but squared-modulus sum is 2.25"):
         AmplitudeMatrix(grid=g, entries=ok, normalized=True)
+    # finite entries whose squared moduli overflow are not named as a node
+    with pytest.raises(ValueError, match="squared-modulus sum is inf"):
+        AmplitudeMatrix(grid=g, entries=np.full((3, 3), 1e200), normalized=True)
+
+
+@pytest.mark.parametrize(
+    "dtype, value",
+    [(float, np.nan), (float, -np.inf), (complex, complex(0.0, np.inf)), (complex, complex(np.nan, 1.0))],
+)
+@pytest.mark.parametrize("normalized", [False, True])
+def test_amplitude_matrix_names_non_finite_node(dtype, value, normalized):
+    # A flagged matrix is checked through its squared-modulus sum, which a
+    # NaN or inf entry must fail as well.
+    g = make_grid(0.0, 2.0, -1.0, 1.0, 3)
+    entries = np.zeros((3, 3), dtype=dtype)
+    entries[0, 0] = 1.0
+    entries[2, 1] = value
+    with pytest.raises(ValueError, match=r"not finite at node \(2, 1\), \(p, q\) = \(2\.0, 0\.0\)"):
+        AmplitudeMatrix(grid=g, entries=entries, normalized=normalized)
 
 
 def test_svd_examples():
@@ -139,25 +157,3 @@ def test_svd_rejects_bad_input():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
         svd(bad)
-
-
-def test_singular_values_match_svd_in_real_arithmetic_for_real_input(monkeypatch):
-    rng = np.random.default_rng(19)
-    real = rng.standard_normal((6, 6))
-    cplx = real + 1j * rng.standard_normal((6, 6))
-    dtypes = []
-    lapack_svd = np.linalg.svd
-
-    def recording_svd(a, *args, **kwargs):
-        dtypes.append(a.dtype)
-        return lapack_svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    for A in (real, real.astype(complex), cplx):
-        np.testing.assert_allclose(tensor_core.singular_values(A), svd(A)[1], rtol=0, atol=1e-12)
-    # singular_values, svd for each input in turn
-    assert dtypes == [float, complex, float, complex, complex, complex]
-    with pytest.raises(ValueError, match="square"):
-        tensor_core.singular_values(np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="finite"):
-        tensor_core.singular_values(np.array([[1.0, np.inf], [0.0, 1.0]]))
