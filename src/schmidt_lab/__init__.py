@@ -61,7 +61,6 @@ from .tensor_core import (
     make_grid,
     normalize,
     sample_amplitude,
-    svd,
 )
 
 __version__ = "0.1.0"

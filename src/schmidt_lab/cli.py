@@ -96,9 +96,10 @@ FIG_PRESETS = {
 class ModelRun:
     """What one model computed, before the runner adds the shared parts.
 
-    The runner appends n, the sampling ``grid`` (if any), trunc and gauge
-    to ``params``; ``blocks`` go between params and results.  ``tables``
-    maps an output format to {file name: (header, rows)}.
+    The runner appends n, the sampling ``grid`` (if any), trunc and, for a
+    subcommand that writes modes, gauge to ``params``; ``blocks`` go
+    between params and results.  ``tables`` maps an output format to
+    {file name: (header, rows)}.
     """
 
     params: dict
@@ -109,7 +110,8 @@ class ModelRun:
     grid: Grid | None = None
 
 
-SHARED_FLAGS = ("trunc", "gauge", "out", "format")
+# --gauge is taken only by the subcommands that write modes.
+SHARED_FLAGS = ("trunc", "out", "format")
 
 
 @dataclass(frozen=True)
@@ -577,14 +579,14 @@ SUBCOMMANDS = {
     "atom-photon-coord": Subcommand(
         "coordinate-space emission amplitude",
         _coord,
-        flags=("xi0", "eta", "tau", "n", "window", *SHARED_FLAGS),
+        flags=("xi0", "eta", "tau", "n", "window", "gauge", *SHARED_FLAGS),
         figs=("fig1",),
         default_n=ATOM_DEFAULT_N,
     ),
     "atom-photon-momentum": Subcommand(
         "momentum-space emission amplitude",
         _momentum,
-        flags=("xi0", "eta", "n", "window", *SHARED_FLAGS),
+        flags=("xi0", "eta", "n", "window", "gauge", *SHARED_FLAGS),
         figs=("fig3",),
         default_n=ATOM_DEFAULT_N,
     ),
@@ -601,7 +603,7 @@ SUBCOMMANDS = {
     "spdc": Subcommand(
         "biphoton amplitude and polarization coherence",
         _spdc,
-        flags=("L", "sigma", "d_o", "d_e", "n", "window", *SHARED_FLAGS),
+        flags=("L", "sigma", "d_o", "d_e", "n", "window", "gauge", *SHARED_FLAGS),
         figs=("fig5", "fig6"),
         default_n=SPDC_DEFAULT_N,
     ),
@@ -618,7 +620,7 @@ SUBCOMMANDS = {
     "decompose": Subcommand(
         "Schmidt-decompose a matrix from a text file",
         _decompose,
-        flags=("file", *SHARED_FLAGS),
+        flags=("file", "gauge", *SHARED_FLAGS),
     ),
 }
 
@@ -637,7 +639,8 @@ def run(args) -> dict:
     if out.grid is not None:
         params["window"] = asdict(out.grid)
     params["trunc"] = req.opts.truncation_threshold
-    params["gauge"] = req.opts.gauge
+    if "gauge" in cmd.flags:
+        params["gauge"] = req.opts.gauge
     payload = {
         "schema": SCHEMA_VERSION,
         "command": args.command,

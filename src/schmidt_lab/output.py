@@ -67,8 +67,15 @@ def dump_json(obj) -> str:
     return _json_value(obj, 0) + "\n"
 
 
+def _write_utf8(path, text: str) -> None:
+    # Encode before opening: text that cannot be encoded (a path with a
+    # lone surrogate, say) must not leave an empty file behind.
+    data = text.encode("utf-8")
+    Path(path).write_bytes(data)
+
+
 def write_json(path, obj) -> None:
-    Path(path).write_text(dump_json(obj), encoding="utf-8", newline="\n")
+    _write_utf8(path, dump_json(obj))
 
 
 def _cell(v) -> str:
@@ -86,7 +93,7 @@ def write_csv(path, header, rows) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_cell(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_utf8(path, "\n".join(lines) + "\n")
 
 
 def _parse_token(tok: str, line_no: int, col_no: int) -> complex:

@@ -6,16 +6,24 @@ weights lambda_k summing to 1.  The weights are the squared singular
 values of A; they carry all entanglement information through the Schmidt
 number K = 1 / sum(lambda^2) and the entropy S = -sum(lambda log2 lambda).
 
-The factorization is a direct SVD of the matrix AmplitudeMatrix has
-already checked; the tests cross-check its weights against an
-independent power-iteration eigensolver.  A caller that reads only the
-weights passes ``modes=False``, which computes the singular values alone
-(in real arithmetic for a real amplitude).
+The factorization is an SVD of the matrix AmplitudeMatrix has already
+checked; the tests cross-check its weights against an independent
+power-iteration eigensolver.  A caller that reads only the weights passes
+``modes=False``, which computes the singular values alone (in real
+arithmetic for a real amplitude).
+
+A matrix of low rank at the truncation cutoff is factored through a
+randomized range finder (Halko, Martinsson and Tropp, SIAM Rev. 53, 217
+(2011)): a seeded Gaussian sketch, two power iterations, and the SVD of
+the small projection B = Q^H A.  The sketch is accepted only when the
+explicitly computed residual ||A - Q B||_F^2 is at most the cutoff
+``truncation_threshold * sigma_1^2``, so no weight it leaves out could
+have been kept.  Otherwise the dense LAPACK SVD runs, unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +32,12 @@ from .tensor_core import AmplitudeMatrix, Grid
 GAUGES = ("largest-real-positive", "none")
 WEIGHT_SUM_ATOL = 1e-10
 SPECTRUM_DRIFT_MODES = 32
+# Randomized route: first sketch width, power iterations, and the seed of
+# the generator each call creates (so concurrent calls share no state).
+SKETCH_WIDTH = 16
+POWER_ITERATIONS = 2
+SKETCH_SEED = 0
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -66,6 +80,14 @@ class SchmidtResult:
         Relative Frobenius error committed by the truncation, i.e. the
         square root of the discarded weight mass (0.0 when nothing was
         dropped).
+    route
+        "dense" (LAPACK SVD of the whole matrix) or "randomized" (SVD of a
+        certified sketch).
+    sketch_width
+        Columns of the accepted sketch; None on the dense route.
+    residual_mass
+        ||A - Q B||_F^2 / ||A||_F^2 of the accepted sketch, the weight
+        outside it; None on the dense route.
     """
 
     lambdas: np.ndarray
@@ -75,6 +97,9 @@ class SchmidtResult:
     schmidt_number: float
     entropy: float
     reconstruction_error: float
+    route: str = "dense"
+    sketch_width: int | None = None
+    residual_mass: float | None = None
 
 
 def _xlog2x(w: np.ndarray) -> np.ndarray:
@@ -123,6 +148,50 @@ def _apply_gauge(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
+def _orth(Y: np.ndarray) -> np.ndarray:
+    return np.linalg.qr(Y)[0]
+
+
+def _certified_sketch(e: np.ndarray, trunc: float):
+    """A sketch Q (orthonormal columns) that captures ``e`` up to the cutoff.
+
+    Returns ``(Q, B, total, residual)`` with B = Q^H e, total = ||e||_F^2
+    and residual = ||e - Q B||_F^2 <= trunc * sigma_1(B)^2, or None when
+    the dense route must run: the first sketch of a width already shows
+    sigma_w^2 / sigma_1^2 > sqrt(trunc), the cutoff is at or below the
+    residual's rounding floor n eps^2 ||e||_F^2, or the width would pass
+    n / 4.  The width doubles after each rejected sketch.
+    """
+    n = e.shape[0]
+    width = SKETCH_WIDTH
+    cplx = bool(e.imag.any())
+    M = e if cplx else np.ascontiguousarray(e.real)
+    total = float(np.vdot(M, M).real)
+    floor = n * EPS**2 * total
+    rng = np.random.default_rng(SKETCH_SEED)
+    while width <= n / 4:
+        omega = rng.standard_normal((n, width))
+        if cplx:
+            omega = omega + 1j * rng.standard_normal((n, width))
+        Q, R = np.linalg.qr(M @ omega)
+        r = np.linalg.svd(R, compute_uv=False)
+        if r[-1] ** 2 > np.sqrt(trunc) * r[0] ** 2:
+            return None
+        for _ in range(POWER_ITERATIONS):
+            Q = _orth(M @ _orth((Q.conj().T @ M).conj().T))
+        B = Q.conj().T @ M
+        cut = trunc * np.linalg.norm(B, 2) ** 2
+        if cut <= floor:
+            return None
+        resid = Q @ B
+        resid -= M
+        residual = float(np.vdot(resid, resid).real)
+        if residual <= cut:
+            return Q, B, total, residual
+        width *= 2
+    return None
+
+
 def schmidt_decompose(
     A: AmplitudeMatrix,
     opts: DecompositionOptions = DecompositionOptions(),
@@ -135,6 +204,11 @@ def schmidt_decompose(
     and reconstruction error follow as on the full route, and
     ``modes_p``/``modes_q`` are None.
 
+    A matrix whose certified sketch exists (see ``_certified_sketch``)
+    takes the randomized route; its weights are normalized by the exact
+    ||A||_F^2, and the weight outside the sketch joins the discarded mass.
+    Every other matrix takes the dense route.
+
     Raises
     ------
     ValueError
@@ -143,13 +217,24 @@ def schmidt_decompose(
     if not A.normalized:
         raise ValueError("schmidt_decompose requires a normalized AmplitudeMatrix")
     e = A.entries
-    if modes:
-        U, s, Vh = np.linalg.svd(np.asarray(e, dtype=complex))
+    sketch = _certified_sketch(e, opts.truncation_threshold)
+    if sketch is None:
+        width = residual_mass = None
+        if modes:
+            U, s, Vh = np.linalg.svd(np.asarray(e, dtype=complex))
+        else:
+            s = np.linalg.svd(e.real if not e.imag.any() else e, compute_uv=False)
+        lam_raw = s**2
+        total = float(lam_raw.sum())
     else:
-        s = np.linalg.svd(e.real if not e.imag.any() else e, compute_uv=False)
-    lam_raw = s**2
-
-    total = float(lam_raw.sum())
+        Q, B, total, residual = sketch
+        width, residual_mass = Q.shape[1], residual / total
+        if modes:
+            Ub, s, Vh = np.linalg.svd(B, full_matrices=False)
+            U = Q @ Ub
+        else:
+            s = np.linalg.svd(B, compute_uv=False)
+        lam_raw = s**2
     lam_raw = lam_raw / total
 
     keep = lam_raw >= opts.truncation_threshold * lam_raw[0]
@@ -158,12 +243,14 @@ def schmidt_decompose(
     u = v = None
     if modes:
         # Copy only the kept modes, so no full n x n factor outlives the call.
-        u = U[:, :rank].T.copy()
-        v = Vh[:rank].copy()
+        u = U[:, :rank].T.astype(complex, order="C")
+        v = Vh[:rank].astype(complex, order="C")
         if opts.gauge == "largest-real-positive":
             u, v = _apply_gauge(u, v)
 
-    discarded = max(float(lam_raw[rank:].sum()), 0.0)
+    discarded = float(lam_raw[rank:].sum())
+    if residual_mass is not None:
+        discarded += residual_mass
     lam = lam_kept / float(lam_kept.sum())
     return SchmidtResult(
         lambdas=lam,
@@ -172,7 +259,10 @@ def schmidt_decompose(
         rank=rank,
         schmidt_number=schmidt_number(lam),
         entropy=entanglement_entropy(lam),
-        reconstruction_error=float(np.sqrt(discarded)),
+        reconstruction_error=float(np.sqrt(max(discarded, 0.0))),
+        route="dense" if sketch is None else "randomized",
+        sketch_width=width,
+        residual_mass=residual_mass,
     )
 
 
@@ -207,7 +297,8 @@ def truncate_rank(result: SchmidtResult, r: int) -> SchmidtResult:
     lam_raw = result.lambdas * captured_before
     lam = lam_raw[:r] / float(lam_raw[:r].sum())
     discarded = 1.0 - float(lam_raw[:r].sum())
-    return SchmidtResult(
+    return replace(
+        result,
         lambdas=lam,
         modes_p=result.modes_p[:r],
         modes_q=result.modes_q[:r],

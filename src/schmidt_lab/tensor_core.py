@@ -1,4 +1,4 @@
-"""Uniform two-variable grids, sampled amplitude matrices, and dense linear algebra.
+"""Uniform two-variable grids and sampled amplitude matrices.
 
 A two-particle amplitude psi(p, q) is discretized on a uniform n x n mesh
 into a complex matrix A with A[j1, j2] = psi(p_j1, q_j2).  Everything
@@ -174,17 +174,3 @@ def normalize(A: AmplitudeMatrix) -> AmplitudeMatrix:
         raise ValueError("cannot normalize an all-zero amplitude matrix")
     return AmplitudeMatrix(grid=A.grid, entries=A.entries / nrm, normalized=True)
 
-
-def svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full singular value decomposition ``A = U @ diag(s) @ V``.
-
-    Returns ``(U, s, V)`` where the columns of U and the rows of V are
-    orthonormal and s is non-negative and non-increasing.  Raises
-    ValueError if A is not square or has non-finite entries.
-    """
-    A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"svd input must be a square matrix, got shape {A.shape}")
-    if not np.isfinite(A).all():
-        raise ValueError("svd input must have finite entries")
-    return np.linalg.svd(np.asarray(A, dtype=complex))

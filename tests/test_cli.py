@@ -424,7 +424,7 @@ OUTPUT_SCHEMA = {
         ["--xi0", "100", "--eta", "0.03", "--tau-list", "1,10", "--n", "64"],
         {"summary.json", "sweep.csv"},
         ["schema", "command", "params", "validity", "results", "grid_convergence"],
-        ["xi0", "eta", "tau_values", "n", "trunc", "gauge"],
+        ["xi0", "eta", "tau_values", "n", "trunc"],
     ),
     "spdc": (
         ["--fig5", "--n", "64"],
@@ -436,7 +436,7 @@ OUTPUT_SCHEMA = {
         ["--L-list", "0.5", "--sigma", "10", "--n", "64"],
         {"summary.json", "sweep.csv"},
         ["schema", "command", "params", "results"],
-        ["L_values", "sigma", "d_o", "d_e", "n", "trunc", "gauge"],
+        ["L_values", "sigma", "d_o", "d_e", "n", "trunc"],
     ),
     "decompose": (
         ["eye.txt"],
@@ -470,6 +470,9 @@ IGNORED_FLAGS = [
     (["atom-photon-momentum", "--fig3"], "jobs", "2"),
     (["spdc", "--fig5"], "jobs", "2"),
     (["decompose", "m.txt"], "jobs", "2"),
+    # both sweeps decompose without modes, so a mode gauge changes nothing
+    (["atom-photon-dynamics", "--fig2"], "gauge", "none"),
+    (["spdc-length-sweep", "--fig4"], "gauge", "none"),
 ]
 
 
@@ -718,3 +721,16 @@ def test_separate_processes_write_byte_identical_files(tmp_path, argv, files):
         written.append({f.name: f.read_bytes() for f in out.iterdir()})
     assert set(written[0]) == files
     assert written[0] == written[1]
+
+
+def test_non_utf8_path_leaves_no_empty_summary(tmp_path, capsys):
+    # The path is echoed into summary.json, which is UTF-8: encoding fails
+    # before the file is opened, so nothing is left half written.
+    name = os.path.join(os.fsencode(tmp_path), b"m\xff.txt")
+    with open(name, "wb") as fh:
+        fh.write(b"1 0\n0 1\n")
+    out = tmp_path / "out"
+    assert main(["decompose", os.fsdecode(name), "--out", str(out)]) == 2
+    assert "utf-8" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+    assert [p for p in out.iterdir() if p.stat().st_size == 0] == []

@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schmidt_lab import schmidt
+from schmidt_lab.atom_photon import AtomPhotonParams, coord_grid, coord_matrix
 from schmidt_lab.schmidt import (
     DecompositionOptions,
     entanglement_entropy,
@@ -12,6 +16,7 @@ from schmidt_lab.schmidt import (
     schmidt_number,
     truncate_rank,
 )
+from schmidt_lab.spdc import spdc_grid, spdc_matrix, spdc_params
 from schmidt_lab.tensor_core import AmplitudeMatrix, make_grid, normalize
 
 from oracles import schmidt_weights
@@ -25,6 +30,24 @@ def _wrap(entries):
 
 def _random_matrix(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _dense(A, opts=DecompositionOptions(), modes=True):
+    """schmidt_decompose forced onto the dense route."""
+    with mock.patch.object(schmidt, "_certified_sketch", lambda e, trunc: None):
+        return schmidt_decompose(A, opts, modes=modes)
+
+
+def _low_rank(rng, n, s, complex_=True):
+    """A = U diag(s) V^H with random orthonormal columns U, V."""
+
+    def basis():
+        M = rng.standard_normal((n, len(s)))
+        if complex_:
+            M = M + 1j * rng.standard_normal((n, len(s)))
+        return np.linalg.qr(M)[0]
+
+    return _wrap((basis() * s) @ basis().conj().T)
 
 
 def test_values_only_route_uses_real_arithmetic_for_real_input(monkeypatch):
@@ -46,6 +69,29 @@ def test_values_only_route_uses_real_arithmetic_for_real_input(monkeypatch):
         res = schmidt_decompose(A, modes=False)
         np.testing.assert_allclose(res.lambdas, ref.lambdas, rtol=0, atol=1e-12)
     assert dtypes == [float, float, complex]
+
+
+def test_decomposes_diagonal_and_nilpotent_examples():
+    res = schmidt_decompose(_wrap(np.diag([2.0, 1.0])))
+    np.testing.assert_allclose(res.lambdas, [0.8, 0.2], rtol=0, atol=1e-15)
+    res = schmidt_decompose(_wrap(np.array([[0.0, 3.0], [0.0, 0.0]])))
+    assert res.rank == 1
+    np.testing.assert_allclose(np.abs(res.modes_p[0]), [1.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(np.abs(res.modes_q[0]), [0.0, 1.0], atol=1e-15)
+
+
+def test_decomposition_reconstructs_with_orthonormal_modes():
+    rng = np.random.default_rng(11)
+    full_rank = [_wrap(_random_matrix(rng, n)) for n in (2, 3, 5, 8, 16, 64, 512)]
+    low_rank = [_low_rank(rng, n, 0.5 ** np.arange(6)) for n in (64, 300)]
+    for A in full_rank + low_rank:
+        res = schmidt_decompose(A)
+        assert res.route == ("randomized" if A in low_rank else "dense")
+        assert np.all(np.diff(res.lambdas) <= 0) and np.all(res.lambdas > 0)
+        R = reconstruct(res, A.grid)
+        assert np.linalg.norm(R.entries - A.entries) <= 1e-10
+        for m in (res.modes_p, res.modes_q):
+            assert np.max(np.abs(m.conj() @ m.T - np.eye(res.rank))) < 1e-10
 
 
 def test_rank_one_product_state():
@@ -293,3 +339,148 @@ def test_values_only_route_matches_full_route(A):
     assert vals.entropy <= np.log2(vals.rank) + ROUTE_ATOL
     ref = schmidt_weights(A.entries)
     np.testing.assert_allclose(vals.lambdas, ref[: vals.rank], rtol=0, atol=1e-8)
+
+
+def _fig1_coord(n):
+    params = AtomPhotonParams(100.0, 0.03, 10.0)
+    return coord_matrix(params, coord_grid(params, n))
+
+
+def _spdc_fig4(n):
+    params = spdc_params(L=1.0, sigma=10.0)
+    return spdc_matrix(params, spdc_grid(params, n))
+
+
+@pytest.mark.parametrize(
+    "make, opts, route",
+    [
+        (lambda: _fig1_coord(400), DecompositionOptions(), "randomized"),
+        (lambda: _spdc_fig4(512), DecompositionOptions(), "dense"),
+        (lambda: _fig1_coord(400), DecompositionOptions(truncation_threshold=0.0), "dense"),
+        (lambda: _wrap(_random_matrix(np.random.default_rng(3), 300)), DecompositionOptions(), "dense"),
+    ],
+    ids=["fig1-coord-n400", "spdc-fig4-n512", "trunc-0", "complex-gaussian-300"],
+)
+def test_route_taken_by_each_input(make, opts, route):
+    res = schmidt_decompose(make(), opts, modes=False)
+    assert res.route == route
+    if route == "dense":
+        assert res.sketch_width is None and res.residual_mass is None
+    else:
+        assert res.sketch_width == schmidt.SKETCH_WIDTH and res.rank == 5
+        # the certificate: the weight outside the sketch is below the cutoff
+        lam1 = res.lambdas[0] * (1.0 - res.reconstruction_error**2)
+        assert 0.0 <= res.residual_mass <= opts.truncation_threshold * lam1
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _spdc_fig4(512), lambda: _wrap(_random_matrix(np.random.default_rng(3), 300))],
+    ids=["spdc-fig4-n512", "complex-gaussian-300"],
+)
+def test_high_rank_input_bails_before_any_power_iteration(make):
+    # sigma_16^2 / sigma_1^2 of the first sketch exceeds sqrt(1e-14), so the
+    # dense route runs after one n x 16 product and no power iteration.
+    A = make()
+    with mock.patch.object(schmidt, "_orth", side_effect=AssertionError("power iteration")):
+        assert schmidt_decompose(A, modes=False).route == "dense"
+
+
+def test_rejected_sketch_doubles_its_width_up_to_a_quarter_of_n():
+    # 24 weights from 1 down to 1e-12: sigma_16^2 / sigma_1^2 ~ 1e-8 passes
+    # the first look, but the 8 weights outside a 16-column sketch exceed
+    # the 1e-14 cutoff.  A 32-column sketch is accepted when n >= 128.
+    s = 10.0 ** (-6.0 * np.arange(24) / 23.0)
+    rng = np.random.default_rng(21)
+    A = _low_rank(rng, 256, s)
+    res = schmidt_decompose(A, modes=False)
+    assert (res.route, res.sketch_width, res.rank) == ("randomized", 32, 24)
+    np.testing.assert_allclose(res.lambdas, _dense(A, modes=False).lambdas, rtol=0, atol=ROUTE_ATOL)
+    # at n = 96 a 32-column sketch would pass n / 4: the dense route runs
+    res = schmidt_decompose(_low_rank(rng, 96, s), modes=False)
+    assert (res.route, res.sketch_width, res.rank) == ("dense", None, 24)
+
+
+# Randomized and dense modes agree to MODE_ATOL / gap, where gap is the
+# distance of sigma_k / sigma_1 to its nearest neighbour (or to zero).  The
+# largest error x gap over 200 drawn matrices was 3.5e-15.
+MODE_ATOL = 1e-13
+
+
+@st.composite
+def _gapped_low_rank(draw):
+    """Rank <= 8 above the cutoff, up to 12 weights far below it.
+
+    Kept singular values sit at quarter decades down to 1e-3 of the
+    largest, the tail at 1e-8 to 1e-12 of it, so sigma^2 jumps over the
+    1e-14 cutoff by at least 1e2.  With more than 16 values, part of the
+    tail lies outside the first sketch and the certificate must cover it.
+    """
+    n = draw(st.integers(64, 300))
+    complex_ = draw(st.booleans())
+    kept = draw(st.lists(st.integers(0, 12), min_size=1, max_size=8, unique=True))
+    tail = draw(st.lists(st.integers(32, 48), max_size=12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    top = min(kept)
+    s = 10.0 ** (-np.array(sorted(kept) + sorted(top + t for t in tail), dtype=float) / 4.0)
+    return _low_rank(np.random.default_rng(seed), n, s, complex_), len(kept)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=_gapped_low_rank())
+def test_randomized_route_matches_dense_route(case):
+    A, rank = case
+    rnd = schmidt_decompose(A)
+    ref = _dense(A)
+    assert (rnd.route, ref.route) == ("randomized", "dense")
+    assert rnd.rank == ref.rank == rank
+    np.testing.assert_allclose(rnd.lambdas, ref.lambdas, rtol=0, atol=ROUTE_ATOL)
+    for attr in ("schmidt_number", "entropy", "reconstruction_error"):
+        assert getattr(rnd, attr) == pytest.approx(getattr(ref, attr), rel=0, abs=ROUTE_ATOL)
+    sig = np.sqrt(ref.lambdas / ref.lambdas[0])
+    for k in range(rank):
+        gap = min([sig[k], *np.abs(sig[k] - np.delete(sig, k))])
+        for a, b in ((rnd.modes_p, ref.modes_p), (rnd.modes_q, ref.modes_q)):
+            assert np.max(np.abs(a[k] - b[k])) <= MODE_ATOL / gap
+    vals = schmidt_decompose(A, modes=False)
+    assert vals.route == "randomized"
+    np.testing.assert_allclose(vals.lambdas, rnd.lambdas, rtol=0, atol=ROUTE_ATOL)
+
+
+def test_k_and_s_invariant_on_the_randomized_route():
+    # transpose, global phase and diagonal (local) unitaries on both sides
+    rng = np.random.default_rng(23)
+    n = 128
+    A = _low_rank(rng, n, 0.3 ** np.arange(7)).entries
+    d1 = np.exp(2j * np.pi * rng.random(n))
+    d2 = np.exp(2j * np.pi * rng.random(n))
+    variants = [A, A.T, np.exp(0.7j) * A, d1[:, None] * A * d2[None, :]]
+    results = [schmidt_decompose(_wrap(M), modes=False) for M in variants]
+    assert {r.route for r in results} == {"randomized"}
+    for r in results[1:]:
+        assert r.rank == results[0].rank == 7
+        assert r.schmidt_number == pytest.approx(results[0].schmidt_number, rel=0, abs=ROUTE_ATOL)
+        assert r.entropy == pytest.approx(results[0].entropy, rel=0, abs=ROUTE_ATOL)
+
+
+def test_fig1_randomized_route_matches_dense_route():
+    # The --fig1 base decomposition (n = 800): weights, K and S within
+    # 1e-12; the four written modes and the five Laguerre overlaps within
+    # 1e-10.  Measured: modes 1-4 agree to 4e-12, overlaps to 1.4e-14.
+    from schmidt_lab.atom_photon import laguerre_mode
+
+    A = _fig1_coord(800)
+    rnd = schmidt_decompose(A)
+    ref = _dense(A)
+    assert (rnd.route, rnd.rank, ref.rank) == ("randomized", 5, 5)
+    np.testing.assert_allclose(rnd.lambdas, ref.lambdas, rtol=0, atol=ROUTE_ATOL)
+    assert rnd.schmidt_number == pytest.approx(ref.schmidt_number, rel=0, abs=ROUTE_ATOL)
+    assert rnd.entropy == pytest.approx(ref.entropy, rel=0, abs=ROUTE_ATOL)
+    for a, b in ((rnd.modes_p, ref.modes_p), (rnd.modes_q, ref.modes_q)):
+        assert np.max(np.abs(a[:4] - b[:4])) <= 1e-10
+    p = A.grid.p_nodes()
+    for k in range(5):
+        mode = laguerre_mode(k, 10.0, p)
+        assert abs(mode_overlap(mode, rnd.modes_p[k])) == pytest.approx(
+            abs(mode_overlap(mode, ref.modes_p[k])), rel=0, abs=1e-10
+        )

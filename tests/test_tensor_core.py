@@ -7,10 +7,7 @@ from schmidt_lab.tensor_core import (
     make_grid,
     normalize,
     sample_amplitude,
-    svd,
 )
-
-from oracles import singular_values
 
 
 def test_make_grid_nodes_and_spacing():
@@ -120,40 +117,14 @@ def test_amplitude_matrix_names_non_finite_node(dtype, value, normalized):
         AmplitudeMatrix(grid=g, entries=entries, normalized=normalized)
 
 
-def test_svd_examples():
-    U, s, V = svd(np.diag([2.0, 1.0]))
-    np.testing.assert_allclose(s, [2.0, 1.0])
-    A = np.array([[0.0, 3.0], [0.0, 0.0]])
-    _, s, _ = svd(A)
-    np.testing.assert_allclose(s, [3.0, 0.0], atol=1e-15)
-
-
-def test_svd_matches_gram_eigenvalues():
-    # Eqs.-5/6-style consistency: singular values vs sqrt eig(A A^+)
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        n = int(rng.integers(2, 9))
-        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        _, s, _ = svd(A)
-        np.testing.assert_allclose(s, singular_values(A), atol=1e-8)
-
-
-def test_svd_reconstruction_and_orthonormality():
-    rng = np.random.default_rng(11)
-    for n in (2, 3, 5, 8, 16, 64, 512):
-        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        U, s, V = svd(A)
-        assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
-        scale = np.linalg.norm(A)
-        assert np.linalg.norm(A - (U * s) @ V) <= 1e-10 * scale
-        assert np.max(np.abs(U.conj().T @ U - np.eye(n))) < 1e-10
-        assert np.max(np.abs(V @ V.conj().T - np.eye(n))) < 1e-10
-
-
-def test_svd_rejects_bad_input():
-    with pytest.raises(ValueError, match="square"):
-        svd(np.zeros((2, 3)))
-    bad = np.zeros((2, 2))
+def test_amplitude_matrix_rejects_non_square_and_non_finite_entries():
+    # The square and finite checks a matrix gets before it can reach
+    # schmidt_decompose, which trusts its AmplitudeMatrix argument.
+    g = make_grid(0.0, 1.0, 0.0, 1.0, 2)
+    with pytest.raises(ValueError, match=r"shape \(2, 3\) does not match grid n=2"):
+        AmplitudeMatrix(grid=g, entries=np.zeros((2, 3)))
+    bad = np.eye(2)
     bad[0, 0] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        svd(bad)
+    for normalized in (False, True):
+        with pytest.raises(ValueError, match="not finite"):
+            AmplitudeMatrix(grid=g, entries=bad, normalized=normalized)
