@@ -24,7 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .schmidt import DecompositionOptions, entanglement_entropy, schmidt_decompose, schmidt_number, spectrum_drift
+from .schmidt import (
+    DecompositionOptions,
+    SchmidtResult,
+    entanglement_entropy,
+    schmidt_decompose,
+    schmidt_number,
+    spectrum_drift,
+)
 from .tensor_core import AmplitudeMatrix, Grid, enlarged_grid, enlarged_n, make_grid, normalize, sample_amplitude
 
 TAU_APPLICABILITY_WARN = 3.0
@@ -73,7 +80,7 @@ class GridPolicy:
     modulus-widths.  With ``capture_check`` on, the amplitude is also
     decomposed with margins enlarged by COORD_PROBE_FACTOR (mesh spacing
     held fixed), and its weight spectrum must agree with the base
-    decomposition's within ``capture_tol``.
+    decomposition's within ``capture_tol`` (see ``coord_capture_drift``).
     """
 
     n: int = 400
@@ -103,7 +110,7 @@ def coord_amplitude(params: AtomPhotonParams, p, q):
     (without rejecting) below tau = 3 where the long-time form is only
     qualitative; dynamics sweeps rely on this leniency.  The message does
     not name tau, so the default warning filter prints it once per call
-    site rather than once per sweep point.
+    site.
     """
     if params.tau < TAU_APPLICABILITY_WARN:
         warnings.warn(
@@ -181,20 +188,46 @@ def momentum_matrix(params: AtomPhotonParams, grid: Grid) -> AmplitudeMatrix:
     )
 
 
+def coord_spectrum(
+    params: AtomPhotonParams,
+    policy: GridPolicy = GridPolicy(),
+    opts: DecompositionOptions = DecompositionOptions(),
+) -> SchmidtResult:
+    """Values-only decomposition of the coordinate amplitude on the policy window.
+
+    No capture check; ``coord_capture_drift`` adds one.
+    """
+    grid = coord_grid(params, policy.n, policy.decay_span, policy.sigma_margin)
+    return schmidt_decompose(coord_matrix(params, grid), opts, modes=False)
+
+
 def coord_capture_drift(
     params: AtomPhotonParams,
-    n: int = 400,
-    decay_span: float = 40.0,
-    sigma_margin: float = 6.0,
-    enlarge: float = COORD_PROBE_FACTOR,
+    policy: GridPolicy = GridPolicy(),
     opts: DecompositionOptions = DecompositionOptions(),
-) -> float:
-    """Weight-spectrum drift when the window margins grow by ``enlarge``."""
-    grid = coord_grid(params, n, decay_span, sigma_margin)
-    base = schmidt_decompose(coord_matrix(params, grid), opts, modes=False)
-    big_grid = coord_grid(params, n, decay_span, sigma_margin, enlarge)
+    enlarge: float = COORD_PROBE_FACTOR,
+) -> tuple[SchmidtResult, float]:
+    """``coord_spectrum`` checked against a window with margins grown by ``enlarge``.
+
+    The enlarged window keeps the mesh spacing.  Returns the base
+    decomposition and the drift of the weight spectrum between the two.
+
+    Raises
+    ------
+    ConvergenceError
+        If the drift is at least ``policy.capture_tol``.
+    """
+    base = coord_spectrum(params, policy, opts)
+    big_grid = coord_grid(params, policy.n, policy.decay_span, policy.sigma_margin, enlarge)
     big = schmidt_decompose(coord_matrix(params, big_grid), opts, modes=False)
-    return spectrum_drift(base, big)
+    drift = spectrum_drift(base, big)
+    if drift >= policy.capture_tol:
+        raise ConvergenceError(
+            f"window capture check failed at tau={params.tau:g}: enlarging the "
+            f"margins by {enlarge - 1:.0%} moves the weight spectrum by "
+            f"{drift:.3e} >= {policy.capture_tol:.1e}; widen the window or raise n"
+        )
+    return base, drift
 
 
 def momentum_capture_drift(
@@ -316,9 +349,9 @@ def zero_order_dynamics(tau: float, squared_entropy_weights: bool = True):
     Raises
     ------
     ValueError
-        For negative tau.
+        For negative or NaN tau.
     """
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"tau must be non-negative, got {tau}")
     le = math.exp(-tau)
     lg = -math.expm1(-tau)
@@ -336,29 +369,35 @@ def full_dynamics(
     tau: float,
     policy: GridPolicy = GridPolicy(),
     opts: DecompositionOptions = DecompositionOptions(),
+    spectrum: SchmidtResult | None = None,
 ):
     """Entanglement measures including the photonic fine structure at time tau.
 
     The excited state survives with weight exp(-tau); the emitted-photon
-    branch carries weight 1 - exp(-tau) spread over the Schmidt spectrum
-    of the coordinate amplitude at tau.  The composite spectrum
+    branch carries weight 1 - exp(-tau) spread over the Schmidt weights
+    mu_k of the coordinate amplitude.  The composite spectrum
     {exp(-tau)} U {(1 - exp(-tau)) mu_k} sums to 1 by construction, and K
     and S follow from it.  When the amplitude is effectively rank-1
     (eta -> 0) this reduces to the two-level (K0, S0) with the
     spectrum-consistent entropy reading.
 
-    ``opts`` governs the photonic decomposition and its capture check.
-    Returns (K, S, lambdas) with lambdas the composite spectrum.
+    After the emission the atom and the photon evolve freely, a local
+    unitary, so mu_k does not depend on tau.  A time sweep therefore
+    passes one decomposition as ``spectrum`` for all its points.  Without
+    it, the amplitude at tau is decomposed on the ``policy`` window under
+    ``opts``, with the capture check of ``coord_capture_drift`` when
+    ``policy.capture_check`` is on.  Returns (K, S, lambdas) with lambdas
+    the composite spectrum.
 
     Raises
     ------
     ConvergenceError
         If the enlarged-window consistency check moves the weight spectrum
-        by more than ``policy.capture_tol``.
+        by ``policy.capture_tol`` or more.
     ValueError
-        For negative tau.
+        For negative or NaN tau.
     """
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"tau must be non-negative, got {tau}")
     le = math.exp(-tau)
     lg = -math.expm1(-tau)
@@ -366,21 +405,14 @@ def full_dynamics(
         lam = np.array([1.0])
         return 1.0, 0.0, lam
 
-    at_tau = AtomPhotonParams(params.xi0, params.eta, tau)
-    window = (policy.n, policy.decay_span, policy.sigma_margin)
-    result = schmidt_decompose(coord_matrix(at_tau, coord_grid(at_tau, *window)), opts, modes=False)
-    if policy.capture_check:
-        big_grid = coord_grid(at_tau, *window, enlarge=COORD_PROBE_FACTOR)
-        big = schmidt_decompose(coord_matrix(at_tau, big_grid), opts, modes=False)
-        drift = spectrum_drift(result, big)
-        if drift >= policy.capture_tol:
-            raise ConvergenceError(
-                f"window capture check failed at tau={tau:g}: enlarging the "
-                f"margins by {COORD_PROBE_FACTOR - 1:.0%} moves the weight spectrum by "
-                f"{drift:.3e} >= {policy.capture_tol:.1e}; widen the window or raise n"
-            )
+    if spectrum is None:
+        at_tau = AtomPhotonParams(params.xi0, params.eta, tau)
+        if policy.capture_check:
+            spectrum, _ = coord_capture_drift(at_tau, policy, opts)
+        else:
+            spectrum = coord_spectrum(at_tau, policy, opts)
 
-    lam = np.concatenate(([le], lg * result.lambdas))
+    lam = np.concatenate(([le], lg * spectrum.lambdas))
     lam = lam / lam.sum()
     return schmidt_number(lam), entanglement_entropy(lam), lam
 

@@ -48,6 +48,7 @@ from .atom_photon import (
     coord_capture_drift,
     coord_grid,
     coord_matrix,
+    coord_spectrum,
     full_dynamics,
     laguerre_mode,
     momentum_grid,
@@ -426,27 +427,35 @@ def _dynamics(req: _Resolver) -> ModelRun:
 
     The S0 column uses the spectrum-consistent entropy reading (weights
     not squared) so that S - S0 vanishes when the fine structure does;
-    K0 is identical under both readings.  Window capture is checked once
-    at the largest tau, where the Gaussian ridge is widest.
+    K0 is identical under both readings.  Free evolution after the
+    emission leaves the photonic Schmidt weights unchanged, so every row
+    is built from one decomposition, at the largest tau, where the
+    Gaussian ridge is widest and the window capture is checked.  The
+    tau-invariance is checked too, against a decomposition at the
+    smallest positive tau.
     """
     xi0, eta = req.require("xi0"), req.require("eta")
     taus = _sweep_values(req, "tau")
     params = AtomPhotonParams(xi0, eta, max(taus))
-    policy = GridPolicy(n=req.n, capture_check=False)
+    policy = GridPolicy(n=req.n)
+    spectrum, drift = coord_capture_drift(params, policy, req.opts)
+    first = AtomPhotonParams(xi0, eta, min(t for t in taus if t > 0))
+    invariance = spectrum_drift(spectrum, coord_spectrum(first, policy, req.opts))
+    if invariance >= policy.capture_tol:
+        raise ConvergenceError(
+            f"tau-invariance check failed: the photonic Schmidt weights at "
+            f"tau={first.tau:g} and tau={params.tau:g} differ by {invariance:.3e} >= "
+            f"{policy.capture_tol:.1e}, though free evolution cannot change them; "
+            "raise n"
+        )
 
-    def point(tau: float):
+    def row(tau: float):
         k0, s0 = zero_order_dynamics(tau, squared_entropy_weights=False)
-        k, s, _ = full_dynamics(params, tau, policy, req.opts)
+        k, s, _ = full_dynamics(params, tau, spectrum=spectrum)
         return (tau, k0, s0, k, s, k - k0, s - s0)
 
     header = ("tau", "K0", "S0", "K", "S", "K_minus_K0", "S_minus_S0")
-    rows = _map_jobs(point, taus, req.jobs)
-    drift = coord_capture_drift(params, req.n, opts=req.opts)
-    if drift >= policy.capture_tol:
-        raise ConvergenceError(
-            f"window capture check failed at tau={params.tau:g}: spectrum drift "
-            f"{drift:.3e} >= {policy.capture_tol:.1e}; widen the window or raise n"
-        )
+    rows = [row(tau) for tau in taus]
     return ModelRun(
         params={"xi0": xi0, "eta": eta, "tau_values": taus},
         blocks={"validity": asdict(validity_check(params))},
@@ -455,7 +464,7 @@ def _dynamics(req: _Resolver) -> ModelRun:
             "max_abs_K_minus_K0": max(abs(r[5]) for r in rows),
             "max_abs_S_minus_S0": max(abs(r[6]) for r in rows),
         },
-        convergence={"endpoint_lambda_drift": drift},
+        convergence={"endpoint_lambda_drift": drift, "tau_invariance_drift": invariance},
         tables={"csv-sweep": {"sweep.csv": (header, rows)}},
     )
 
@@ -595,7 +604,7 @@ SUBCOMMANDS = {
         _dynamics,
         flags=(
             "xi0", "eta", "tau_start", "tau_stop", "tau_steps", "tau_list",
-            "n", "jobs", *SHARED_FLAGS,
+            "n", *SHARED_FLAGS,
         ),
         figs=("fig2",),
         default_n=ATOM_DEFAULT_N,

@@ -152,20 +152,20 @@ def _orth(Y: np.ndarray) -> np.ndarray:
     return np.linalg.qr(Y)[0]
 
 
-def _certified_sketch(e: np.ndarray, trunc: float):
-    """A sketch Q (orthonormal columns) that captures ``e`` up to the cutoff.
+def _certified_sketch(M: np.ndarray, trunc: float):
+    """A sketch Q (orthonormal columns) that captures ``M`` up to the cutoff.
 
-    Returns ``(Q, B, total, residual)`` with B = Q^H e, total = ||e||_F^2
-    and residual = ||e - Q B||_F^2 <= trunc * sigma_1(B)^2, or None when
+    ``M`` is real or complex, and the sketch is complex only when ``M`` is.
+    Returns ``(Q, B, total, residual)`` with B = Q^H M, total = ||M||_F^2
+    and residual = ||M - Q B||_F^2 <= trunc * sigma_1(B)^2, or None when
     the dense route must run: the first sketch of a width already shows
     sigma_w^2 / sigma_1^2 > sqrt(trunc), the cutoff is at or below the
-    residual's rounding floor n eps^2 ||e||_F^2, or the width would pass
+    residual's rounding floor n eps^2 ||M||_F^2, or the width would pass
     n / 4.  The width doubles after each rejected sketch.
     """
-    n = e.shape[0]
+    n = M.shape[0]
     width = SKETCH_WIDTH
-    cplx = bool(e.imag.any())
-    M = e if cplx else np.ascontiguousarray(e.real)
+    cplx = np.iscomplexobj(M)
     total = float(np.vdot(M, M).real)
     floor = n * EPS**2 * total
     rng = np.random.default_rng(SKETCH_SEED)
@@ -217,13 +217,16 @@ def schmidt_decompose(
     if not A.normalized:
         raise ValueError("schmidt_decompose requires a normalized AmplitudeMatrix")
     e = A.entries
-    sketch = _certified_sketch(e, opts.truncation_threshold)
+    # One scan decides real or complex arithmetic for the sketch and for
+    # the dense values-only SVD.
+    M = e if e.imag.any() else np.ascontiguousarray(e.real)
+    sketch = _certified_sketch(M, opts.truncation_threshold)
     if sketch is None:
         width = residual_mass = None
         if modes:
             U, s, Vh = np.linalg.svd(np.asarray(e, dtype=complex))
         else:
-            s = np.linalg.svd(e.real if not e.imag.any() else e, compute_uv=False)
+            s = np.linalg.svd(M, compute_uv=False)
         lam_raw = s**2
         total = float(lam_raw.sum())
     else:

@@ -91,14 +91,17 @@ def phase_matching(X_o: float, X_e: float, p, q):
     """Crystal phase-matching profile sinc(0.5 (X_o p + X_e q)).
 
     The removable singularity is handled by the even series
-    1 - x^2/6 + x^4/120 below |x| = 1e-4.
+    1 - x^2/6 + x^4/120 below |x| = 1e-4, evaluated only at those entries.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     x = 0.5 * (X_o * p + X_e * q)
     small = np.abs(x) < SINC_SERIES_CUTOFF
-    safe = np.where(small, 1.0, x)
-    out = np.where(small, 1.0 - x**2 / 6.0 + x**4 / 120.0, np.sin(safe) / safe)
+    # out= keeps a 0-d input an array, so the in-place steps below apply.
+    out = np.sin(x, out=np.empty_like(x))
+    np.divide(out, x, out=out, where=~small)
+    xs = x[small]
+    out[small] = 1.0 - xs**2 / 6.0 + xs**4 / 120.0
     return float(out) if out.ndim == 0 else out
 
 

@@ -14,6 +14,7 @@ from schmidt_lab.atom_photon import (
     coord_capture_drift,
     coord_grid,
     coord_matrix,
+    coord_spectrum,
     eta_opt,
     full_dynamics,
     laguerre_mode,
@@ -166,8 +167,9 @@ def test_zero_order_dynamics_reference_points():
     k0, s0 = zero_order_dynamics(20.0)
     assert k0 == pytest.approx(1.0, abs=1e-6)
     assert s0 == pytest.approx(0.0, abs=1e-6)
-    with pytest.raises(ValueError):
-        zero_order_dynamics(-0.1)
+    for bad in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="non-negative"):
+            zero_order_dynamics(bad)
 
 
 def test_zero_order_entropy_weight_conventions():
@@ -210,8 +212,9 @@ def test_coord_grid_geometry():
 
 
 def test_coord_window_enlargement_invariance():
-    drift = coord_capture_drift(FIG_PARAMS, n=400, enlarge=2.0)
+    base, drift = coord_capture_drift(FIG_PARAMS, GridPolicy(n=400), enlarge=2.0)
     assert drift < 1e-6
+    assert base.modes_p is None  # values only
 
 
 def test_momentum_window_doubling_invariance():
@@ -269,6 +272,27 @@ def test_full_dynamics_capture_failure_raises():
     squeezed = GridPolicy(n=64, decay_span=5.0, sigma_margin=0.5)
     with pytest.raises(ConvergenceError, match="capture"):
         full_dynamics(FIG_PARAMS, 10.0, squeezed)
+
+
+@pytest.mark.filterwarnings("ignore:coordinate amplitude is a long-time approximation")
+def test_full_dynamics_with_a_shared_spectrum_matches_the_per_tau_route(monkeypatch):
+    # Free evolution is local, so one spectrum serves every tau.
+    policy = GridPolicy(n=96, capture_check=False)
+    spectrum = coord_spectrum(FIG_PARAMS, policy)
+    per_tau = {tau: full_dynamics(FIG_PARAMS, tau, policy) for tau in (0.1, 1.0, 2.5, 6.0, 10.0)}
+
+    def no_decomposition(*args, **kwargs):
+        raise AssertionError("a shared spectrum needs no decomposition")
+
+    monkeypatch.setattr(atom_photon, "schmidt_decompose", no_decomposition)
+    for tau, (k0, s0, lam0) in per_tau.items():
+        k, s, lam = full_dynamics(FIG_PARAMS, tau, spectrum=spectrum)
+        assert abs(k - k0) <= 1e-12 and abs(s - s0) <= 1e-12
+        np.testing.assert_allclose(lam, lam0, rtol=0, atol=1e-15)
+    assert full_dynamics(FIG_PARAMS, 0.0, spectrum=spectrum)[:2] == (1.0, 0.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="non-negative"):
+            full_dynamics(FIG_PARAMS, bad, spectrum=spectrum)
 
 
 def test_coord_matrix_normalized():

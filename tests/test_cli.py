@@ -15,8 +15,11 @@ from hypothesis import strategies as st
 import schmidt_lab.atom_photon as atom_photon
 import schmidt_lab.cli as cli
 from schmidt_lab import schmidt
+from schmidt_lab.atom_photon import AtomPhotonParams, GridPolicy, full_dynamics
 from schmidt_lab.cli import FIG_PRESETS, FORMATS, main
+from schmidt_lab.errors import ConvergenceError
 from schmidt_lab.schmidt import GAUGES
+from schmidt_lab.tensor_core import enlarged_n
 
 
 def _write_matrix(path, m):
@@ -473,6 +476,8 @@ IGNORED_FLAGS = [
     # both sweeps decompose without modes, so a mode gauge changes nothing
     (["atom-photon-dynamics", "--fig2"], "gauge", "none"),
     (["spdc-length-sweep", "--fig4"], "gauge", "none"),
+    # one photonic spectrum serves the whole dynamics sweep, so no jobs
+    (["atom-photon-dynamics", "--fig2"], "jobs", "2"),
 ]
 
 
@@ -511,16 +516,109 @@ def test_dynamics_honours_trunc(tmp_path):
 
 
 def test_dynamics_sweep_leaves_warning_filters_alone(tmp_path, monkeypatch):
-    # A process-wide filter change from one sweep thread would race the
-    # others, so the sweep must not touch the filters at all.
+    # The tau < 3 advisory goes through the caller's filters; the sweep
+    # must not change them, process-wide, to silence it.
     calls = []
     monkeypatch.setattr(warnings, "simplefilter", lambda *a, **k: calls.append(a))
     before = list(warnings.filters)
     argv = ["atom-photon-dynamics", "--xi0", "100", "--eta", "0.03", "--n", "48"]
     taus = "0.5,0.8,1.1,1.4,1.7,2.0,2.5,4"
-    assert main([*argv, "--tau-list", taus, "--jobs", "2", "--out", str(tmp_path / "o")]) == 0
+    assert main([*argv, "--tau-list", taus, "--out", str(tmp_path / "o")]) == 0
     assert calls == []
     assert warnings.filters == before
+
+
+DYNAMICS = ["atom-photon-dynamics", "--xi0", "100"]
+DYNAMICS_TAUS = (0.1, 1.5, 2.9, 3.5, 7.0, 10.0)
+
+
+@pytest.mark.filterwarnings("ignore:coordinate amplitude is a long-time approximation")
+@pytest.mark.parametrize("n,eta", [(64, 0.03), (96, 0.03), (96, 0.08), (200, 0.03), (200, 0.08)])
+def test_dynamics_rows_match_the_per_tau_route(tmp_path, n, eta):
+    argv = [*DYNAMICS, "--eta", repr(eta), "--n", str(n)]
+    taus = ",".join(map(repr, DYNAMICS_TAUS))
+    assert main([*argv, "--tau-list", taus, "--out", str(tmp_path)]) == 0
+    header, rows = _read_csv(tmp_path / "sweep.csv")
+    got = np.array([[float(r[header.index(c)]) for c in ("K", "S")] for r in rows])
+    params = AtomPhotonParams(100.0, eta, max(DYNAMICS_TAUS))
+    policy = GridPolicy(n=n, capture_check=False)
+    want = np.array([full_dynamics(params, tau, policy)[:2] for tau in DYNAMICS_TAUS])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert tuple(float(r[0]) for r in rows) == DYNAMICS_TAUS
+    convergence = _summary(tmp_path)["grid_convergence"]
+    assert list(convergence) == ["endpoint_lambda_drift", "tau_invariance_drift"]
+    assert convergence["tau_invariance_drift"] < 1e-15
+
+
+@pytest.mark.filterwarnings("ignore:coordinate amplitude is a long-time approximation")
+def test_dynamics_exits_3_where_the_per_tau_route_fails_its_capture_check(tmp_path, capsys):
+    # At n = 64 the eta = 0.08 window drifts by 1.1e-6 at every tau.
+    argv = [*DYNAMICS, "--eta", "0.08", "--n", "64"]
+    taus = ",".join(map(repr, DYNAMICS_TAUS))
+    assert main([*argv, "--tau-list", taus, "--out", str(tmp_path / "out")]) == 3
+    assert "window capture check failed" in capsys.readouterr().err
+    params = AtomPhotonParams(100.0, 0.08, 10.0)
+    for tau in DYNAMICS_TAUS:
+        with pytest.raises(ConvergenceError, match="window capture check failed"):
+            full_dynamics(params, tau, GridPolicy(n=64))
+
+
+@pytest.mark.parametrize("count", [2, 5, 34])
+def test_dynamics_decomposes_three_times_whatever_the_tau_count(tmp_path, monkeypatch, count):
+    # The spectrum at the largest tau, its enlarged-window probe, and the
+    # tau-invariance sample at the smallest positive tau.
+    calls = []
+    decompose = atom_photon.schmidt_decompose
+
+    def counting(A, opts=schmidt.DecompositionOptions(), modes=True):
+        calls.append((A.grid.n, modes))
+        return decompose(A, opts, modes)
+
+    for mod in (cli, atom_photon):
+        monkeypatch.setattr(mod, "schmidt_decompose", counting)
+    taus = ",".join(repr(float(t)) for t in np.linspace(3.0, 10.0, count))
+    argv = [*DYNAMICS, "--eta", "0.03", "--n", "64", "--tau-list", taus]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    big = enlarged_n(64, atom_photon.COORD_PROBE_FACTOR)
+    assert calls == [(64, False), (big, False), (64, False)]
+
+
+def test_dynamics_warns_only_when_a_tau_is_below_3(tmp_path):
+    # The tau-invariance sample at the smallest positive tau raises it.
+    argv = [*DYNAMICS, "--eta", "0.03", "--n", "48"]
+    with pytest.warns(UserWarning, match="only qualitative below tau = 3"):
+        assert main([*argv, "--tau-list", "2.5,10", "--out", str(tmp_path / "a")]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--tau-list", "3,10", "--out", str(tmp_path / "b")]) == 0
+
+
+def test_dynamics_tau_invariance_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # A non-local phase on the smallest-tau amplitude changes its Schmidt
+    # weights, which free evolution cannot do.
+    amplitude = atom_photon.coord_amplitude
+
+    def perturbed(params, p, q):
+        vals = amplitude(params, p, q)
+        return vals * np.exp(1e-3j * p * q) if params.tau == 3.5 else vals
+
+    monkeypatch.setattr(atom_photon, "coord_amplitude", perturbed)
+    argv = [*DYNAMICS, "--eta", "0.03", "--n", "64", "--tau-list", "3.5,6,10"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 3
+    assert "tau-invariance" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_dynamics_zero_tau_row_and_invalid_taus(tmp_path, capsys):
+    argv = [*DYNAMICS, "--eta", "0.03", "--n", "64"]
+    assert main([*argv, "--tau-list", "0,5", "--out", str(tmp_path / "ok")]) == 0
+    header, rows = _read_csv(tmp_path / "ok" / "sweep.csv")
+    assert len(rows) == 2
+    assert (float(rows[0][header.index("K")]), float(rows[0][header.index("S")])) == (1.0, 0.0)
+    for taus in ("-1,5", "5,nan"):
+        assert main([*argv, f"--tau-list={taus}", "--out", str(tmp_path / "bad")]) == 2
+        assert "tau must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
 
 
 def _files(out_dir):
@@ -530,6 +628,7 @@ def _files(out_dir):
 # Other parameters of each subcommand, as a config file.
 CONFIG_BASE = {
     "spdc": {"L": 0.5, "sigma": 10.0, "n": 64},
+    "spdc-length-sweep": {"L_list": [0.5, 1.0], "sigma": 10.0, "n": 64},
     "atom-photon-dynamics": {
         "xi0": 100.0,
         "eta": 0.03,
@@ -544,7 +643,7 @@ CONFIG_BASE = {
 BAD_CONFIG = [
     ("spdc", {"n": 64.7}, "64.7"),
     ("atom-photon-dynamics", {"tau_steps": 3.9}, "3.9"),
-    ("atom-photon-dynamics", {"jobs": 1.5}, "1.5"),
+    ("spdc-length-sweep", {"jobs": 1.5}, "1.5"),
     ("spdc", {"L": True}, "True"),
     ("spdc", {"fig5": True}, "fig5"),
     ("spdc", {"format": ["json-summary", "bogus"]}, "bogus"),
@@ -704,7 +803,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
     [
         (["spdc", "--fig5", "--n", "96"], {"summary.json", "spectrum.csv", "modes_o.csv", "modes_e.csv"}),
         (
-            ["atom-photon-dynamics", "--xi0", "100", "--eta", "0.03", "--tau-list", "2,10", "--n", "64", "--jobs", "2"],
+            ["atom-photon-dynamics", "--xi0", "100", "--eta", "0.03", "--tau-list", "2,10", "--n", "64"],
             {"summary.json", "sweep.csv"},
         ),
     ],

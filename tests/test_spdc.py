@@ -6,6 +6,7 @@ import pytest
 from schmidt_lab.errors import ConvergenceError
 from schmidt_lab.schmidt import schmidt_decompose
 from schmidt_lab.spdc import (
+    SINC_SERIES_CUTOFF,
     biphoton_amplitude,
     check_resolution,
     phase_matching,
@@ -72,6 +73,30 @@ def test_phase_matching_series_branch_is_continuous():
     for x in (1e-6, 5e-5, 9.9e-5, 1.01e-4, 1e-3, 0.1):
         ref = float(np.sinc(x / math.pi))
         assert phase_matching(1.0, 1.0, 2.0 * x, 0.0) == pytest.approx(ref, rel=1e-12)
+
+
+def _where_sinc(X_o, X_e, p, q):
+    """The earlier phase_matching, which evaluated both branches everywhere."""
+    x = 0.5 * (X_o * np.asarray(p, dtype=float) + X_e * np.asarray(q, dtype=float))
+    small = np.abs(x) < SINC_SERIES_CUTOFF
+    safe = np.where(small, 1.0, x)
+    return np.where(small, 1.0 - x**2 / 6.0 + x**4 / 120.0, np.sin(safe) / safe)
+
+
+def test_masked_sinc_is_byte_identical_to_the_where_form():
+    # Both axes hold 0 and arguments straddling the series cutoff, so the
+    # mesh has x == 0 and 0 < |x| < 1e-4 as well as the sin(x)/x entries.
+    axis = np.concatenate(([0.0], np.geomspace(1e-9, 30.0, 97), -np.geomspace(3e-7, 3.0, 40)))
+    p, q = np.meshgrid(axis, axis, indexing="ij")
+    for X_o, X_e in ((0.38, 1.33), (3.04, 10.64), (1.0, -1.0)):
+        got = phase_matching(X_o, X_e, p, q)
+        want = _where_sinc(X_o, X_e, p, q)
+        x = 0.5 * (X_o * p + X_e * q)
+        assert np.any(x == 0.0) and np.any((x != 0.0) & (np.abs(x) < SINC_SERIES_CUTOFF))
+        assert got.tobytes() == want.tobytes()
+    for args in ((0.38, 1.33, 0.0, 0.0), (1.0, 1.0, 5e-5, 0.0), (1.0, 1.0, 3.0, 1.0)):
+        scalar = phase_matching(*args)
+        assert type(scalar) is float and scalar == float(_where_sinc(*args))
 
 
 def test_biphoton_amplitude_origin_and_realness():
