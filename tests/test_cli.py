@@ -643,10 +643,11 @@ CONFIG_BASE = {
 BAD_CONFIG = [
     ("spdc", {"n": 64.7}, "64.7"),
     ("atom-photon-dynamics", {"tau_steps": 3.9}, "3.9"),
-    ("spdc-length-sweep", {"jobs": 1.5}, "1.5"),
+    ("atom-photon-dynamics", {"n": 48.5}, "48.5"),
     ("spdc", {"L": True}, "True"),
     ("spdc", {"fig5": True}, "fig5"),
     ("spdc", {"format": ["json-summary", "bogus"]}, "bogus"),
+    ("spdc-length-sweep", {"jobs": 1.5}, "1.5"),
 ]
 
 
