@@ -215,7 +215,10 @@ def coord_capture_drift(
     Raises
     ------
     ConvergenceError
-        If the drift is at least ``policy.capture_tol``.
+        If the drift is at least ``policy.capture_tol``.  The automatic
+        window is fixed, and the drift falls as the mesh is refined, so the
+        message asks for a larger n, which every caller can set
+        (``GridPolicy.n``, the CLI's ``--n``).
     """
     base = coord_spectrum(params, policy, opts)
     big_grid = coord_grid(params, policy.n, policy.decay_span, policy.sigma_margin, enlarge)
@@ -225,7 +228,7 @@ def coord_capture_drift(
         raise ConvergenceError(
             f"window capture check failed at tau={params.tau:g}: enlarging the "
             f"margins by {enlarge - 1:.0%} moves the weight spectrum by "
-            f"{drift:.3e} >= {policy.capture_tol:.1e}; widen the window or raise n"
+            f"{drift:.3e} >= {policy.capture_tol:.1e}; raise n above {policy.n}"
         )
     return base, drift
 

@@ -18,7 +18,14 @@ randomized range finder (Halko, Martinsson and Tropp, SIAM Rev. 53, 217
 the small projection B = Q^H A.  The sketch is accepted only when the
 explicitly computed residual ||A - Q B||_F^2 is at most the cutoff
 ``truncation_threshold * sigma_1^2``, so no weight it leaves out could
-have been kept.  Otherwise the dense LAPACK SVD runs, unchanged.
+have been kept.
+
+A values-only decomposition of a centrosymmetric matrix (A = J A J, with
+J the reversal of row or column order) splits into an even-parity and an
+odd-parity block of half the size (Cantoni and Butler, Linear Algebra
+Appl. 13, 275 (1976)).  The split is accepted on the same terms: the
+anti-centrosymmetric part it leaves out must lie below the cutoff.
+Otherwise the dense LAPACK SVD runs, unchanged.
 """
 
 from __future__ import annotations
@@ -81,13 +88,16 @@ class SchmidtResult:
         square root of the discarded weight mass (0.0 when nothing was
         dropped).
     route
-        "dense" (LAPACK SVD of the whole matrix) or "randomized" (SVD of a
-        certified sketch).
+        "dense" (LAPACK SVD of the whole matrix), "randomized" (SVD of a
+        certified sketch) or "centrosymmetric" (SVDs of the two parity
+        blocks of the centrosymmetric part, values only).
     sketch_width
-        Columns of the accepted sketch; None on the dense route.
+        Columns of the accepted sketch; None on the other routes.
     residual_mass
-        ||A - Q B||_F^2 / ||A||_F^2 of the accepted sketch, the weight
-        outside it; None on the dense route.
+        The certified weight outside the factored part, as a share of
+        ||A||_F^2: ||A - Q B||_F^2 on the randomized route, ||A_a||_F^2
+        with A_a = (A - J A J) / 2 on the centrosymmetric route; None on
+        the dense route.
     """
 
     lambdas: np.ndarray
@@ -192,6 +202,52 @@ def _certified_sketch(M: np.ndarray, trunc: float):
     return None
 
 
+def _centrosymmetric_split(M: np.ndarray, trunc: float):
+    """Singular values of the centrosymmetric part of ``M``, if it captures ``M``.
+
+    M = M_s + M_a with M_s = (M + J M J) / 2 and M_a = (M - J M J) / 2;
+    the two parts are Frobenius-orthogonal.  In a basis of vectors even and
+    odd under J, M_s is block diagonal.  With S the first h = ceil(n / 2)
+    rows of 2 M_s and m = n // 2, the even block is
+    (S[:, :h] + S[:, ::-1][:, :h]) / 2, its middle row and column divided by
+    sqrt(2) when n is odd, and the odd block is
+    (S[:m, :m] - S[:m, ::-1][:, :m]) / 2.  The same formulas hold for real
+    and complex ``M``.
+
+    Returns ``(s, total, residual)``: the singular values of M_s,
+    non-increasing, total = ||M||_F^2 and residual = ||M_a||_F^2 <=
+    trunc * s[0]^2.  Returns None after one pass when
+    residual > sqrt(trunc) * total, and after the block SVDs when the
+    certificate fails; under ``trunc = 0`` only an exactly centrosymmetric
+    ``M`` passes.
+    """
+    n = M.shape[0]
+    h, m = n - n // 2, n // 2
+    top, bottom = M[:h], M[::-1, ::-1][:h]
+    total = float(np.vdot(M, M).real)
+    # anti holds the first h rows of 2 M_a.  Row i < m of M_a recurs,
+    # reversed, as row n - 1 - i; the middle row of an odd n occurs once.
+    anti = top - bottom
+    residual = 0.25 * float(np.vdot(anti, anti).real + np.vdot(anti[:m], anti[:m]).real)
+    if residual > np.sqrt(trunc) * total:
+        return None
+    del anti
+    S = top + bottom
+    left, right = S[:, :h], S[:, ::-1][:, :h]
+    even = (left + right) / 2.0
+    if n % 2:
+        even[m] /= np.sqrt(2.0)
+        even[:, m] /= np.sqrt(2.0)
+    odd = (left[:m, :m] - right[:m, :m]) / 2.0
+    s = np.concatenate(
+        [np.linalg.svd(even, compute_uv=False), np.linalg.svd(odd, compute_uv=False)]
+    )
+    s = np.sort(s)[::-1]
+    if residual > trunc * s[0] ** 2:
+        return None
+    return s, total, residual
+
+
 def schmidt_decompose(
     A: AmplitudeMatrix,
     opts: DecompositionOptions = DecompositionOptions(),
@@ -207,7 +263,10 @@ def schmidt_decompose(
     A matrix whose certified sketch exists (see ``_certified_sketch``)
     takes the randomized route; its weights are normalized by the exact
     ||A||_F^2, and the weight outside the sketch joins the discarded mass.
-    Every other matrix takes the dense route.
+    Otherwise, with ``modes=False``, a matrix whose centrosymmetric part
+    captures it (see ``_centrosymmetric_split``) takes the
+    centrosymmetric route, normalized and certified the same way.  Every
+    other matrix takes the dense route.
 
     Raises
     ------
@@ -217,19 +276,15 @@ def schmidt_decompose(
     if not A.normalized:
         raise ValueError("schmidt_decompose requires a normalized AmplitudeMatrix")
     e = A.entries
-    # One scan decides real or complex arithmetic for the sketch and for
-    # the dense values-only SVD.
-    M = e if e.imag.any() else np.ascontiguousarray(e.real)
-    sketch = _certified_sketch(M, opts.truncation_threshold)
-    if sketch is None:
-        width = residual_mass = None
-        if modes:
-            U, s, Vh = np.linalg.svd(np.asarray(e, dtype=complex))
-        else:
-            s = np.linalg.svd(M, compute_uv=False)
-        lam_raw = s**2
-        total = float(lam_raw.sum())
-    else:
+    # One decision of real or complex arithmetic for every route; a real
+    # array never allocates its zero imaginary part.
+    M = e if np.iscomplexobj(e) and e.imag.any() else np.ascontiguousarray(e.real)
+    trunc = opts.truncation_threshold
+    sketch = _certified_sketch(M, trunc)
+    split = None if sketch is not None or modes else _centrosymmetric_split(M, trunc)
+    width = residual_mass = None
+    if sketch is not None:
+        route = "randomized"
         Q, B, total, residual = sketch
         width, residual_mass = Q.shape[1], residual / total
         if modes:
@@ -237,10 +292,20 @@ def schmidt_decompose(
             U = Q @ Ub
         else:
             s = np.linalg.svd(B, compute_uv=False)
-        lam_raw = s**2
-    lam_raw = lam_raw / total
+    elif split is not None:
+        route = "centrosymmetric"
+        s, total, residual = split
+        residual_mass = residual / total
+    else:
+        route = "dense"
+        if modes:
+            U, s, Vh = np.linalg.svd(np.asarray(e, dtype=complex))
+        else:
+            s = np.linalg.svd(M, compute_uv=False)
+        total = float((s**2).sum())
+    lam_raw = s**2 / total
 
-    keep = lam_raw >= opts.truncation_threshold * lam_raw[0]
+    keep = lam_raw >= trunc * lam_raw[0]
     rank = int(np.count_nonzero(keep))
     lam_kept = lam_raw[:rank]
     u = v = None
@@ -263,7 +328,7 @@ def schmidt_decompose(
         schmidt_number=schmidt_number(lam),
         entropy=entanglement_entropy(lam),
         reconstruction_error=float(np.sqrt(max(discarded, 0.0))),
-        route="dense" if sketch is None else "randomized",
+        route=route,
         sketch_width=width,
         residual_mass=residual_mass,
     )

@@ -1,7 +1,8 @@
 """Uniform two-variable grids and sampled amplitude matrices.
 
 A two-particle amplitude psi(p, q) is discretized on a uniform n x n mesh
-into a complex matrix A with A[j1, j2] = psi(p_j1, q_j2).  Everything
+into a matrix A with A[j1, j2] = psi(p_j1, q_j2), real (float64) for a
+real amplitude and complex otherwise.  Everything
 downstream (Schmidt decomposition, entanglement measures, coherence) works
 on these matrices, so the conventions are fixed here once: row index runs
 over p, column index over q, and nodes are placed at the window endpoints
@@ -138,7 +139,8 @@ def sample_amplitude(f: Callable, grid: Grid) -> AmplitudeMatrix:
     """Evaluate ``f(p, q)`` on the mesh and wrap the result.
 
     ``f`` must be vectorized: it is called once with the two (n, n) node
-    arrays and must return an (n, n) array.  The result is not normalized.
+    arrays and must return an (n, n) array.  A real result is kept in
+    float64, a complex one in complex128.  The result is not normalized.
 
     Raises
     ------
@@ -151,7 +153,8 @@ def sample_amplitude(f: Callable, grid: Grid) -> AmplitudeMatrix:
     q = grid.q_nodes()
     P, Q = np.meshgrid(p, q, indexing="ij")
     try:
-        vals = np.asarray(f(P, Q), dtype=complex)
+        vals = np.asarray(f(P, Q))
+        vals = vals.astype(complex if np.iscomplexobj(vals) else float, copy=False)
     except TypeError as exc:
         raise ValueError(f"amplitude function must accept numpy arrays: {exc}") from exc
     if vals.shape != P.shape:

@@ -310,6 +310,47 @@ def test_jobs_do_not_change_output(tmp_path):
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
 
+def test_fig4_jobs_do_not_change_output(tmp_path):
+    # Every point takes the centrosymmetric route; n = 272 resolves L = 4.
+    args = ["spdc-length-sweep", "--fig4", "--n", "272"]
+    out1, out2 = tmp_path / "j1", tmp_path / "j2"
+    assert main(args + ["--jobs", "1", "--out", str(out1)]) == 0
+    assert main(args + ["--jobs", "2", "--out", str(out2)]) == 0
+    assert _files(out1) == _files(out2)
+
+
+SPDC_N128 = ["spdc", "--L", "1", "--sigma", "10", "--n", "128"]
+
+
+@pytest.mark.parametrize(
+    "argv, routes",
+    [
+        (SPDC_N128, [(True, "dense"), (False, "centrosymmetric")]),
+        ([*SPDC_N128, "--window=-40,30,-40,30"], [(True, "dense"), (False, "dense")]),
+        ([*SPDC_N128, "--trunc", "0"], [(True, "dense"), (False, "dense")]),
+        (
+            ["spdc-length-sweep", "--L-list", "0.5,1", "--sigma", "10", "--n", "128"],
+            [(False, "centrosymmetric")] * 2,
+        ),
+    ],
+    ids=["spdc", "asymmetric-window", "trunc-0", "length-sweep"],
+)
+def test_spdc_values_only_decompositions_take_the_split(tmp_path, monkeypatch, argv, routes):
+    # The split needs the symmetric window, a cutoff above the rounding of
+    # the mesh, and modes=False: the sweep points and the window probe.
+    taken = []
+    decompose = cli.schmidt_decompose
+
+    def recording(A, opts=schmidt.DecompositionOptions(), modes=True):
+        res = decompose(A, opts, modes)
+        taken.append((modes, res.route))
+        return res
+
+    monkeypatch.setattr(cli, "schmidt_decompose", recording)
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert taken == routes
+
+
 def test_repeat_runs_are_byte_identical(tmp_path):
     args = ["spdc", "--L", "0.5", "--sigma", "10", "--n", "96"]
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -561,6 +602,18 @@ def test_dynamics_exits_3_where_the_per_tau_route_fails_its_capture_check(tmp_pa
     for tau in DYNAMICS_TAUS:
         with pytest.raises(ConvergenceError, match="window capture check failed"):
             full_dynamics(params, tau, GridPolicy(n=64))
+
+
+@pytest.mark.filterwarnings("ignore:coordinate amplitude is a long-time approximation")
+def test_dynamics_capture_failure_advice_can_be_followed(tmp_path, capsys):
+    # Dynamics rejects --window, so the message must not ask to widen it.
+    argv = [*DYNAMICS, "--eta", "0.08", "--n", "64", "--tau-list", "1,10"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "raise n above 64" in err
+    assert "--window" not in err and "widen" not in err
+    argv[argv.index("--n") + 1] = "80"
+    assert main([*argv, "--out", str(tmp_path / "ok")]) == 0
 
 
 @pytest.mark.parametrize("count", [2, 5, 34])

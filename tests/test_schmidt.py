@@ -34,7 +34,10 @@ def _random_matrix(rng, n):
 
 def _dense(A, opts=DecompositionOptions(), modes=True):
     """schmidt_decompose forced onto the dense route."""
-    with mock.patch.object(schmidt, "_certified_sketch", lambda e, trunc: None):
+    with (
+        mock.patch.object(schmidt, "_certified_sketch", lambda e, trunc: None),
+        mock.patch.object(schmidt, "_centrosymmetric_split", lambda e, trunc: None),
+    ):
         return schmidt_decompose(A, opts, modes=modes)
 
 
@@ -355,7 +358,7 @@ def _spdc_fig4(n):
     "make, opts, route",
     [
         (lambda: _fig1_coord(400), DecompositionOptions(), "randomized"),
-        (lambda: _spdc_fig4(512), DecompositionOptions(), "dense"),
+        (lambda: _spdc_fig4(512), DecompositionOptions(), "centrosymmetric"),
         (lambda: _fig1_coord(400), DecompositionOptions(truncation_threshold=0.0), "dense"),
         (lambda: _wrap(_random_matrix(np.random.default_rng(3), 300)), DecompositionOptions(), "dense"),
     ],
@@ -364,11 +367,14 @@ def _spdc_fig4(n):
 def test_route_taken_by_each_input(make, opts, route):
     res = schmidt_decompose(make(), opts, modes=False)
     assert res.route == route
-    if route == "dense":
-        assert res.sketch_width is None and res.residual_mass is None
-    else:
+    if route == "randomized":
         assert res.sketch_width == schmidt.SKETCH_WIDTH and res.rank == 5
-        # the certificate: the weight outside the sketch is below the cutoff
+    else:
+        assert res.sketch_width is None
+    if route == "dense":
+        assert res.residual_mass is None
+    else:
+        # the certificate: the weight left out is below the cutoff
         lam1 = res.lambdas[0] * (1.0 - res.reconstruction_error**2)
         assert 0.0 <= res.residual_mass <= opts.truncation_threshold * lam1
 
@@ -380,10 +386,10 @@ def test_route_taken_by_each_input(make, opts, route):
 )
 def test_high_rank_input_bails_before_any_power_iteration(make):
     # sigma_16^2 / sigma_1^2 of the first sketch exceeds sqrt(1e-14), so the
-    # dense route runs after one n x 16 product and no power iteration.
+    # sketch is given up after one n x 16 product and no power iteration.
     A = make()
     with mock.patch.object(schmidt, "_orth", side_effect=AssertionError("power iteration")):
-        assert schmidt_decompose(A, modes=False).route == "dense"
+        assert schmidt_decompose(A, modes=False).route != "randomized"
 
 
 def test_rejected_sketch_doubles_its_width_up_to_a_quarter_of_n():
@@ -484,3 +490,118 @@ def test_fig1_randomized_route_matches_dense_route():
         assert abs(mode_overlap(mode, rnd.modes_p[k])) == pytest.approx(
             abs(mode_overlap(mode, ref.modes_p[k])), rel=0, abs=1e-10
         )
+
+
+def _parity_basis(n):
+    """Orthogonal P: its first ceil(n / 2) columns are even under row
+    reversal, the last n // 2 odd."""
+    h, m = n - n // 2, n // 2
+    P = np.zeros((n, n))
+    for k in range(m):
+        P[[k, n - 1 - k], k] = np.sqrt(0.5)
+        P[[k, n - 1 - k], h + k] = (np.sqrt(0.5), -np.sqrt(0.5))
+    if n % 2:
+        P[m, m] = 1.0
+    return P
+
+
+def _centrosymmetric(rng, n, complex_):
+    """Exactly centrosymmetric entries (C = J C J), built in the parity basis.
+
+    The singular values 10^(-3 j / (n - 1)) are shared out at random between
+    the even and the odd block, so the two interleave, and the spacing keeps
+    the power-iteration oracle fast.
+    """
+    h = n - n // 2
+    s = rng.permutation(10.0 ** (-3.0 * np.arange(n) / max(n - 1, 1)))
+
+    def unitary(k):
+        M = rng.standard_normal((k, k))
+        if complex_:
+            M = M + 1j * rng.standard_normal((k, k))
+        return np.linalg.qr(M)[0]
+
+    blocks = np.zeros((n, n), dtype=complex if complex_ else float)
+    blocks[:h, :h] = (unitary(h) * s[:h]) @ unitary(h)
+    blocks[h:, h:] = (unitary(n - h) * s[h:]) @ unitary(n - h)
+    P = _parity_basis(n)
+    C = P @ blocks @ P.T
+    # Symmetrize exactly: the rounding of P @ blocks @ P.T is not.
+    return (C + C[::-1, ::-1]) / 2.0
+
+
+def _as_amplitude(entries):
+    """Normalize without changing the dtype (``_wrap`` casts to complex)."""
+    n = entries.shape[0]
+    return normalize(AmplitudeMatrix(grid=make_grid(0.0, n - 1.0, 0.0, n - 1.0, n), entries=entries))
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 65])
+def test_centrosymmetric_route_matches_dense_route_and_oracle(n, complex_):
+    A = _as_amplitude(_centrosymmetric(np.random.default_rng(n), n, complex_))
+    assert A.entries.dtype == (complex if complex_ else float)
+    res = schmidt_decompose(A, modes=False)
+    assert (res.route, res.sketch_width, res.residual_mass) == ("centrosymmetric", None, 0.0)
+    ref = _dense(A, modes=False)
+    assert res.rank == ref.rank == n
+    np.testing.assert_allclose(res.lambdas, ref.lambdas, rtol=0, atol=ROUTE_ATOL)
+    for attr in ("schmidt_number", "entropy", "reconstruction_error"):
+        assert getattr(res, attr) == pytest.approx(getattr(ref, attr), rel=0, abs=ROUTE_ATOL)
+    np.testing.assert_allclose(res.lambdas, schmidt_weights(A.entries), rtol=0, atol=1e-8)
+    # exactly centrosymmetric, so even a zero cutoff certifies the split
+    zero = schmidt_decompose(A, DecompositionOptions(truncation_threshold=0.0), modes=False)
+    assert (zero.route, zero.residual_mass) == ("centrosymmetric", 0.0)
+    # the modes are out of the split's scope
+    assert schmidt_decompose(A).route == "dense"
+
+
+@pytest.mark.parametrize("n", [64, 65])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_anti_centrosymmetric_part_is_certified_or_sent_to_the_dense_route(n, complex_):
+    # lambda_1 is about 0.19 of the total here, so the 1e-14 cutoff admits
+    # an anti-centrosymmetric part of relative weight up to ~1.9e-15.  A
+    # weight of 1e-12 is above it but below the bail at sqrt(1e-14), so the
+    # blocks are decomposed, the certificate fails and the dense route runs.
+    rng = np.random.default_rng(100 + n)
+    C = _centrosymmetric(rng, n, complex_)
+    X = rng.standard_normal((n, n))
+    anti = X - X[::-1, ::-1]
+    anti *= np.linalg.norm(C) / np.linalg.norm(anti)
+    trunc = DecompositionOptions().truncation_threshold
+    for eps, route in ((1e-6, "dense"), (1e-9, "centrosymmetric")):
+        A = _as_amplitude(C + eps * anti)
+        res = schmidt_decompose(A, modes=False)
+        assert res.route == route
+        ref = _dense(A, modes=False)
+        np.testing.assert_allclose(res.lambdas, ref.lambdas, rtol=0, atol=ROUTE_ATOL)
+    lam1 = res.lambdas[0] * (1.0 - res.reconstruction_error**2)
+    assert 0.0 < res.residual_mass <= trunc * lam1
+    assert res.residual_mass == pytest.approx(1e-18, rel=1e-6, abs=0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _wrap(_random_matrix(np.random.default_rng(3), 300)),
+        lambda: _as_amplitude(np.random.default_rng(4).standard_normal((301, 301))),
+        lambda: spdc_matrix(spdc_params(L=1.0, sigma=10.0), make_grid(-40.0, 30.0, -40.0, 40.0, 512)),
+    ],
+    ids=["complex-gaussian-300", "real-gaussian-301", "spdc-fig4-asymmetric-window"],
+)
+def test_asymmetric_input_bails_before_any_block_is_decomposed(make, monkeypatch):
+    # ||A_a||^2 > sqrt(1e-14) ||A||^2: the split is given up after one pass,
+    # so no SVD of a half-size block runs.
+    A = make()
+    shapes = []
+    lapack_svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return lapack_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    assert schmidt_decompose(A, modes=False).route == "dense"
+    n = A.grid.n
+    assert not {(n - n // 2,) * 2, (n // 2,) * 2} & set(shapes)
+    assert shapes[-1] == (n, n)

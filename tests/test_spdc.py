@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from schmidt_lab.cli import FIG_PRESETS
 from schmidt_lab.errors import ConvergenceError
+from schmidt_lab.polarization import coherence
 from schmidt_lab.schmidt import schmidt_decompose
 from schmidt_lab.spdc import (
     SINC_SERIES_CUTOFF,
@@ -164,3 +166,31 @@ def test_entanglement_shrinks_as_sinc_narrows():
     assert all(b < a for a, b in zip(ks, ks[1:]))
     assert ks[0] == pytest.approx(5.66, abs=0.3)
     assert ks[-1] == pytest.approx(2.24, abs=0.2)
+
+
+def _weights_reference(entries, trunc=1e-14):
+    """K and S from np.linalg.svd of the whole matrix, with the 1e-14 rule."""
+    lam = np.linalg.svd(entries, compute_uv=False) ** 2
+    lam = lam / lam.sum()
+    lam = lam[lam >= trunc * lam[0]]
+    lam = lam / lam.sum()
+    return 1.0 / np.sum(lam**2), -np.sum(lam * np.log2(lam))
+
+
+def test_fig4_meshes_on_the_centrosymmetric_route_match_the_dense_svd():
+    # Every --fig4 sweep point: a float64 amplitude on the symmetric window,
+    # decomposed through its parity blocks.  K, S and F within 1e-12 of the
+    # dense SVD and of F computed in complex arithmetic.
+    fig4 = FIG_PRESETS["fig4"]
+    for L in np.linspace(fig4["L_start"], fig4["L_stop"], fig4["L_steps"]):
+        params = spdc_params(L=float(L), sigma=fig4["sigma"])
+        A = spdc_matrix(params, spdc_grid(params, fig4["n"]))
+        assert A.entries.dtype == np.float64
+        res = schmidt_decompose(A, modes=False)
+        assert res.route == "centrosymmetric"
+        K, S = _weights_reference(A.entries)
+        assert res.schmidt_number == pytest.approx(K, rel=0, abs=1e-12)
+        assert res.entropy == pytest.approx(S, rel=0, abs=1e-12)
+        E = A.entries.astype(complex)
+        F = np.sum(E * E.conj().T)
+        assert coherence(A) == pytest.approx(F, rel=0, abs=1e-12)

@@ -49,6 +49,24 @@ def test_sample_amplitude_vectorized():
     assert not A.normalized
 
 
+@pytest.mark.parametrize(
+    "f, dtype",
+    [
+        (lambda p, q: p * q, np.float64),
+        (lambda p, q: p > q, np.float64),
+        (lambda p, q: (p * q).astype(np.float32), np.float64),
+        (lambda p, q: p + 1j * q, np.complex128),
+        (lambda p, q: (p + 0j) * q, np.complex128),
+    ],
+    ids=["float", "bool", "float32", "complex", "complex-zero-imaginary"],
+)
+def test_sample_amplitude_keeps_a_real_result_real(f, dtype):
+    g = make_grid(0.0, 1.0, 0.0, 2.0, 3)
+    A = normalize(sample_amplitude(f, g))
+    assert A.entries.dtype == dtype
+    assert normalize(A).entries.dtype == dtype
+
+
 def test_sample_amplitude_rejects_unvectorized_or_misshapen_f():
     import math
 
