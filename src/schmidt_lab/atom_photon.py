@@ -35,9 +35,17 @@ from .schmidt import (
 from .tensor_core import AmplitudeMatrix, Grid, enlarged_grid, enlarged_n, make_grid, normalize, sample_amplitude
 
 TAU_APPLICABILITY_WARN = 3.0
+DEFAULT_N = 400
+# The automatic windows of coord_grid and momentum_grid.
+COORD_DECAY_SPAN = 40.0
+COORD_SIGMA_MARGIN = 6.0
+MOMENTUM_NU_MAX = 60.0
+MOMENTUM_PI_MAX = 6.0
 # Window growth of each model's convergence probe, at fixed mesh spacing.
 COORD_PROBE_FACTOR = 1.5
 MOMENTUM_PROBE_FACTOR = 2.0
+CAPTURE_TOL = 1e-6
+VALIDITY_STRICTNESS = 3.0
 
 
 @dataclass(frozen=True)
@@ -60,7 +68,7 @@ class ValidityReport:
     """Outcome of the narrow-packet validity check.
 
     eta_lower and eta_upper are the bare window edges 1/xi0 and
-    1/sqrt(xi0); ``satisfied`` applies the strictness factor to both.
+    1/sqrt(xi0); ``satisfied`` applies VALIDITY_STRICTNESS to both.
     packet_ratio is the packet-width-to-wavelength ratio 1/(xi0*eta).
     """
 
@@ -73,21 +81,15 @@ class ValidityReport:
 
 @dataclass(frozen=True)
 class GridPolicy:
-    """Auto-window policy for coordinate-model decompositions.
+    """Mesh size and capture check of coordinate-model decompositions.
 
-    The p window spans ``decay_span`` decay lengths behind the light
-    front; the q window covers the Gaussian ridge within ``sigma_margin``
-    modulus-widths.  With ``capture_check`` on, the amplitude is also
-    decomposed with margins enlarged by COORD_PROBE_FACTOR (mesh spacing
-    held fixed), and its weight spectrum must agree with the base
-    decomposition's within ``capture_tol`` (see ``coord_capture_drift``).
+    The window is ``coord_grid``'s.  With ``capture_check`` on, its weight
+    spectrum must move by less than CAPTURE_TOL when the margins grow by
+    COORD_PROBE_FACTOR at fixed spacing (see ``coord_capture_drift``).
     """
 
-    n: int = 400
-    decay_span: float = 40.0
-    sigma_margin: float = 6.0
+    n: int = DEFAULT_N
     capture_check: bool = True
-    capture_tol: float = 1e-6
 
 
 def _as_finite_arrays(*xs):
@@ -143,37 +145,31 @@ def momentum_amplitude(params: AtomPhotonParams, nu_ph, pi_a):
     return complex(vals) if scalar else vals
 
 
-def coord_grid(
-    params: AtomPhotonParams,
-    n: int = 400,
-    decay_span: float = 40.0,
-    sigma_margin: float = 6.0,
-    enlarge: float = 1.0,
-) -> Grid:
+def coord_grid(params: AtomPhotonParams, n: int = DEFAULT_N, enlarge: float = 1.0) -> Grid:
     """Auto-window for the coordinate amplitude.
 
-    p covers [tau - decay_span, tau]; q covers the ridge q = -p broadened
-    by sigma_margin times the modulus-width of the Gaussian factor,
-    w = sqrt(1 + (tau eta^2 xi0)^2) / eta.  ``enlarge`` grows both margins
-    at the mesh spacing of the n-node window, for the window probe; unlike
-    ``enlarged_grid`` it keeps the light front pinned at p = tau.
+    p covers [tau - COORD_DECAY_SPAN, tau]; q covers the ridge q = -p
+    broadened by COORD_SIGMA_MARGIN times the modulus-width of the Gaussian
+    factor, w = sqrt(1 + (tau eta^2 xi0)^2) / eta.  ``enlarge`` grows both
+    margins at the mesh spacing of the n-node window, for the window probe;
+    unlike ``enlarged_grid`` it keeps the light front pinned at p = tau.
     """
     tau, eta, xi0 = params.tau, params.eta, params.xi0
     w = math.sqrt(1.0 + (tau * eta**2 * xi0) ** 2) / eta
-    decay_span, sigma_margin = enlarge * decay_span, enlarge * sigma_margin
+    decay_span, sigma_margin = enlarge * COORD_DECAY_SPAN, enlarge * COORD_SIGMA_MARGIN
     p_lo, p_hi = tau - decay_span, tau
     q_lo, q_hi = -p_hi - sigma_margin * w, -p_lo + sigma_margin * w
     return make_grid(p_lo, p_hi, q_lo, q_hi, enlarged_n(n, enlarge))
 
 
-def momentum_grid(n: int = 400, nu_max: float = 60.0, pi_max: float = 6.0) -> Grid:
+def momentum_grid(n: int = DEFAULT_N) -> Grid:
     """Symmetric window for the momentum amplitude.
 
-    The Lorentzian tail in nu_ph is heavy, hence the wide default
-    [-60, 60]; entanglement measures converge much faster than the norm
-    because the tail is nearly separable.
+    The Lorentzian tail in nu_ph is heavy, hence the wide nu window;
+    entanglement measures converge much faster than the norm because the
+    tail is nearly separable.
     """
-    return make_grid(-nu_max, nu_max, -pi_max, pi_max, n)
+    return make_grid(-MOMENTUM_NU_MAX, MOMENTUM_NU_MAX, -MOMENTUM_PI_MAX, MOMENTUM_PI_MAX, n)
 
 
 def coord_matrix(params: AtomPhotonParams, grid: Grid) -> AmplitudeMatrix:
@@ -197,7 +193,7 @@ def coord_spectrum(
 
     No capture check; ``coord_capture_drift`` adds one.
     """
-    grid = coord_grid(params, policy.n, policy.decay_span, policy.sigma_margin)
+    grid = coord_grid(params, policy.n)
     return schmidt_decompose(coord_matrix(params, grid), opts, modes=False)
 
 
@@ -205,9 +201,8 @@ def coord_capture_drift(
     params: AtomPhotonParams,
     policy: GridPolicy = GridPolicy(),
     opts: DecompositionOptions = DecompositionOptions(),
-    enlarge: float = COORD_PROBE_FACTOR,
 ) -> tuple[SchmidtResult, float]:
-    """``coord_spectrum`` checked against a window with margins grown by ``enlarge``.
+    """``coord_spectrum`` checked against margins grown by COORD_PROBE_FACTOR.
 
     The enlarged window keeps the mesh spacing.  Returns the base
     decomposition and the drift of the weight spectrum between the two.
@@ -215,37 +210,30 @@ def coord_capture_drift(
     Raises
     ------
     ConvergenceError
-        If the drift is at least ``policy.capture_tol``.  The automatic
+        If the drift is at least CAPTURE_TOL.  The automatic
         window is fixed, and the drift falls as the mesh is refined, so the
         message asks for a larger n, which every caller can set
         (``GridPolicy.n``, the CLI's ``--n``).
     """
     base = coord_spectrum(params, policy, opts)
-    big_grid = coord_grid(params, policy.n, policy.decay_span, policy.sigma_margin, enlarge)
+    big_grid = coord_grid(params, policy.n, COORD_PROBE_FACTOR)
     big = schmidt_decompose(coord_matrix(params, big_grid), opts, modes=False)
     drift = spectrum_drift(base, big)
-    if drift >= policy.capture_tol:
+    if drift >= CAPTURE_TOL:
         raise ConvergenceError(
             f"window capture check failed at tau={params.tau:g}: enlarging the "
-            f"margins by {enlarge - 1:.0%} moves the weight spectrum by "
-            f"{drift:.3e} >= {policy.capture_tol:.1e}; raise n above {policy.n}"
+            f"margins by {COORD_PROBE_FACTOR - 1:.0%} moves the weight spectrum by "
+            f"{drift:.3e} >= {CAPTURE_TOL:.1e}; raise n above {policy.n}"
         )
     return base, drift
 
 
-def momentum_capture_drift(
-    params: AtomPhotonParams,
-    n: int = 400,
-    nu_max: float = 60.0,
-    pi_max: float = 6.0,
-    enlarge: float = MOMENTUM_PROBE_FACTOR,
-    opts: DecompositionOptions = DecompositionOptions(),
-) -> float:
-    """Weight-spectrum drift when the momentum window doubles (by default)."""
-    grid = momentum_grid(n, nu_max, pi_max)
-    base = schmidt_decompose(momentum_matrix(params, grid), opts, modes=False)
-    big_grid = enlarged_grid(grid, enlarge)
-    big = schmidt_decompose(momentum_matrix(params, big_grid), opts, modes=False)
+def momentum_capture_drift(params: AtomPhotonParams, n: int = DEFAULT_N) -> float:
+    """Weight-spectrum drift when the momentum window grows by MOMENTUM_PROBE_FACTOR."""
+    grid = momentum_grid(n)
+    base = schmidt_decompose(momentum_matrix(params, grid), modes=False)
+    big_grid = enlarged_grid(grid, MOMENTUM_PROBE_FACTOR)
+    big = schmidt_decompose(momentum_matrix(params, big_grid), modes=False)
     return spectrum_drift(base, big)
 
 
@@ -259,30 +247,30 @@ def eta_opt(xi0: float, tau: float) -> float:
     return 1.0 / math.sqrt(xi0 * tau)
 
 
-def validity_check(params: AtomPhotonParams, strictness: float = 3.0) -> ValidityReport:
+def validity_check(params: AtomPhotonParams) -> ValidityReport:
     """Check eta against the narrow-packet window 1/xi0 << eta << 1/sqrt(xi0).
 
-    ``strictness`` turns the soft << into hard inequalities:
-    strictness/xi0 <= eta <= (1/sqrt(xi0))/strictness.  Values within a
+    The factor s = VALIDITY_STRICTNESS turns the soft << into hard
+    inequalities: s/xi0 <= eta <= (1/sqrt(xi0))/s.  Values within a
     factor 2 of either hardened edge are flagged as marginal.  Never
     raises; the report carries human-readable messages instead.
     """
     xi0, eta = params.xi0, params.eta
     lower = 1.0 / xi0
     upper = 1.0 / math.sqrt(xi0)
-    strict_lower = strictness * lower
-    strict_upper = upper / strictness
+    strict_lower = VALIDITY_STRICTNESS * lower
+    strict_upper = upper / VALIDITY_STRICTNESS
     satisfied = strict_lower <= eta <= strict_upper
     messages = []
     if eta < strict_lower:
         messages.append(
             f"eta={eta:g} is below the packet-spreading bound "
-            f"{strictness:g}/xi0 = {strict_lower:g}"
+            f"{VALIDITY_STRICTNESS:g}/xi0 = {strict_lower:g}"
         )
     elif eta > strict_upper:
         messages.append(
             f"eta={eta:g} exceeds the recoil bound "
-            f"(1/sqrt(xi0))/{strictness:g} = {strict_upper:g}; the narrow-packet "
+            f"(1/sqrt(xi0))/{VALIDITY_STRICTNESS:g} = {strict_upper:g}; the narrow-packet "
             "regime does not hold"
         )
     else:
@@ -359,8 +347,8 @@ def zero_order_dynamics(tau: float, squared_entropy_weights: bool = True):
     le = math.exp(-tau)
     lg = -math.expm1(-tau)
 
-    def ent(w):
-        return -sum(x * math.log2(x) for x in w if x > 0.0)
+    def ent(w):  # 0.0 - x, not -x, so that a pure state gets +0.0
+        return 0.0 - sum(x * math.log2(x) for x in w if x > 0.0)
 
     k0 = 1.0 / (le**2 + lg**2)
     s0 = ent((le**2, lg**2)) if squared_entropy_weights else ent((le, lg))
@@ -396,7 +384,7 @@ def full_dynamics(
     ------
     ConvergenceError
         If the enlarged-window consistency check moves the weight spectrum
-        by ``policy.capture_tol`` or more.
+        by CAPTURE_TOL or more.
     ValueError
         For negative or NaN tau.
     """

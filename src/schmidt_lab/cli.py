@@ -40,7 +40,9 @@ from typing import Callable
 import numpy as np
 
 from .atom_photon import (
+    CAPTURE_TOL,
     COORD_PROBE_FACTOR,
+    DEFAULT_N as ATOM_DEFAULT_N,
     MOMENTUM_PROBE_FACTOR,
     AtomPhotonParams,
     GridPolicy,
@@ -58,9 +60,16 @@ from .atom_photon import (
 )
 from .errors import ConvergenceError, MatrixParseError
 from .output import parse_matrix_file, write_csv, write_json
-from .polarization import coherence, coherence_report, density_matrix_checks, polarization_density_matrix
+from .polarization import (
+    check_shared_axis,
+    coherence,
+    coherence_report,
+    density_matrix_checks,
+    polarization_density_matrix,
+)
 from .schmidt import GAUGES, DecompositionOptions, SchmidtResult, mode_overlap, schmidt_decompose, spectrum_drift
-from .spdc import DEFAULT_D_E, DEFAULT_D_O, SPDC_PROBE_FACTOR, spdc_grid, spdc_matrix, spdc_params
+from .spdc import DEFAULT_D_E, DEFAULT_D_O, SPDC_PROBE_FACTOR, check_resolution, spdc_grid, spdc_matrix, spdc_params
+from .spdc import DEFAULT_N as SPDC_DEFAULT_N
 from .tensor_core import AmplitudeMatrix, Grid, enlarged_grid, make_grid, normalize
 
 EXIT_OK = 0
@@ -73,8 +82,6 @@ TOP_LAMBDAS = 32
 MODES_EMITTED = 4
 FORMATS = ("json-summary", "csv-spectrum", "csv-modes", "csv-sweep")
 ENV_DEFAULT_N = "SCHMIDT_LAB_DEFAULT_N"
-ATOM_DEFAULT_N = 400
-SPDC_DEFAULT_N = 512
 
 FIG_PRESETS = {
     "fig1": {"xi0": 100.0, "eta": 0.03, "tau": 10.0, "n": 800},
@@ -291,8 +298,8 @@ def _result_payload(result: SchmidtResult) -> dict:
     }
 
 
-def _modes_table(coord_name: str, coords, modes, count=MODES_EMITTED):
-    r = min(count, modes.shape[0])
+def _modes_table(coord_name: str, coords, modes):
+    r = min(MODES_EMITTED, modes.shape[0])
     header = [coord_name]
     for k in range(1, r + 1):
         header += [f"mode{k}_re", f"mode{k}_im"]
@@ -305,8 +312,8 @@ def _modes_table(coord_name: str, coords, modes, count=MODES_EMITTED):
     return tuple(header), rows
 
 
-def _density_table(coord_name: str, coords, modes, count=MODES_EMITTED):
-    r = min(count, modes.shape[0])
+def _density_table(coord_name: str, coords, modes):
+    r = min(MODES_EMITTED, modes.shape[0])
     header = [coord_name] + [f"mode{k}_density" for k in range(1, r + 1)]
     rows = []
     for i, x in enumerate(coords):
@@ -441,11 +448,11 @@ def _dynamics(req: _Resolver) -> ModelRun:
     spectrum, drift = coord_capture_drift(params, policy, req.opts)
     first = AtomPhotonParams(xi0, eta, min(t for t in taus if t > 0))
     invariance = spectrum_drift(spectrum, coord_spectrum(first, policy, req.opts))
-    if invariance >= policy.capture_tol:
+    if invariance >= CAPTURE_TOL:
         raise ConvergenceError(
             f"tau-invariance check failed: the photonic Schmidt weights at "
             f"tau={first.tau:g} and tau={params.tau:g} differ by {invariance:.3e} >= "
-            f"{policy.capture_tol:.1e}, though free evolution cannot change them; "
+            f"{CAPTURE_TOL:.1e}, though free evolution cannot change them; "
             "raise n"
         )
 
@@ -473,6 +480,7 @@ def _spdc(req: _Resolver) -> ModelRun:
     """Decompose the biphoton amplitude; emit F, rho, mixture and modes."""
     params = spdc_params(req.require("L"), *_spdc_constants(req))
     grid = req.window or spdc_grid(params, req.n)
+    check_shared_axis(grid)
     A = spdc_matrix(params, grid)
     result = schmidt_decompose(A, req.opts)
     A_big = spdc_matrix(params, enlarged_grid(grid, SPDC_PROBE_FACTOR))
@@ -507,19 +515,23 @@ def _spdc_length_sweep(req: _Resolver) -> ModelRun:
     """Sweep the crystal length; emit per-row X_o, X_e, F, K, S.
 
     Rows depend on (L, sigma) only through the products X = d L sigma, so
-    a sweep at (c L, sigma / c) reproduces the same physics columns.
+    a sweep at (c L, sigma / c) reproduces the same physics columns.  X
+    grows with L, so the longest crystal checks the mesh for every row.
     """
     Ls = _sweep_values(req, "L")
     sigma, d_o, d_e = _spdc_constants(req)
+    points = [spdc_params(L, sigma, d_o, d_e) for L in Ls]
+    grid = req.window or spdc_grid(points[0], req.n)
+    check_shared_axis(grid)
+    check_resolution(max(points, key=lambda params: params.L), grid)
 
-    def point(L: float):
-        params = spdc_params(L, sigma, d_o, d_e)
-        A = spdc_matrix(params, req.window or spdc_grid(params, req.n))
+    def point(params):
+        A = spdc_matrix(params, grid)
         result = schmidt_decompose(A, req.opts, modes=False)
         F = coherence(A)
-        return (L, params.X_o, params.X_e, F.real, result.schmidt_number, result.entropy)
+        return (params.L, params.X_o, params.X_e, F.real, result.schmidt_number, result.entropy)
 
-    rows = _map_jobs(point, Ls, req.jobs)
+    rows = _map_jobs(point, points, req.jobs)
     return ModelRun(
         params={"L_values": Ls, "sigma": sigma, "d_o": d_o, "d_e": d_e},
         results={"rows": len(rows), "F_first": rows[0][3], "F_last": rows[-1][3]},

@@ -21,12 +21,12 @@ square symmetric window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .schmidt import DecompositionOptions, SchmidtResult, schmidt_decompose
-from .tensor_core import AmplitudeMatrix
+from .schmidt import SchmidtResult
+from .tensor_core import AmplitudeMatrix, Grid
 
 BASIS = ("HH", "HV", "VH", "VV")
 MODULUS_SLACK = 1e-12
@@ -59,23 +59,27 @@ class CoherenceReport:
     messages: tuple = ()
 
 
+def check_shared_axis(g: Grid) -> None:
+    """Raise ValueError unless p and q share one window, as psi(q, p) in F needs."""
+    if g.p_min != g.q_min or g.p_max != g.q_max:
+        raise ValueError(
+            "coherence requires identical p and q windows, got "
+            f"p in [{g.p_min}, {g.p_max}] vs q in [{g.q_min}, {g.q_max}]"
+        )
+
+
 def coherence(A: AmplitudeMatrix) -> complex:
     """Coherence parameter F of a normalized amplitude on a symmetric window.
 
     Raises
     ------
     ValueError
-        If A is not normalized or its p and q windows differ (the
-        transpose sample psi(q, p) is only meaningful on a shared axis).
+        If A is not normalized or its p and q windows differ
+        (``check_shared_axis``).
     """
     if not A.normalized:
         raise ValueError("coherence requires a normalized AmplitudeMatrix")
-    g = A.grid
-    if g.p_min != g.q_min or g.p_max != g.q_max:
-        raise ValueError(
-            "coherence requires identical p and q windows, got "
-            f"p in [{g.p_min}, {g.p_max}] vs q in [{g.q_min}, {g.q_max}]"
-        )
+    check_shared_axis(A.grid)
     return complex(np.sum(A.entries * A.entries.conj().T))
 
 
@@ -144,18 +148,9 @@ def density_matrix_checks(rho) -> DensityMatrixReport:
     )
 
 
-def coherence_report(
-    A: AmplitudeMatrix,
-    result: SchmidtResult | None = None,
-    opts: DecompositionOptions = DecompositionOptions(),
-) -> CoherenceReport:
-    """Bundle F, the mixture weights and the Schmidt measures of A.
-
-    Decomposes A, weights only, unless a precomputed result is supplied.
-    """
+def coherence_report(A: AmplitudeMatrix, result: SchmidtResult) -> CoherenceReport:
+    """Bundle F, the mixture weights and the Schmidt measures ``result`` of A."""
     F = coherence(A)
-    if result is None:
-        result = schmidt_decompose(A, opts, modes=False)
     messages = []
     if abs(F.imag) > IMAG_FLAG_THRESHOLD:
         messages.append(

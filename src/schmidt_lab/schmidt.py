@@ -142,7 +142,7 @@ def schmidt_number(lambdas) -> float:
 def entanglement_entropy(lambdas) -> float:
     """Entropy S = -sum(lambda_k log2 lambda_k) in bits; 0 log 0 counts as 0."""
     w = _check_weights(lambdas, "entanglement_entropy")
-    return float(-np.sum(_xlog2x(w)))
+    return float(0.0 - np.sum(_xlog2x(w)))  # 0.0 - x, not -x: a pure state gets +0.0
 
 
 def _apply_gauge(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

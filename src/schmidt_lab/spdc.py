@@ -24,8 +24,10 @@ from .tensor_core import AmplitudeMatrix, Grid, make_grid, normalize, sample_amp
 
 DEFAULT_D_O = 0.076
 DEFAULT_D_E = 0.266
-DEFAULT_HALF_WIDTH = 40.0
 DEFAULT_N = 512
+# Half-width of the automatic square window, set by the slowly decaying
+# sinc tail, not by the pump Gaussian; the enlarged-window probe guards it.
+HALF_WIDTH = 40.0
 SINC_SERIES_CUTOFF = 1e-4
 # Largest tolerated sinc phase advance per mesh step.  Empirically the
 # spectrum is converged to ~1e-4 well below this; the guard only catches
@@ -113,22 +115,20 @@ def biphoton_amplitude(params: SpdcParams, p, q):
     return pump_envelope(p, q) * phase_matching(params.X_o, params.X_e, p, q)
 
 
-def required_n(params: SpdcParams, half_width: float = DEFAULT_HALF_WIDTH) -> int:
+def required_n(params: SpdcParams, half_width: float) -> int:
     """Smallest node count keeping the sinc phase step below the limit."""
     span = 2.0 * half_width
     steepest = 0.5 * max(abs(params.X_o), abs(params.X_e)) * span
     return max(2, int(math.ceil(steepest / MAX_PHASE_STEP)) + 1)
 
 
-def spdc_grid(params: SpdcParams, n: int = DEFAULT_N, half_width: float = DEFAULT_HALF_WIDTH) -> Grid:
-    """Square window [-half_width, half_width]^2 for the biphoton amplitude.
+def spdc_grid(params: SpdcParams, n: int = DEFAULT_N) -> Grid:
+    """Square window [-HALF_WIDTH, HALF_WIDTH]^2 for the biphoton amplitude.
 
-    The default half-width of 40 is set by the slowly decaying sinc tail,
-    not by the pump Gaussian; the enlarged-window probe guards it.  The
-    window is not checked against the sinc oscillation here: spdc_matrix
-    does that for every grid it samples.
+    The window is not checked against the sinc oscillation here:
+    spdc_matrix does that for every grid it samples.
     """
-    return make_grid(-half_width, half_width, -half_width, half_width, n)
+    return make_grid(-HALF_WIDTH, HALF_WIDTH, -HALF_WIDTH, HALF_WIDTH, n)
 
 
 def check_resolution(params: SpdcParams, grid: Grid) -> None:

@@ -11,7 +11,6 @@ from schmidt_lab.atom_photon import (
     GridPolicy,
     asymptotics,
     coord_amplitude,
-    coord_capture_drift,
     coord_grid,
     coord_matrix,
     coord_spectrum,
@@ -27,7 +26,7 @@ from schmidt_lab.atom_photon import (
     zero_order_dynamics,
 )
 from schmidt_lab.errors import ConvergenceError
-from schmidt_lab.schmidt import mode_overlap, schmidt_decompose
+from schmidt_lab.schmidt import mode_overlap, schmidt_decompose, spectrum_drift
 from schmidt_lab.tensor_core import enlarged_n
 
 FIG_PARAMS = AtomPhotonParams(xi0=100.0, eta=0.03, tau=10.0)
@@ -212,8 +211,10 @@ def test_coord_grid_geometry():
 
 
 def test_coord_window_enlargement_invariance():
-    base, drift = coord_capture_drift(FIG_PARAMS, GridPolicy(n=400), enlarge=2.0)
-    assert drift < 1e-6
+    base = coord_spectrum(FIG_PARAMS, GridPolicy(n=400))
+    big_grid = coord_grid(FIG_PARAMS, 400, enlarge=2.0)
+    big = schmidt_decompose(coord_matrix(FIG_PARAMS, big_grid), modes=False)
+    assert spectrum_drift(base, big) < 1e-6
     assert base.modes_p is None  # values only
 
 
@@ -269,9 +270,10 @@ def test_full_dynamics_capture_check_reuses_base_decomposition(monkeypatch):
 
 
 def test_full_dynamics_capture_failure_raises():
-    squeezed = GridPolicy(n=64, decay_span=5.0, sigma_margin=0.5)
+    # At n = 64 the eta = 0.08 window drifts by 1.1e-6 under the probe.
+    params = AtomPhotonParams(xi0=100.0, eta=0.08, tau=10.0)
     with pytest.raises(ConvergenceError, match="capture"):
-        full_dynamics(FIG_PARAMS, 10.0, squeezed)
+        full_dynamics(params, 10.0, GridPolicy(n=64))
 
 
 @pytest.mark.filterwarnings("ignore:coordinate amplitude is a long-time approximation")

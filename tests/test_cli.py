@@ -887,3 +887,77 @@ def test_non_utf8_path_leaves_no_empty_summary(tmp_path, capsys):
     assert "utf-8" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
     assert [p for p in out.iterdir() if p.stat().st_size == 0] == []
+
+
+def test_pure_states_write_positive_zero_entropy(tmp_path):
+    # -x of a zero sum is -0.0, which the writers print as "-0".
+    f = tmp_path / "rank1.txt"
+    f.write_text("1 0\n0 0\n")
+    runs = {
+        "decompose": ["decompose", str(f)],
+        "momentum": ["atom-photon-momentum", "--xi0", "100", "--eta", "1e-9", "--n", "64"],
+    }
+    for name, argv in runs.items():
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0
+        assert '"S": 0,' in (tmp_path / name / "summary.json").read_text()
+    argv = [*DYNAMICS, "--eta", "0.03", "--tau-list", "0,5", "--n", "64"]
+    assert main([*argv, "--out", str(tmp_path / "dyn")]) == 0
+    header, rows = _read_csv(tmp_path / "dyn" / "sweep.csv")
+    assert (rows[0][header.index("S0")], rows[0][header.index("S")]) == ("0", "0")
+
+
+def _count_spdc_work(monkeypatch):
+    calls = []
+    for name in ("spdc_matrix", "schmidt_decompose"):
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: calls.append(_name))
+    return calls
+
+
+def test_length_sweep_checks_resolution_for_every_length_before_sampling(
+    tmp_path, monkeypatch, capsys
+):
+    # The longest crystal, L = 4, needs n >= 272 on the default window.
+    calls = _count_spdc_work(monkeypatch)
+    for n in ("128", "137"):
+        argv = ["spdc-length-sweep", "--fig4", "--n", n, "--out", str(tmp_path / n)]
+        assert main(argv) == 3
+        assert "use n >= 272" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", [["spdc", "--L", "0.5"], ["spdc-length-sweep", "--L-list", "0.5,1"]])
+def test_unequal_spdc_windows_exit_2_before_sampling(tmp_path, monkeypatch, capsys, command):
+    calls = _count_spdc_work(monkeypatch)
+    argv = [*command, "--sigma", "10", "--window=-40,40,-20,20", "--n", "128"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert "coherence requires identical p and q windows" in capsys.readouterr().err
+    assert calls == []
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_flag_table_matches_the_subcommands():
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index(
+        "| subcommand | model flags | presets | `--n` default | `--window` | `--jobs` | `--gauge` |"
+    )
+    rows = {}
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        cells = [c.strip().replace("`", "") for c in line.strip("|").split("|")]
+        rows[cells[0].split()[0]] = cells[1:]
+    assert set(rows) == set(cli.SUBCOMMANDS)
+    for name, cmd in cli.SUBCOMMANDS.items():
+        model, presets, n_default, window, jobs, gauge = rows[name]
+        own = {"n", "window", "jobs", "gauge", "file", *cli.SHARED_FLAGS}
+        flags = [cli._flag(k) for k in cmd.flags if k not in own]
+        assert model.split() == (flags or ["none"]), name
+        assert presets.split() == ([f"--{f}" for f in cmd.figs] or ["none"]), name
+        if cmd.default_n is None:
+            assert "n" not in cmd.flags and n_default.startswith("no --n"), name
+        else:
+            assert int(n_default) == cmd.default_n, name
+        yes_no = {k: "yes" if k in cmd.flags else "no" for k in ("window", "jobs", "gauge")}
+        assert (window, jobs, gauge) == (yes_no["window"], yes_no["jobs"], yes_no["gauge"]), name

@@ -145,7 +145,7 @@ def test_coherence_report_flags_imaginary_part(monkeypatch):
     params = spdc_params(L=0.5, sigma=10.0)
     A = spdc_matrix(params, spdc_grid(params, n=64))
     monkeypatch.setattr(polarization, "coherence", lambda _: 0.9 + 1e-6j)
-    rep = polarization.coherence_report(A)
+    rep = polarization.coherence_report(A, schmidt_decompose(A, modes=False))
     assert any("imaginary" in m for m in rep.messages)
 
 
