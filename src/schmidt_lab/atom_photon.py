@@ -32,7 +32,7 @@ from .schmidt import (
     schmidt_number,
     spectrum_drift,
 )
-from .tensor_core import AmplitudeMatrix, Grid, enlarged_grid, enlarged_n, make_grid, normalize, sample_amplitude
+from .tensor_core import AmplitudeMatrix, Grid, enlarged_grid, enlarged_n, make_grid, sample_amplitude
 
 TAU_APPLICABILITY_WARN = 3.0
 DEFAULT_N = 400
@@ -121,12 +121,19 @@ def coord_amplitude(params: AtomPhotonParams, p, q):
         )
     p, q = _as_finite_arrays(p, q)
     scalar = p.ndim == 0 and q.ndim == 0
+    # The light-front factor depends on p alone, so on open mesh vectors it
+    # is one column; the Gaussian in p + q is built in place on one buffer.
     x = params.tau - p
     inside = x >= 0.0
-    xs = np.where(inside, x, 0.0)
+    front = np.exp(-np.where(inside, x, 0.0) / 2.0)
     denom = 2.0 * (1.0 + 1j * params.tau * params.eta**2 * params.xi0)
-    vals = np.exp(-xs / 2.0) * np.exp(-(params.eta**2) * (p + q) ** 2 / denom)
-    vals = np.where(inside, vals, 0.0 + 0.0j)
+    s = np.add(p, q, out=np.empty(np.broadcast_shapes(p.shape, q.shape)))
+    np.square(s, out=s)
+    s *= -(params.eta**2)
+    vals = np.divide(s, denom, out=np.empty(s.shape, dtype=complex))
+    np.exp(vals, out=vals)
+    np.multiply(front, vals, out=vals)
+    np.copyto(vals, 0.0, where=~inside)
     return complex(vals) if scalar else vals
 
 
@@ -139,10 +146,11 @@ def momentum_amplitude(params: AtomPhotonParams, nu_ph, pi_a):
     non-finite input.
     """
     nu_ph, pi_a = _as_finite_arrays(nu_ph, pi_a)
-    scalar = nu_ph.ndim == 0 and pi_a.ndim == 0
     denom = nu_ph + 1.0 / (2.0 * params.xi0) - params.eta * pi_a + 0.5j
-    vals = np.exp(-(pi_a**2) / 2.0) / denom
-    return complex(vals) if scalar else vals
+    gauss = np.exp(-(pi_a**2) / 2.0)
+    if nu_ph.ndim == 0 and pi_a.ndim == 0:
+        return complex(gauss / denom)
+    return np.divide(gauss, denom, out=denom)
 
 
 def coord_grid(params: AtomPhotonParams, n: int = DEFAULT_N, enlarge: float = 1.0) -> Grid:
@@ -173,15 +181,13 @@ def momentum_grid(n: int = DEFAULT_N) -> Grid:
 
 
 def coord_matrix(params: AtomPhotonParams, grid: Grid) -> AmplitudeMatrix:
-    """Sample the coordinate amplitude on a grid and normalize."""
-    return normalize(sample_amplitude(lambda p, q: coord_amplitude(params, p, q), grid))
+    """Sample the coordinate amplitude on a grid, normalized."""
+    return sample_amplitude(lambda p, q: coord_amplitude(params, p, q), grid)
 
 
 def momentum_matrix(params: AtomPhotonParams, grid: Grid) -> AmplitudeMatrix:
-    """Sample the momentum amplitude on a grid and normalize."""
-    return normalize(
-        sample_amplitude(lambda nu, pi: momentum_amplitude(params, nu, pi), grid)
-    )
+    """Sample the momentum amplitude on a grid, normalized."""
+    return sample_amplitude(lambda nu, pi: momentum_amplitude(params, nu, pi), grid)
 
 
 def coord_spectrum(

@@ -9,6 +9,7 @@ No timestamps appear in data files.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from pathlib import Path
 
@@ -22,7 +23,7 @@ FLOAT_FMT = ".17g"
 def fmt_float(x: float) -> str:
     """Render a finite float as a JSON/CSV-safe decimal literal."""
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x!r}")
     return format(x, FLOAT_FMT)
 
@@ -79,6 +80,8 @@ def write_json(path, obj) -> None:
 
 
 def _cell(v) -> str:
+    if type(v) is float:  # most cells; skips the isinstance chain below
+        return fmt_float(v)
     if isinstance(v, str):
         return v
     if isinstance(v, (bool, np.bool_)):

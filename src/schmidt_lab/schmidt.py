@@ -155,6 +155,10 @@ def _apply_gauge(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         phase = a / abs(a)
         u[k] = u[k] / phase
         v[k] = v[k] * phase
+    # Dividing by a phase such as -1+0j flips the sign of zero parts;
+    # adding +0.0 turns each -0 back into 0 and leaves every other value.
+    u += 0.0
+    v += 0.0
     return u, v
 
 

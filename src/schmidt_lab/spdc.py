@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .tensor_core import AmplitudeMatrix, Grid, make_grid, normalize, sample_amplitude
+from .tensor_core import AmplitudeMatrix, Grid, make_grid, sample_amplitude
 
 DEFAULT_D_O = 0.076
 DEFAULT_D_E = 0.266
@@ -85,7 +85,10 @@ def pump_envelope(p, q):
     """Gaussian pump spectral profile exp(-(p+q)^2); symmetric in p, q."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    out = np.exp(-((p + q) ** 2))
+    out = np.add(p, q, out=np.empty(np.broadcast_shapes(p.shape, q.shape)))
+    np.square(out, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -97,7 +100,8 @@ def phase_matching(X_o: float, X_e: float, p, q):
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    x = 0.5 * (X_o * p + X_e * q)
+    x = X_o * p + X_e * q
+    x *= 0.5
     small = np.abs(x) < SINC_SERIES_CUTOFF
     # out= keeps a 0-d input an array, so the in-place steps below apply.
     out = np.sin(x, out=np.empty_like(x))
@@ -112,7 +116,9 @@ def biphoton_amplitude(params: SpdcParams, p, q):
 
     Real-valued; normalization happens at the matrix level.
     """
-    return pump_envelope(p, q) * phase_matching(params.X_o, params.X_e, p, q)
+    out = phase_matching(params.X_o, params.X_e, p, q)
+    out *= pump_envelope(p, q)  # in place for arrays
+    return out
 
 
 def required_n(params: SpdcParams, half_width: float) -> int:
@@ -151,7 +157,7 @@ def check_resolution(params: SpdcParams, grid: Grid) -> None:
 
 
 def spdc_matrix(params: SpdcParams, grid: Grid) -> AmplitudeMatrix:
-    """Sample the biphoton amplitude on a grid and normalize.
+    """Sample the biphoton amplitude on a grid, normalized.
 
     Raises
     ------
@@ -159,6 +165,4 @@ def spdc_matrix(params: SpdcParams, grid: Grid) -> AmplitudeMatrix:
         If the grid under-resolves the sinc oscillation.
     """
     check_resolution(params, grid)
-    return normalize(
-        sample_amplitude(lambda p, q: biphoton_amplitude(params, p, q), grid)
-    )
+    return sample_amplitude(lambda p, q: biphoton_amplitude(params, p, q), grid)

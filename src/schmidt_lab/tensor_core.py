@@ -136,44 +136,55 @@ class AmplitudeMatrix:
 
 
 def sample_amplitude(f: Callable, grid: Grid) -> AmplitudeMatrix:
-    """Evaluate ``f(p, q)`` on the mesh and wrap the result.
+    """Evaluate ``f(p, q)`` on the mesh and return it with unit norm.
 
-    ``f`` must be vectorized: it is called once with the two (n, n) node
-    arrays and must return an (n, n) array.  A real result is kept in
-    float64, a complex one in complex128.  The result is not normalized.
+    ``f`` must be vectorized: it is called once with the open mesh
+    vectors, a column of p nodes of shape (n, 1) and a row of q nodes of
+    shape (1, n), and must return an (n, n) array, or an (n, 1) or (1, n)
+    one that depends on a single variable and is broadcast.  A real result
+    is kept in float64, a complex one in complex128.  The returned array
+    belongs to this call (``f`` must not keep it), so it is checked
+    unnormalized, then divided by its norm in place.
 
     Raises
     ------
     ValueError
-        If ``f`` rejects array arguments, returns the wrong shape, or any
-        sampled value is non-finite; the last message, from AmplitudeMatrix,
-        names the first offending node by index and coordinates.
+        If ``f`` rejects array arguments, returns another shape, or any
+        sampled value is non-finite (the message, from AmplitudeMatrix,
+        names the first offending node by index and coordinates), or if
+        every sampled value is zero.
     """
-    p = grid.p_nodes()
-    q = grid.q_nodes()
-    P, Q = np.meshgrid(p, q, indexing="ij")
+    n = grid.n
     try:
-        vals = np.asarray(f(P, Q))
-        vals = vals.astype(complex if np.iscomplexobj(vals) else float, copy=False)
+        vals = np.asarray(f(grid.p_nodes()[:, None], grid.q_nodes()[None, :]))
+        if vals.shape in ((n, 1), (1, n)):
+            vals = np.broadcast_to(vals, (n, n))
+        vals = vals.astype(
+            complex if np.iscomplexobj(vals) else float, copy=not vals.flags.writeable
+        )
     except TypeError as exc:
         raise ValueError(f"amplitude function must accept numpy arrays: {exc}") from exc
-    if vals.shape != P.shape:
-        raise ValueError(
-            f"amplitude function returned shape {vals.shape}, expected {P.shape}"
-        )
-    return AmplitudeMatrix(grid=grid, entries=vals, normalized=False)
+    if vals.shape != (n, n):
+        raise ValueError(f"amplitude function returned shape {vals.shape}, expected {(n, n)}")
+    vals /= _nonzero_norm(AmplitudeMatrix(grid=grid, entries=vals, normalized=False))
+    return AmplitudeMatrix(grid=grid, entries=vals, normalized=True)
+
+
+def _nonzero_norm(A: AmplitudeMatrix) -> float:
+    nrm = A.norm()
+    if nrm == 0.0:
+        raise ValueError("cannot normalize an all-zero amplitude matrix")
+    return nrm
 
 
 def normalize(A: AmplitudeMatrix) -> AmplitudeMatrix:
-    """Scale so the sum of squared moduli is 1.
+    """A copy of ``A`` scaled so the sum of squared moduli is 1.
+
+    ``A.entries`` is left as it is.
 
     Raises
     ------
     ValueError
         If the matrix is identically zero.
     """
-    nrm = A.norm()
-    if nrm == 0.0:
-        raise ValueError("cannot normalize an all-zero amplitude matrix")
-    return AmplitudeMatrix(grid=A.grid, entries=A.entries / nrm, normalized=True)
-
+    return AmplitudeMatrix(grid=A.grid, entries=A.entries / _nonzero_norm(A), normalized=True)

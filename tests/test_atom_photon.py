@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from schmidt_lab.atom_photon import (
 )
 from schmidt_lab.errors import ConvergenceError
 from schmidt_lab.schmidt import mode_overlap, schmidt_decompose, spectrum_drift
-from schmidt_lab.tensor_core import enlarged_n
+from schmidt_lab.tensor_core import AmplitudeMatrix, enlarged_n, make_grid, normalize
 
 FIG_PARAMS = AtomPhotonParams(xi0=100.0, eta=0.03, tau=10.0)
 
@@ -88,6 +89,74 @@ def test_momentum_amplitude_reference_points():
     assert side == pytest.approx(peak / 2.0, rel=1e-12)
     with pytest.raises(ValueError, match="finite"):
         momentum_amplitude(FIG_PARAMS, np.inf, 0.0)
+
+
+def _meshgrid_matrix(amplitude, grid):
+    """The earlier sampling: both (n, n) meshgrids, then a normalized copy."""
+    P, Q = np.meshgrid(grid.p_nodes(), grid.q_nodes(), indexing="ij")
+    return normalize(AmplitudeMatrix(grid=grid, entries=amplitude(P, Q)))
+
+
+def _where_coord(params, p, q):
+    """The earlier coord_amplitude: every factor n x n, masked by np.where."""
+    x = params.tau - p
+    inside = x >= 0.0
+    xs = np.where(inside, x, 0.0)
+    denom = 2.0 * (1.0 + 1j * params.tau * params.eta**2 * params.xi0)
+    vals = np.exp(-xs / 2.0) * np.exp(-(params.eta**2) * (p + q) ** 2 / denom)
+    return np.where(inside, vals, 0.0 + 0.0j)
+
+
+def _old_momentum(params, nu, pi):
+    """The earlier momentum_amplitude, with the Gaussian n x n as well."""
+    denom = nu + 1.0 / (2.0 * params.xi0) - params.eta * pi + 0.5j
+    return np.exp(-(pi**2) / 2.0) / denom
+
+
+@pytest.mark.parametrize(
+    "params, window, n",
+    [
+        (FIG_PARAMS, None, 400),
+        # rows beyond the light front p = tau, zeroed by the row mask
+        (FIG_PARAMS, (-20.0, 13.7, -25.0, 31.0), 257),
+        (AtomPhotonParams(xi0=100.0, eta=0.08, tau=2.0), (-30.0, 4.0, -40.0, 30.0), 300),
+    ],
+    ids=["fig1-window", "past-the-front", "tau-below-3"],
+)
+def test_coord_matrix_is_byte_identical_to_the_meshgrid_form(params, window, n):
+    grid = coord_grid(params, n) if window is None else make_grid(*window, n)
+    want = _meshgrid_matrix(lambda p, q: _where_coord(params, p, q), grid).entries
+    if params.tau < 3.0:
+        with pytest.warns(UserWarning, match="only qualitative below tau = 3"):
+            got = coord_matrix(params, grid)
+    else:
+        got = coord_matrix(params, grid)
+    if window is not None:
+        assert grid.p_max > params.tau and np.all(got.entries[grid.p_nodes() > params.tau] == 0.0)
+    assert got.normalized and got.entries.dtype == want.dtype
+    assert got.entries.tobytes() == want.tobytes()  # signs of zero included
+
+
+@pytest.mark.parametrize("n", [64, 401])
+def test_momentum_matrix_is_byte_identical_to_the_meshgrid_form(n):
+    grid = momentum_grid(n)
+    want = _meshgrid_matrix(lambda nu, pi: _old_momentum(FIG_PARAMS, nu, pi), grid).entries
+    got = momentum_matrix(FIG_PARAMS, grid)
+    assert got.normalized and got.entries.tobytes() == want.tobytes()
+
+
+def test_coord_matrix_peak_memory_is_at_most_twice_its_result():
+    # Two n x n meshgrids and a chain of n x n temporaries took 4.6 times
+    # the result; open mesh vectors and one buffer take 1.5 times.
+    grid = coord_grid(FIG_PARAMS, 600)
+    coord_matrix(FIG_PARAMS, grid)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        A = coord_matrix(FIG_PARAMS, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * A.entries.nbytes, peak / A.entries.nbytes
 
 
 def test_xi0_estimate():

@@ -776,6 +776,16 @@ def test_spdc_config_file_and_flags_write_identical_files(
         assert _files(from_config) == _files(from_flags)
 
 
+def test_spdc_modes_write_no_negative_zero(tmp_path):
+    # The SPDC amplitude is real, so every imaginary mode cell is zero; the
+    # gauge used to write many of them as -0.
+    assert main(["spdc", "--fig5", "--n", "64", "--out", str(tmp_path)]) == 0
+    for name in ("modes_o.csv", "modes_e.csv"):
+        header, rows = _read_csv(tmp_path / name)
+        cells = [row[i] for row in rows for i, h in enumerate(header) if h.endswith("_im")]
+        assert cells and set(cells) == {"0"}, name
+
+
 def test_empty_format_selection_exits_2(tmp_path, capsys):
     args = ["spdc", "--fig5", "--n", "64"]
     with pytest.raises(SystemExit) as exc:

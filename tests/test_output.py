@@ -33,6 +33,17 @@ def test_fmt_float_round_trips():
         fmt_float(float("inf"))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64("nan"), np.float64("-inf")])
+def test_fmt_float_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        fmt_float(bad)
+
+
+def test_fmt_float_formats_numpy_and_python_floats_alike():
+    for x in (0.0, -0.0, 1.0 / 3.0, -2.5e-300, 1.7976931348623157e308, 5e-324):
+        assert fmt_float(np.float64(x)) == fmt_float(x) == format(x, ".17g")
+
+
 def test_dump_json_is_deterministic_and_standard():
     obj = {
         "name": "run",
@@ -87,6 +98,17 @@ def test_write_csv_formats_floats_at_full_precision(tmp_path):
     write_csv(c, ["x"], [[x]])
     body = c.read_text().splitlines()[1]
     assert float(body) == x
+
+
+def test_write_csv_cells_of_every_type(tmp_path):
+    # A Python float takes the fast path; its NumPy twin, ints, bools and
+    # strings take the general one, and equal values write equal bytes.
+    row = [0.1, np.float64(0.1), -0.0, np.float32(0.5), 3, np.int64(3), True, np.bool_(False), "a"]
+    write_csv(tmp_path / "t.csv", [f"c{i}" for i in range(len(row))], [row])
+    body = (tmp_path / "t.csv").read_text().splitlines()[1]
+    assert body == "0.10000000000000001,0.10000000000000001,-0,0.5,3,3,true,false,a"
+    with pytest.raises(ValueError, match="non-finite"):
+        write_csv(tmp_path / "bad.csv", ["x"], [[math.nan]])
 
 
 def test_parse_matrix_file_valid(tmp_path):

@@ -152,5 +152,5 @@ def test_coherence_report_flags_imaginary_part(monkeypatch):
 def test_sampled_symmetric_model_coherence():
     # discretized exp(-(p+q)^2) * sinc-free pump is exactly symmetric
     g = make_grid(-3.0, 3.0, -3.0, 3.0, 41)
-    A = normalize(sample_amplitude(lambda p, q: np.exp(-((p + q) ** 2)), g))
+    A = sample_amplitude(lambda p, q: np.exp(-((p + q) ** 2)), g)
     assert coherence(A) == pytest.approx(1.0, abs=1e-12)

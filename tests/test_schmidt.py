@@ -223,6 +223,18 @@ def test_gauge_largest_component_real_positive():
         assert top.real > 0
 
 
+def test_gauge_leaves_no_negative_zero():
+    # The modes of a real matrix are real; the gauge divides those whose
+    # largest entry is negative by the phase -1+0j, which turns 0 into -0.
+    A = _wrap(np.random.default_rng(14).standard_normal((6, 6)))
+    raw = schmidt_decompose(A, DecompositionOptions(gauge="none")).modes_p
+    assert any(m[np.argmax(np.abs(m))].real < 0 for m in raw)
+    res = schmidt_decompose(A)
+    for m in (res.modes_p, res.modes_q):
+        for part in (m.real, m.imag):
+            assert not np.any(np.signbit(part) & (part == 0.0))
+
+
 def test_gauge_choice_leaves_rank_one_terms_invariant():
     rng = np.random.default_rng(12)
     A = _wrap(_random_matrix(rng, 5))

@@ -18,7 +18,7 @@ from schmidt_lab.spdc import (
     spdc_matrix,
     spdc_params,
 )
-from schmidt_lab.tensor_core import make_grid
+from schmidt_lab.tensor_core import AmplitudeMatrix, make_grid, normalize
 
 
 def test_params_products():
@@ -99,6 +99,24 @@ def test_masked_sinc_is_byte_identical_to_the_where_form():
     for args in ((0.38, 1.33, 0.0, 0.0), (1.0, 1.0, 5e-5, 0.0), (1.0, 1.0, 3.0, 1.0)):
         scalar = phase_matching(*args)
         assert type(scalar) is float and scalar == float(_where_sinc(*args))
+
+
+@pytest.mark.parametrize(
+    "L, window, n",
+    [(0.5, None, 511), (4.0, None, 512), (2.0, (-30.0, 45.5, -41.0, 37.0), 384)],
+    ids=["odd-n", "even-n", "asymmetric-window"],
+)
+def test_spdc_matrix_is_byte_identical_to_the_meshgrid_form(L, window, n):
+    # The earlier sampling: both (n, n) meshgrids, every factor n x n, the
+    # product in a new array, then a normalized copy.
+    params = spdc_params(L=L, sigma=10.0)
+    grid = spdc_grid(params, n) if window is None else make_grid(*window, n)
+    P, Q = np.meshgrid(grid.p_nodes(), grid.q_nodes(), indexing="ij")
+    raw = np.exp(-((P + Q) ** 2)) * _where_sinc(params.X_o, params.X_e, P, Q)
+    want = normalize(AmplitudeMatrix(grid=grid, entries=raw)).entries
+    got = spdc_matrix(params, grid)
+    assert got.normalized and got.entries.dtype == np.float64
+    assert got.entries.tobytes() == want.tobytes()  # signs of zero included
 
 
 def test_biphoton_amplitude_origin_and_realness():

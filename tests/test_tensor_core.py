@@ -46,7 +46,36 @@ def test_sample_amplitude_vectorized():
     g = make_grid(0.0, 1.0, 0.0, 1.0, 2)
     A = sample_amplitude(lambda p, q: p * q, g)
     np.testing.assert_allclose(A.entries, [[0, 0], [0, 1]])
-    assert not A.normalized
+    assert A.normalized  # the sampled matrix comes back with unit norm
+
+
+@pytest.mark.parametrize(
+    "f, axis",
+    [(lambda p, q: np.exp(-p), 0), (lambda p, q: 1.0 + q**2, 1)],
+    ids=["p-only", "q-only"],
+)
+def test_sample_amplitude_broadcasts_a_one_variable_result(f, axis):
+    # f sees a column of p nodes (n, 1) and a row of q nodes (1, n); a
+    # result that uses one of them has that shape and fills the mesh.
+    g = make_grid(0.0, 1.0, -1.0, 1.0, 4)
+    nodes = (g.p_nodes(), g.q_nodes())[axis]
+    line = f(nodes, nodes)
+    want = np.broadcast_to(line[:, None] if axis == 0 else line[None, :], (4, 4))
+    A = sample_amplitude(f, g)
+    assert A.entries.shape == (4, 4) and A.entries.flags.writeable
+    np.testing.assert_allclose(A.entries, want / np.linalg.norm(want), rtol=1e-15)
+
+
+def test_sample_amplitude_calls_f_once_with_open_mesh_vectors():
+    g = make_grid(0.0, 1.0, -1.0, 1.0, 5)
+    seen = []
+
+    def f(p, q):
+        seen.append((p.shape, q.shape))
+        return p + q
+
+    sample_amplitude(f, g)
+    assert seen == [((5, 1), (1, 5))]
 
 
 @pytest.mark.parametrize(
@@ -62,7 +91,7 @@ def test_sample_amplitude_vectorized():
 )
 def test_sample_amplitude_keeps_a_real_result_real(f, dtype):
     g = make_grid(0.0, 1.0, 0.0, 2.0, 3)
-    A = normalize(sample_amplitude(f, g))
+    A = sample_amplitude(f, g)
     assert A.entries.dtype == dtype
     assert normalize(A).entries.dtype == dtype
 
@@ -94,6 +123,22 @@ def test_normalize_scales_and_is_idempotent():
     assert np.sum(np.abs(N.entries) ** 2) == pytest.approx(1.0, abs=1e-15)
     N2 = normalize(N)
     assert np.max(np.abs(N2.entries - N.entries)) < 1e-15
+
+
+def test_normalize_leaves_its_argument_untouched():
+    g = make_grid(0.0, 1.0, 0.0, 1.0, 2)
+    for entries in (np.array([[3.0, 4.0], [0.0, -0.0]]), np.array([[1j, 2.0], [0.5, -1.0]])):
+        A = AmplitudeMatrix(grid=g, entries=entries)
+        before = entries.copy()
+        N = normalize(A)
+        assert A.entries is entries and entries.tobytes() == before.tobytes()
+        assert not A.normalized and N.entries is not entries
+
+
+def test_sample_amplitude_rejects_an_all_zero_amplitude():
+    g = make_grid(0.0, 1.0, 0.0, 1.0, 3)
+    with pytest.raises(ValueError, match="all-zero"):
+        sample_amplitude(lambda p, q: 0.0 * p * q, g)
 
 
 def test_normalize_rejects_zero_matrix():
