@@ -41,7 +41,7 @@ COORD_DECAY_SPAN = 40.0
 COORD_SIGMA_MARGIN = 6.0
 MOMENTUM_NU_MAX = 60.0
 MOMENTUM_PI_MAX = 6.0
-# Window growth of each model's convergence probe, at fixed mesh spacing.
+# Window growth of coord_probe and momentum_probe, at fixed mesh spacing.
 COORD_PROBE_FACTOR = 1.5
 MOMENTUM_PROBE_FACTOR = 2.0
 CAPTURE_TOL = 1e-6
@@ -153,14 +153,21 @@ def momentum_amplitude(params: AtomPhotonParams, nu_ph, pi_a):
     return np.divide(gauss, denom, out=denom)
 
 
-def coord_grid(params: AtomPhotonParams, n: int = DEFAULT_N, enlarge: float = 1.0) -> Grid:
+def coord_grid(params: AtomPhotonParams, n: int = DEFAULT_N) -> Grid:
     """Auto-window for the coordinate amplitude.
 
     p covers [tau - COORD_DECAY_SPAN, tau]; q covers the ridge q = -p
     broadened by COORD_SIGMA_MARGIN times the modulus-width of the Gaussian
-    factor, w = sqrt(1 + (tau eta^2 xi0)^2) / eta.  ``enlarge`` grows both
-    margins at the mesh spacing of the n-node window, for the window probe;
-    unlike ``enlarged_grid`` it keeps the light front pinned at p = tau.
+    factor, w = sqrt(1 + (tau eta^2 xi0)^2) / eta.  ``coord_probe`` grows
+    this window behind the light front, which stays at p = tau.
+    """
+    return _pinned_window(params, n, 1.0)
+
+
+def _pinned_window(params: AtomPhotonParams, n: int, enlarge: float) -> Grid:
+    """``coord_grid`` with both margins grown by ``enlarge`` at its spacing.
+
+    Unlike ``enlarged_grid`` it keeps the light front pinned at p = tau.
     """
     tau, eta, xi0 = params.tau, params.eta, params.xi0
     w = math.sqrt(1.0 + (tau * eta**2 * xi0) ** 2) / eta
@@ -203,15 +210,44 @@ def coord_spectrum(
     return schmidt_decompose(coord_matrix(params, grid), opts, modes=False)
 
 
+# The probes call coord_matrix, momentum_matrix and schmidt_decompose
+# through this module's globals, where bench/tracing.py wraps them.
+
+
+def coord_probe(params: AtomPhotonParams, grid: Grid, opts: DecompositionOptions) -> SchmidtResult:
+    """Values-only decomposition on the window probe of ``grid``.
+
+    The probe window keeps the mesh spacing of ``grid`` and is
+    COORD_PROBE_FACTOR times larger.  The automatic window
+    (``coord_grid(params, grid.n)``) grows its margins behind the light
+    front, which stays at p = tau; any other window grows about its centre.
+    """
+    if grid == coord_grid(params, grid.n):
+        big_grid = _pinned_window(params, grid.n, COORD_PROBE_FACTOR)
+    else:
+        big_grid = enlarged_grid(grid, COORD_PROBE_FACTOR)
+    return schmidt_decompose(coord_matrix(params, big_grid), opts, modes=False)
+
+
+def momentum_probe(params: AtomPhotonParams, grid: Grid, opts: DecompositionOptions) -> SchmidtResult:
+    """Values-only decomposition on the window probe of ``grid``.
+
+    The probe window keeps the mesh spacing of ``grid`` and grows about its
+    centre by MOMENTUM_PROBE_FACTOR.
+    """
+    big_grid = enlarged_grid(grid, MOMENTUM_PROBE_FACTOR)
+    return schmidt_decompose(momentum_matrix(params, big_grid), opts, modes=False)
+
+
 def coord_capture_drift(
     params: AtomPhotonParams,
     policy: GridPolicy = GridPolicy(),
     opts: DecompositionOptions = DecompositionOptions(),
 ) -> tuple[SchmidtResult, float]:
-    """``coord_spectrum`` checked against margins grown by COORD_PROBE_FACTOR.
+    """``coord_spectrum`` checked against its ``coord_probe``.
 
-    The enlarged window keeps the mesh spacing.  Returns the base
-    decomposition and the drift of the weight spectrum between the two.
+    Returns the base decomposition and the drift of the weight spectrum
+    between the two.
 
     Raises
     ------
@@ -222,8 +258,7 @@ def coord_capture_drift(
         (``GridPolicy.n``, the CLI's ``--n``).
     """
     base = coord_spectrum(params, policy, opts)
-    big_grid = coord_grid(params, policy.n, COORD_PROBE_FACTOR)
-    big = schmidt_decompose(coord_matrix(params, big_grid), opts, modes=False)
+    big = coord_probe(params, coord_grid(params, policy.n), opts)
     drift = spectrum_drift(base, big)
     if drift >= CAPTURE_TOL:
         raise ConvergenceError(
@@ -235,12 +270,11 @@ def coord_capture_drift(
 
 
 def momentum_capture_drift(params: AtomPhotonParams, n: int = DEFAULT_N) -> float:
-    """Weight-spectrum drift when the momentum window grows by MOMENTUM_PROBE_FACTOR."""
+    """Weight-spectrum drift of ``momentum_probe`` on the automatic window."""
     grid = momentum_grid(n)
-    base = schmidt_decompose(momentum_matrix(params, grid), modes=False)
-    big_grid = enlarged_grid(grid, MOMENTUM_PROBE_FACTOR)
-    big = schmidt_decompose(momentum_matrix(params, big_grid), modes=False)
-    return spectrum_drift(base, big)
+    opts = DecompositionOptions()
+    base = schmidt_decompose(momentum_matrix(params, grid), opts, modes=False)
+    return spectrum_drift(base, momentum_probe(params, grid, opts))
 
 
 def xi0_estimate(mass_ratio_M_over_m: float) -> float:

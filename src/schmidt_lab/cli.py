@@ -41,20 +41,20 @@ import numpy as np
 
 from .atom_photon import (
     CAPTURE_TOL,
-    COORD_PROBE_FACTOR,
     DEFAULT_N as ATOM_DEFAULT_N,
-    MOMENTUM_PROBE_FACTOR,
     AtomPhotonParams,
     GridPolicy,
     asymptotics,
     coord_capture_drift,
     coord_grid,
     coord_matrix,
+    coord_probe,
     coord_spectrum,
     full_dynamics,
     laguerre_mode,
     momentum_grid,
     momentum_matrix,
+    momentum_probe,
     validity_check,
     zero_order_dynamics,
 )
@@ -68,9 +68,9 @@ from .polarization import (
     polarization_density_matrix,
 )
 from .schmidt import GAUGES, DecompositionOptions, SchmidtResult, mode_overlap, schmidt_decompose, spectrum_drift
-from .spdc import DEFAULT_D_E, DEFAULT_D_O, SPDC_PROBE_FACTOR, check_resolution, spdc_grid, spdc_matrix, spdc_params
+from .spdc import DEFAULT_D_E, DEFAULT_D_O, check_resolution, spdc_grid, spdc_matrix, spdc_params, spdc_probe
 from .spdc import DEFAULT_N as SPDC_DEFAULT_N
-from .tensor_core import AmplitudeMatrix, Grid, enlarged_grid, make_grid, normalize
+from .tensor_core import AmplitudeMatrix, Grid, make_grid, normalize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -301,24 +301,21 @@ def _result_payload(result: SchmidtResult) -> dict:
 def _modes_table(coord_name: str, coords, modes):
     r = min(MODES_EMITTED, modes.shape[0])
     header = [coord_name]
+    columns = [coords]
     for k in range(1, r + 1):
         header += [f"mode{k}_re", f"mode{k}_im"]
-    rows = []
-    for i, x in enumerate(coords):
-        row = [float(x)]
-        for k in range(r):
-            row += [float(modes[k][i].real), float(modes[k][i].imag)]
-        rows.append(row)
-    return tuple(header), rows
+        columns += [modes[k - 1].real, modes[k - 1].imag]
+    return tuple(header), np.column_stack(columns).tolist()
 
 
 def _density_table(coord_name: str, coords, modes):
     r = min(MODES_EMITTED, modes.shape[0])
     header = [coord_name] + [f"mode{k}_density" for k in range(1, r + 1)]
-    rows = []
-    for i, x in enumerate(coords):
-        rows.append([float(x)] + [float(abs(modes[k][i]) ** 2) for k in range(r)])
-    return tuple(header), rows
+    # hypot and float_power call libm's hypot and pow, as abs(z) ** 2 of one
+    # complex scalar does; np.abs and ** may take SIMD loops whose last bits
+    # differ.
+    density = np.float_power(np.hypot(modes[:r].real, modes[:r].imag), 2)
+    return tuple(header), np.column_stack([coords, *density]).tolist()
 
 
 def _mode_tables(result: SchmidtResult, modes: dict) -> dict:
@@ -358,24 +355,22 @@ def _spdc_constants(req: _Resolver):
     return req.require("sigma"), req.get("d_o", DEFAULT_D_O), req.get("d_e", DEFAULT_D_E)
 
 
-# Model functions.  Each samples the base grid before the enlarged probe
-# grid, and looks the sampling, decomposition, coherence and dynamics
-# functions up in this module's globals at call time, where
-# bench/tracing.py wraps them.  Decompositions whose modes are never read
-# (probes, sweep points) pass modes=False.
+# Model functions.  Each samples its base grid first; the window probe is
+# its model's library function (coord_probe, momentum_probe, spdc_probe),
+# called after the base decomposition.  The models look the sampling,
+# decomposition, coherence and dynamics functions up in this module's
+# globals at call time, and the atom-photon probes look theirs up in
+# atom_photon's, because bench/tracing.py wraps them there and tells a
+# probe by its grid differing from the first one sampled.  Sweep points,
+# whose modes are never read, pass modes=False.
 
 
 def _coord(req: _Resolver) -> ModelRun:
     """Decompose the coordinate-space amplitude; emit spectrum, modes, overlaps."""
     params = AtomPhotonParams(req.require("xi0"), req.require("eta"), req.require("tau"))
-    if req.window is None:
-        grid = coord_grid(params, req.n)
-        big_grid = coord_grid(params, req.n, enlarge=COORD_PROBE_FACTOR)
-    else:
-        grid = req.window
-        big_grid = enlarged_grid(grid, COORD_PROBE_FACTOR)
+    grid = req.window or coord_grid(params, req.n)
     result = schmidt_decompose(coord_matrix(params, grid), req.opts)
-    big = schmidt_decompose(coord_matrix(params, big_grid), req.opts, modes=False)
+    big = coord_probe(params, grid, req.opts)
     p_nodes = grid.p_nodes()
     overlaps = [
         (k, abs(mode_overlap(laguerre_mode(k, params.tau, p_nodes), result.modes_p[k])))
@@ -405,8 +400,7 @@ def _momentum(req: _Resolver) -> ModelRun:
     params = AtomPhotonParams(req.require("xi0"), req.require("eta"), tau=1.0)
     grid = req.window or momentum_grid(req.n)
     result = schmidt_decompose(momentum_matrix(params, grid), req.opts)
-    big_grid = enlarged_grid(grid, MOMENTUM_PROBE_FACTOR)
-    big = schmidt_decompose(momentum_matrix(params, big_grid), req.opts, modes=False)
+    big = momentum_probe(params, grid, req.opts)
     k_inf, s_inf = asymptotics(params.eta)
     nu = grid.p_nodes()
     pi = grid.q_nodes()
@@ -443,10 +437,13 @@ def _dynamics(req: _Resolver) -> ModelRun:
     """
     xi0, eta = req.require("xi0"), req.require("eta")
     taus = _sweep_values(req, "tau")
-    params = AtomPhotonParams(xi0, eta, max(taus))
+    positive = [t for t in taus if t > 0]
+    if not positive:
+        raise ValueError(f"the tau sweep needs at least one positive tau, got {taus}")
+    params = AtomPhotonParams(xi0, eta, max(positive))
     policy = GridPolicy(n=req.n)
     spectrum, drift = coord_capture_drift(params, policy, req.opts)
-    first = AtomPhotonParams(xi0, eta, min(t for t in taus if t > 0))
+    first = AtomPhotonParams(xi0, eta, min(positive))
     invariance = spectrum_drift(spectrum, coord_spectrum(first, policy, req.opts))
     if invariance >= CAPTURE_TOL:
         raise ConvergenceError(
@@ -483,12 +480,11 @@ def _spdc(req: _Resolver) -> ModelRun:
     check_shared_axis(grid)
     A = spdc_matrix(params, grid)
     result = schmidt_decompose(A, req.opts)
-    A_big = spdc_matrix(params, enlarged_grid(grid, SPDC_PROBE_FACTOR))
-    big = schmidt_decompose(A_big, req.opts, modes=False)
+    big, big_F = spdc_probe(params, grid, req.opts)
     report = coherence_report(A, result)
     rho = polarization_density_matrix(report.F)
     checks = density_matrix_checks(rho.rho)
-    d_f = coherence(A_big).real - report.F.real
+    d_f = big_F.real - report.F.real
     modes = {
         "modes_o.csv": _modes_table("p", grid.p_nodes(), result.modes_p),
         "modes_e.csv": _modes_table("q", grid.q_nodes(), result.modes_q),

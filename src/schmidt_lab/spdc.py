@@ -20,20 +20,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .tensor_core import AmplitudeMatrix, Grid, make_grid, sample_amplitude
+from .polarization import coherence
+from .schmidt import DecompositionOptions, SchmidtResult, schmidt_decompose
+from .tensor_core import AmplitudeMatrix, Grid, enlarged_grid, make_grid, sample_amplitude
 
 DEFAULT_D_O = 0.076
 DEFAULT_D_E = 0.266
 DEFAULT_N = 512
 # Half-width of the automatic square window, set by the slowly decaying
-# sinc tail, not by the pump Gaussian; the enlarged-window probe guards it.
+# sinc tail, not by the pump Gaussian; spdc_probe guards it.
 HALF_WIDTH = 40.0
 SINC_SERIES_CUTOFF = 1e-4
 # Largest tolerated sinc phase advance per mesh step.  Empirically the
 # spectrum is converged to ~1e-4 well below this; the guard only catches
 # grids that genuinely cannot represent the oscillation.
 MAX_PHASE_STEP = math.pi / 2.0
-# Window growth of the convergence probe, at fixed mesh spacing.
+# Window growth of spdc_probe, at fixed mesh spacing.
 SPDC_PROBE_FACTOR = 1.5
 
 
@@ -166,3 +168,18 @@ def spdc_matrix(params: SpdcParams, grid: Grid) -> AmplitudeMatrix:
     """
     check_resolution(params, grid)
     return sample_amplitude(lambda p, q: biphoton_amplitude(params, p, q), grid)
+
+
+def spdc_probe(params: SpdcParams, grid: Grid, opts: DecompositionOptions) -> tuple[SchmidtResult, complex]:
+    """Values-only decomposition and coherence F on the window probe of ``grid``.
+
+    The probe window keeps the mesh spacing of ``grid`` and grows about its
+    centre by SPDC_PROBE_FACTOR.
+
+    Raises
+    ------
+    ConvergenceError
+        If the probe grid under-resolves the sinc oscillation.
+    """
+    A = spdc_matrix(params, enlarged_grid(grid, SPDC_PROBE_FACTOR))
+    return schmidt_decompose(A, opts, modes=False), coherence(A)

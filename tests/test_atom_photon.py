@@ -281,7 +281,7 @@ def test_coord_grid_geometry():
 
 def test_coord_window_enlargement_invariance():
     base = coord_spectrum(FIG_PARAMS, GridPolicy(n=400))
-    big_grid = coord_grid(FIG_PARAMS, 400, enlarge=2.0)
+    big_grid = atom_photon._pinned_window(FIG_PARAMS, 400, 2.0)
     big = schmidt_decompose(coord_matrix(FIG_PARAMS, big_grid), modes=False)
     assert spectrum_drift(base, big) < 1e-6
     assert base.modes_p is None  # values only

@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 
 import schmidt_lab.atom_photon as atom_photon
 import schmidt_lab.cli as cli
-from schmidt_lab import schmidt
+from schmidt_lab import schmidt, spdc
 from schmidt_lab.atom_photon import AtomPhotonParams, GridPolicy, full_dynamics
 from schmidt_lab.cli import FIG_PRESETS, FORMATS, main
 from schmidt_lab.errors import ConvergenceError
-from schmidt_lab.schmidt import GAUGES
-from schmidt_lab.tensor_core import enlarged_n
+from schmidt_lab.polarization import coherence
+from schmidt_lab.schmidt import GAUGES, spectrum_drift
+from schmidt_lab.tensor_core import Grid, enlarged_grid, enlarged_n, make_grid
 
 
 def _write_matrix(path, m):
@@ -346,7 +347,8 @@ def test_spdc_values_only_decompositions_take_the_split(tmp_path, monkeypatch, a
         taken.append((modes, res.route))
         return res
 
-    monkeypatch.setattr(cli, "schmidt_decompose", recording)
+    for mod in (cli, spdc):
+        monkeypatch.setattr(mod, "schmidt_decompose", recording)
     assert main([*argv, "--out", str(tmp_path)]) == 0
     assert taken == routes
 
@@ -408,6 +410,119 @@ def test_window_flag_overrides_automatic_grid(tmp_path):
     assert code == 0
     w = _summary(out)["params"]["window"]
     assert (w["p_min"], w["p_max"], w["q_min"], w["q_max"]) == (-30.0, 30.0, -30.0, 30.0)
+
+
+COORD_N64 = ["atom-photon-coord", "--xi0", "100", "--eta", "0.03", "--tau", "10", "--n", "64"]
+MOMENTUM_N64 = ["atom-photon-momentum", "--xi0", "100", "--eta", "0.03", "--n", "64"]
+SPDC_N64 = ["spdc", "--L", "0.5", "--sigma", "10", "--n", "64"]
+
+
+def test_coord_probe_pins_the_light_front_only_on_the_automatic_window(tmp_path, monkeypatch):
+    grids = []
+    sample = atom_photon.coord_matrix
+
+    def recording(params, grid):
+        grids.append(grid)
+        return sample(params, grid)
+
+    for mod in (cli, atom_photon):
+        monkeypatch.setattr(mod, "coord_matrix", recording)
+    auto = atom_photon.coord_grid(AtomPhotonParams(100.0, 0.03, 10.0), 64)
+    window = make_grid(-30.0, 10.0, -200.0, 60.0, 64)
+    same = ",".join(repr(v) for v in (auto.p_min, auto.p_max, auto.q_min, auto.q_max))
+    for name, flags in (
+        ("auto", []),
+        ("window", ["--window=-30,10,-200,60"]),
+        ("same", [f"--window={same}"]),  # the automatic window, bit for bit
+    ):
+        assert main([*COORD_N64, *flags, "--out", str(tmp_path / name)]) == 0
+    pinned = grids[1]
+    assert pinned.p_max == 10.0
+    assert pinned.n == enlarged_n(64, atom_photon.COORD_PROBE_FACTOR)
+    assert grids == [
+        auto, pinned,
+        window, enlarged_grid(window, atom_photon.COORD_PROBE_FACTOR),
+        auto, pinned,
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [COORD_N64, [*COORD_N64, "--window=-30,10,-200,60"], MOMENTUM_N64, SPDC_N64],
+    ids=["coord", "coord-window", "momentum", "spdc"],
+)
+def test_grid_convergence_comes_from_the_model_probe(tmp_path, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    summary = _summary(tmp_path)
+    grid = Grid(**summary["params"]["window"])
+    opts = schmidt.DecompositionOptions()
+    extra = {}
+    if argv is SPDC_N64:
+        params = spdc.spdc_params(0.5, 10.0)
+        A = spdc.spdc_matrix(params, grid)
+        big, big_F = spdc.spdc_probe(params, grid, opts)
+        extra["dF"] = big_F.real - coherence(A).real
+    elif argv is MOMENTUM_N64:
+        params = AtomPhotonParams(100.0, 0.03, 1.0)
+        A = atom_photon.momentum_matrix(params, grid)
+        big = atom_photon.momentum_probe(params, grid, opts)
+    else:
+        params = AtomPhotonParams(100.0, 0.03, 10.0)
+        A = atom_photon.coord_matrix(params, grid)
+        big = atom_photon.coord_probe(params, grid, opts)
+    base = schmidt.schmidt_decompose(A, opts)
+    assert summary["grid_convergence"] == {
+        "lambda_drift": spectrum_drift(base, big),
+        "dK": big.schmidt_number - base.schmidt_number,
+        "dS": big.entropy - base.entropy,
+        **extra,
+    }
+
+
+def test_capture_checks_and_the_cli_reach_one_probe_per_model(tmp_path, monkeypatch):
+    calls = []
+    for mod, name in (
+        (atom_photon, "coord_probe"),
+        (atom_photon, "momentum_probe"),
+        (spdc, "spdc_probe"),
+    ):
+        probe = getattr(mod, name)
+        assert getattr(cli, name) is probe
+
+        def counting(*args, _probe=probe, _name=name):
+            calls.append(_name)
+            return _probe(*args)
+
+        for namespace in (mod, cli):
+            monkeypatch.setattr(namespace, name, counting)
+    params = AtomPhotonParams(100.0, 0.03, 10.0)
+    atom_photon.coord_capture_drift(params, GridPolicy(n=48))
+    atom_photon.momentum_capture_drift(params, n=48)
+    assert calls == ["coord_probe", "momentum_probe"]
+    dynamics = [*DYNAMICS, "--eta", "0.03", "--n", "48", "--tau-list", "5,10"]
+    for i, argv in enumerate((COORD_N64, MOMENTUM_N64, SPDC_N64, dynamics)):
+        assert main([*argv, "--out", str(tmp_path / str(i))]) == 0
+    assert calls[2:] == ["coord_probe", "momentum_probe", "spdc_probe", "coord_probe"]
+
+
+def test_mode_tables_hold_each_cell_as_one_complex_scalar_gives_it():
+    # The per-cell form the tables replaced; the sign of every zero counts.
+    # On random modes np.abs(z) ** 2 differs from abs(z) ** 2 in a few cells.
+    rng = np.random.default_rng(7)
+    modes = (rng.standard_normal((5, 5000)) + 1j * rng.standard_normal((5, 5000))) * 1e-3
+    modes[1, :4] = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0)]
+    coords = np.linspace(-60.0, 60.0, 5000)
+    want_modes = [
+        [float(x)] + [v for k in range(4) for v in (float(modes[k][i].real), float(modes[k][i].imag))]
+        for i, x in enumerate(coords)
+    ]
+    want_density = [
+        [float(x)] + [float(abs(modes[k][i]) ** 2) for k in range(4)] for i, x in enumerate(coords)
+    ]
+    for table, want in ((cli._modes_table, want_modes), (cli._density_table, want_density)):
+        _, rows = table("p", coords, modes)
+        assert all(type(v) is float for row in rows for v in row)
+        assert np.array(rows).tobytes() == np.array(want).tobytes()
 
 
 def test_format_filter_limits_emitted_files(tmp_path):
@@ -667,11 +782,31 @@ def test_dynamics_zero_tau_row_and_invalid_taus(tmp_path, capsys):
     assert main([*argv, "--tau-list", "0,5", "--out", str(tmp_path / "ok")]) == 0
     header, rows = _read_csv(tmp_path / "ok" / "sweep.csv")
     assert len(rows) == 2
-    assert (float(rows[0][header.index("K")]), float(rows[0][header.index("S")])) == (1.0, 0.0)
+    assert rows[0] == ["0", "1", "0", "1", "0", "0", "0"]
     for taus in ("-1,5", "5,nan"):
         assert main([*argv, f"--tau-list={taus}", "--out", str(tmp_path / "bad")]) == 2
         assert "tau must be non-negative" in capsys.readouterr().err
     assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("taus", ["0", "0,0"])
+def test_dynamics_without_a_positive_tau_exits_2_before_sampling(
+    tmp_path, monkeypatch, capsys, taus
+):
+    sampled = []
+    sample = atom_photon.coord_matrix
+
+    def recording(params, grid):
+        sampled.append(params.tau)
+        return sample(params, grid)
+
+    for mod in (cli, atom_photon):
+        monkeypatch.setattr(mod, "coord_matrix", recording)
+    argv = [*DYNAMICS, "--eta", "0.03", "--n", "48", "--tau-list", taus]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert "needs at least one positive tau" in capsys.readouterr().err
+    assert sampled == []
+    assert not (tmp_path / "out").exists()
 
 
 def _files(out_dir):
