@@ -11,12 +11,15 @@ inclusive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 NORM_ATOL = 1e-9
+# Below this norm the squared-modulus sum is subnormal or zero.
+_NORM_MIN = math.sqrt(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -130,10 +133,6 @@ class AmplitudeMatrix:
             )
         raise ValueError(f"matrix flagged normalized but squared-modulus sum is {total!r}")
 
-    def norm(self) -> float:
-        """Frobenius norm, i.e. sqrt of the total squared modulus."""
-        return float(np.linalg.norm(self.entries))
-
 
 def sample_amplitude(f: Callable, grid: Grid) -> AmplitudeMatrix:
     """Evaluate ``f(p, q)`` on the mesh and return it with unit norm.
@@ -143,8 +142,9 @@ def sample_amplitude(f: Callable, grid: Grid) -> AmplitudeMatrix:
     shape (1, n), and must return an (n, n) array, or an (n, 1) or (1, n)
     one that depends on a single variable and is broadcast.  A real result
     is kept in float64, a complex one in complex128.  The returned array
-    belongs to this call (``f`` must not keep it), so it is checked
-    unnormalized, then divided by its norm in place.
+    belongs to this call (``f`` must not keep it), so it is divided by its
+    norm in place; the entries are scanned for a non-finite value only
+    when that norm is not finite or its square underflows.
 
     Raises
     ------
@@ -166,25 +166,40 @@ def sample_amplitude(f: Callable, grid: Grid) -> AmplitudeMatrix:
         raise ValueError(f"amplitude function must accept numpy arrays: {exc}") from exc
     if vals.shape != (n, n):
         raise ValueError(f"amplitude function returned shape {vals.shape}, expected {(n, n)}")
-    vals /= _nonzero_norm(AmplitudeMatrix(grid=grid, entries=vals, normalized=False))
-    return AmplitudeMatrix(grid=grid, entries=vals, normalized=True)
+    return _unit_norm(grid, vals, out=vals)
 
 
-def _nonzero_norm(A: AmplitudeMatrix) -> float:
-    nrm = A.norm()
-    if nrm == 0.0:
-        raise ValueError("cannot normalize an all-zero amplitude matrix")
-    return nrm
+def _unit_norm(grid: Grid, e: np.ndarray, out=None) -> AmplitudeMatrix:
+    """``e`` divided by its norm into ``out`` (a new array if None), flagged normalized.
+
+    The norm comes first.  Only when its squared-modulus sum is not a
+    normal float (zero, subnormal or inf) are the entries scanned: a
+    non-finite entry is named, an all-zero matrix is refused, and finite
+    entries whose sum under- or overflowed are first divided by their
+    largest real or imaginary part, so the norm is taken at unit scale.
+    """
+    with np.errstate(over="ignore"):  # an overflow is rescaled below
+        nrm = float(np.linalg.norm(e))
+    if not _NORM_MIN <= nrm < math.inf:
+        AmplitudeMatrix(grid=grid, entries=e)  # names a non-finite entry
+        scale = max(float(np.max(np.abs(e.real))), float(np.max(np.abs(e.imag))))
+        if scale == 0.0:
+            raise ValueError("cannot normalize an all-zero amplitude matrix")
+        e = np.divide(e, scale, out=out)
+        nrm = float(np.linalg.norm(e))
+    return AmplitudeMatrix(grid=grid, entries=np.divide(e, nrm, out=out), normalized=True)
 
 
 def normalize(A: AmplitudeMatrix) -> AmplitudeMatrix:
     """A copy of ``A`` scaled so the sum of squared moduli is 1.
 
-    ``A.entries`` is left as it is.
+    ``A.entries`` is left as it is.  Entries too small or too large for
+    their squared sum to be a normal float are rescaled first, so such a
+    matrix normalizes like the same matrix at unit scale.
 
     Raises
     ------
     ValueError
         If the matrix is identically zero.
     """
-    return AmplitudeMatrix(grid=A.grid, entries=A.entries / _nonzero_norm(A), normalized=True)
+    return _unit_norm(A.grid, A.entries)

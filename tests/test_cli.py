@@ -121,6 +121,24 @@ def test_decompose_round_trip_through_emitted_modes(tmp_path):
     assert s2["results"]["S"] == pytest.approx(s1["results"]["S"], abs=1e-10)
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e200])
+def test_decompose_tiny_or_huge_entries_like_the_unit_scale_matrix(tmp_path, scale):
+    # The squared sum underflows to 0 or overflows to inf; the matrix is
+    # rescaled before its norm, not refused as all-zero or unnormalized.
+    m = np.array([[1.0, 0.5], [0.25, 1.0]])
+    outs = []
+    for name, entries in (("unit", m), ("scaled", scale * m)):
+        f = tmp_path / f"{name}.txt"
+        _write_matrix(f, entries)
+        outs.append(tmp_path / f"o-{name}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["decompose", str(f), "--out", str(outs[-1])]) == 0
+    unit, scaled = (_summary(out)["results"] for out in outs)
+    assert scaled["lambdas"] == pytest.approx(unit["lambdas"], rel=0, abs=1e-15)
+    assert scaled["K"] == pytest.approx(unit["K"], rel=0, abs=1e-14)
+
+
 def test_exit_code_parse_failures(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 2\n3 oops\n")

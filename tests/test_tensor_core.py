@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,39 @@ def test_sample_amplitude_rejects_an_all_zero_amplitude():
     g = make_grid(0.0, 1.0, 0.0, 1.0, 3)
     with pytest.raises(ValueError, match="all-zero"):
         sample_amplitude(lambda p, q: 0.0 * p * q, g)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e200, 1e300])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_normalize_rescales_when_the_squared_sum_under_or_overflows(scale, dtype):
+    # The squared-modulus sum of these entries is 0, subnormal or inf, so
+    # the norm is taken after dividing by the largest part: the result is
+    # the unit-scale matrix normalized, with no RuntimeWarning.
+    g = make_grid(0.0, 1.0, 0.0, 1.0, 4)
+    rng = np.random.default_rng(3)
+    unit = rng.uniform(0.5, 1.0, (4, 4)).astype(dtype)
+    if dtype is complex:
+        unit += 1j * rng.uniform(-1.0, 1.0, (4, 4))
+    want = normalize(AmplitudeMatrix(grid=g, entries=unit)).entries
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        N = normalize(AmplitudeMatrix(grid=g, entries=scale * unit))
+        S = sample_amplitude(lambda p, q: scale * unit, g)
+    for got in (N, S):
+        assert got.normalized and got.entries.dtype == want.dtype
+        np.testing.assert_allclose(got.entries, want, rtol=0, atol=1e-15)
+
+
+def test_sample_amplitude_scans_for_non_finite_entries_only_when_the_norm_fails(monkeypatch):
+    g = make_grid(0.0, 1.0, 0.0, 1.0, 3)
+    calls = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda *a, **k: calls.append(1) or isfinite(*a, **k))
+    sample_amplitude(lambda p, q: np.exp(-(p * p + q * q)), g)
+    assert calls == []
+    with pytest.raises(ValueError, match=r"not finite at node \(2, 1\)"):
+        sample_amplitude(lambda p, q: np.where((p == 1.0) & (q == 0.5), np.nan, 1.0 + p * q), g)
+    assert calls
 
 
 def test_normalize_rejects_zero_matrix():
