@@ -481,7 +481,7 @@ def _spdc(req: _Resolver) -> ModelRun:
     A = spdc_matrix(params, grid)
     result = schmidt_decompose(A, req.opts)
     big, big_F = spdc_probe(params, grid, req.opts)
-    report = coherence_report(A, result)
+    report = coherence_report(A)
     rho = polarization_density_matrix(report.F)
     checks = density_matrix_checks(rho.rho)
     d_f = big_F.real - report.F.real

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schmidt import SchmidtResult
 from .tensor_core import AmplitudeMatrix, Grid
 
 BASIS = ("HH", "HV", "VH", "VV")
@@ -43,7 +42,7 @@ class PolarizationDensityMatrix:
 
 @dataclass(frozen=True, eq=False)
 class CoherenceReport:
-    """Coherence F plus the entanglement measures of the underlying amplitude.
+    """Coherence F of an amplitude and the mixture weights it implies.
 
     weight_plus and weight_minus are the mixture weights (1 +- Re F)/2 of
     the symmetric and antisymmetric Bell-like states.  messages flags a
@@ -53,9 +52,6 @@ class CoherenceReport:
     F: complex
     weight_plus: float
     weight_minus: float
-    lambdas: np.ndarray
-    K: float
-    S: float
     messages: tuple = ()
 
 
@@ -148,8 +144,8 @@ def density_matrix_checks(rho) -> DensityMatrixReport:
     )
 
 
-def coherence_report(A: AmplitudeMatrix, result: SchmidtResult) -> CoherenceReport:
-    """Bundle F, the mixture weights and the Schmidt measures ``result`` of A."""
+def coherence_report(A: AmplitudeMatrix) -> CoherenceReport:
+    """Bundle F of A with its mixture weights and any message about F."""
     F = coherence(A)
     messages = []
     if abs(F.imag) > IMAG_FLAG_THRESHOLD:
@@ -161,8 +157,5 @@ def coherence_report(A: AmplitudeMatrix, result: SchmidtResult) -> CoherenceRepo
         F=F,
         weight_plus=(1.0 + F.real) / 2.0,
         weight_minus=(1.0 - F.real) / 2.0,
-        lambdas=result.lambdas,
-        K=result.schmidt_number,
-        S=result.entropy,
         messages=tuple(messages),
     )

@@ -8,9 +8,11 @@ number K = 1 / sum(lambda^2) and the entropy S = -sum(lambda log2 lambda).
 
 The factorization is an SVD of the matrix AmplitudeMatrix has already
 checked; the tests cross-check its weights against an independent
-power-iteration eigensolver.  A caller that reads only the weights passes
-``modes=False``, which computes the singular values alone (in real
-arithmetic for a real amplitude).
+power-iteration eigensolver.  Every route decomposes in real arithmetic
+when every imaginary part of the amplitude is zero, and in complex
+arithmetic otherwise; the kept modes are complex either way.  A caller
+that reads only the weights passes ``modes=False``, which computes the
+singular values alone.
 
 A matrix of low rank at the truncation cutoff is factored through a
 randomized range finder (Halko, Martinsson and Tropp, SIAM Rev. 53, 217
@@ -45,6 +47,11 @@ SKETCH_WIDTH = 16
 POWER_ITERATIONS = 2
 SKETCH_SEED = 0
 EPS = float(np.finfo(float).eps)
+# Relative margin within which mode components count as tied in the gauge:
+# mirror components of the leading SPDC modes differ by rounding (at most
+# 1.3e-14 measured), the top two components of an atom-photon mode by
+# 1.3e-3 or more.
+GAUGE_TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -57,8 +64,12 @@ class DecompositionOptions:
     gauge
         "largest-real-positive" rotates each p-mode so its largest-modulus
         component is real and positive (the paired q-mode absorbs the
-        inverse phase, leaving every rank-1 term unchanged); "none" keeps
-        the raw factor phases.
+        inverse phase, leaving every rank-1 term unchanged).  Components
+        within a relative ``GAUGE_TIE_RTOL`` (1e-9) of the largest modulus
+        count as tied, and the lowest index among them is the one made
+        real and positive, so rounding cannot pick between the mirror
+        components of an odd-parity mode.  "none" keeps the raw factor
+        phases.
     """
 
     truncation_threshold: float = 1e-14
@@ -145,21 +156,31 @@ def entanglement_entropy(lambdas) -> float:
     return float(0.0 - np.sum(_xlog2x(w)))  # 0.0 - x, not -x: a pure state gets +0.0
 
 
-def _apply_gauge(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Make the largest-modulus component of each p-mode real and positive."""
-    for k in range(u.shape[0]):
-        i = int(np.argmax(np.abs(u[k])))
-        a = u[k][i]
-        if a == 0:
-            continue
-        phase = a / abs(a)
-        u[k] = u[k] / phase
-        v[k] = v[k] * phase
+def _apply_gauge(u: np.ndarray, v: np.ndarray) -> None:
+    """Make one largest-modulus component of each p-mode real and positive.
+
+    Components within a relative ``GAUGE_TIE_RTOL`` of the largest modulus
+    count as tied, and the lowest index among them sets the phase; ``v``
+    absorbs the inverse phase.  Both change in place.  A kept mode has unit
+    norm, so its largest modulus is at least 1/sqrt(n).
+    """
+    mag = np.abs(u)
+    tied = mag >= (1.0 - GAUGE_TIE_RTOL) * mag.max(axis=1, keepdims=True)
+    a = u[np.arange(u.shape[0]), np.argmax(tied, axis=1)]
+    phase = (a / np.hypot(a.real, a.imag))[:, None]
+    u /= phase
+    v *= phase
     # Dividing by a phase such as -1+0j flips the sign of zero parts;
     # adding +0.0 turns each -0 back into 0 and leaves every other value.
     u += 0.0
     v += 0.0
-    return u, v
+
+
+def _svd(X: np.ndarray, modes: bool):
+    """``(U, s, Vh)`` of ``X`` with thin factors, or ``(None, s, None)``."""
+    if modes:
+        return np.linalg.svd(X, full_matrices=False)
+    return None, np.linalg.svd(X, compute_uv=False), None
 
 
 def _orth(Y: np.ndarray) -> np.ndarray:
@@ -259,10 +280,10 @@ def schmidt_decompose(
 ) -> SchmidtResult:
     """Factor a normalized amplitude matrix into Schmidt modes and weights.
 
-    With ``modes=False`` only the singular values are computed, in real
-    arithmetic when every imaginary part is zero: the weights, rank, K, S
-    and reconstruction error follow as on the full route, and
-    ``modes_p``/``modes_q`` are None.
+    With ``modes=False`` only the singular values are computed: the
+    weights, rank, K, S and reconstruction error follow as with modes, and
+    ``modes_p``/``modes_q`` are None.  Either way the SVD runs in real
+    arithmetic when every imaginary part is zero.
 
     A matrix whose certified sketch exists (see ``_certified_sketch``)
     takes the randomized route; its weights are normalized by the exact
@@ -291,21 +312,16 @@ def schmidt_decompose(
         route = "randomized"
         Q, B, total, residual = sketch
         width, residual_mass = Q.shape[1], residual / total
+        U, s, Vh = _svd(B, modes)
         if modes:
-            Ub, s, Vh = np.linalg.svd(B, full_matrices=False)
-            U = Q @ Ub
-        else:
-            s = np.linalg.svd(B, compute_uv=False)
+            U = Q @ U
     elif split is not None:
         route = "centrosymmetric"
         s, total, residual = split
         residual_mass = residual / total
     else:
         route = "dense"
-        if modes:
-            U, s, Vh = np.linalg.svd(np.asarray(e, dtype=complex))
-        else:
-            s = np.linalg.svd(M, compute_uv=False)
+        U, s, Vh = _svd(M, modes)
         total = float((s**2).sum())
     lam_raw = s**2 / total
 
@@ -318,7 +334,7 @@ def schmidt_decompose(
         u = U[:, :rank].T.astype(complex, order="C")
         v = Vh[:rank].astype(complex, order="C")
         if opts.gauge == "largest-real-positive":
-            u, v = _apply_gauge(u, v)
+            _apply_gauge(u, v)
 
     discarded = float(lam_raw[rank:].sum())
     if residual_mass is not None:

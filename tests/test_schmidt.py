@@ -59,8 +59,7 @@ def test_values_only_route_uses_real_arithmetic_for_real_input(monkeypatch):
     cplx = real + 1j * rng.standard_normal((6, 6))
     g = make_grid(0.0, 5.0, 0.0, 5.0, 6)
     mats = [normalize(AmplitudeMatrix(grid=g, entries=e)) for e in (real, real.astype(complex), cplx)]
-    full = [schmidt_decompose(A) for A in mats]
-    dtypes = []
+    refs = [np.linalg.svd(A.entries.astype(complex), compute_uv=False) ** 2 for A in mats]
     lapack_svd = np.linalg.svd
 
     def recording_svd(a, *args, **kwargs):
@@ -68,10 +67,14 @@ def test_values_only_route_uses_real_arithmetic_for_real_input(monkeypatch):
         return lapack_svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    for A, ref in zip(mats, full):
-        res = schmidt_decompose(A, modes=False)
-        np.testing.assert_allclose(res.lambdas, ref.lambdas, rtol=0, atol=1e-12)
-    assert dtypes == [float, float, complex]
+    for modes in (False, True):
+        dtypes = []
+        for A, ref in zip(mats, refs):
+            res = schmidt_decompose(A, modes=modes)
+            np.testing.assert_allclose(res.lambdas, ref, rtol=0, atol=1e-12)
+            if modes:
+                assert res.modes_p.dtype == res.modes_q.dtype == complex
+        assert dtypes == [float, float, complex]
 
 
 def test_decomposes_diagonal_and_nilpotent_examples():
@@ -233,6 +236,44 @@ def test_gauge_leaves_no_negative_zero():
     for m in (res.modes_p, res.modes_q):
         for part in (m.real, m.imag):
             assert not np.any(np.signbit(part) & (part == 0.0))
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_gauge_tie_keeps_mode_signs_under_a_rounding_perturbation(n):
+    # An odd-parity mode of a centrosymmetric matrix has mirror components
+    # of equal modulus; a 1e-15 change of the matrix must not decide which
+    # of the two the gauge makes positive.
+    rng = np.random.default_rng(n)
+    S = rng.standard_normal((n, n))
+    M = S + S[::-1, ::-1]
+    ref = schmidt_decompose(_wrap(M))
+    for _ in range(10):
+        res = schmidt_decompose(_wrap(M + 1e-15 * rng.standard_normal((n, n))))
+        for got, want in ((res.modes_p, ref.modes_p), (res.modes_q, ref.modes_q)):
+            np.testing.assert_allclose(got[:4], want[:4], rtol=0, atol=1e-12)
+
+
+def test_fig5_written_modes_match_a_complex_svd(monkeypatch):
+    params = spdc_params(L=0.5, sigma=10.0)
+    A = spdc_matrix(params, spdc_grid(params, 512))
+    lapack_svd = np.linalg.svd
+    dtypes = []
+
+    def recording_svd(a, *args, **kwargs):
+        dtypes.append(a.dtype)
+        return lapack_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    real = schmidt_decompose(A)
+    assert real.route == "dense" and set(dtypes) == {np.dtype(float)}
+    monkeypatch.setattr(
+        np.linalg, "svd", lambda a, *args, **kw: lapack_svd(a.astype(complex), *args, **kw)
+    )
+    cplx = schmidt_decompose(A)
+    np.testing.assert_allclose(real.lambdas, cplx.lambdas, rtol=0, atol=1e-12)
+    for got, want in ((real.modes_p, cplx.modes_p), (real.modes_q, cplx.modes_q)):
+        assert got.dtype == complex
+        np.testing.assert_allclose(got[:4], want[:4], rtol=0, atol=1e-13)
 
 
 def test_gauge_choice_leaves_rank_one_terms_invariant():
