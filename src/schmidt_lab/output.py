@@ -140,9 +140,11 @@ def parse_matrix_file(path) -> np.ndarray:
                 line=line_no,
                 column=min(len(toks), width) + 1,
             )
-        rows.append(
-            [_parse_token(t, line_no, c) for c, t in enumerate(toks, start=1)]
-        )
+        try:
+            row = list(map(complex, toks))
+        except ValueError:  # parse again token by token to locate the error
+            row = [_parse_token(t, line_no, c) for c, t in enumerate(toks, start=1)]
+        rows.append(row)
         row_lines.append(line_no)
     if not rows:
         raise MatrixParseError("matrix file contains no rows")

@@ -16,9 +16,10 @@ singular values alone.
 
 A matrix of low rank at the truncation cutoff is factored through a
 randomized range finder (Halko, Martinsson and Tropp, SIAM Rev. 53, 217
-(2011)): a seeded Gaussian sketch, two power iterations, and the SVD of
-the small projection B = Q^H A.  The sketch is accepted only when the
-explicitly computed residual ||A - Q B||_F^2 is at most the cutoff
+(2011)): a seeded Gaussian sketch and the SVD of the small projection
+B = Q^H A, with up to two power iterations only when the sketch fails its
+certificate.  The sketch is accepted only when the explicitly computed
+residual ||A - Q B||_F^2 is at most the cutoff
 ``truncation_threshold * sigma_1^2``, so no weight it leaves out could
 have been kept.
 
@@ -41,8 +42,9 @@ from .tensor_core import AmplitudeMatrix, Grid
 GAUGES = ("largest-real-positive", "none")
 WEIGHT_SUM_ATOL = 1e-10
 SPECTRUM_DRIFT_MODES = 32
-# Randomized route: first sketch width, power iterations, and the seed of
-# the generator each call creates (so concurrent calls share no state).
+# Randomized route: first sketch width, the cap on power iterations (each
+# runs only after a failed certificate), and the seed of the generator each
+# call creates (so concurrent calls share no state).
 SKETCH_WIDTH = 16
 POWER_ITERATIONS = 2
 SKETCH_SEED = 0
@@ -187,6 +189,17 @@ def _orth(Y: np.ndarray) -> np.ndarray:
     return np.linalg.qr(Y)[0]
 
 
+def _residual(M: np.ndarray, Q: np.ndarray, B: np.ndarray) -> float:
+    """||M - Q B||_F^2, summed over blocks of rows: no n x n temporary."""
+    rows = 64
+    residual = 0.0
+    for i in range(0, M.shape[0], rows):
+        d = Q[i : i + rows] @ B
+        d -= M[i : i + rows]
+        residual += float(np.vdot(d, d).real)
+    return residual
+
+
 def _certified_sketch(M: np.ndarray, trunc: float):
     """A sketch Q (orthonormal columns) that captures ``M`` up to the cutoff.
 
@@ -196,7 +209,11 @@ def _certified_sketch(M: np.ndarray, trunc: float):
     the dense route must run: the first sketch of a width already shows
     sigma_w^2 / sigma_1^2 > sqrt(trunc), the cutoff is at or below the
     residual's rounding floor n eps^2 ||M||_F^2, or the width would pass
-    n / 4.  The width doubles after each rejected sketch.
+    n / 4.  The certificate is checked on the plain sketch first; only a
+    failed check runs a power iteration, Q <- orth(M orth(B^H)), which
+    reuses B, and the check is repeated, at most ``POWER_ITERATIONS``
+    times.  The width doubles after the last failed check.  The residual
+    is computed explicitly, one block of rows at a time (``_residual``).
     """
     n = M.shape[0]
     width = SKETCH_WIDTH
@@ -212,17 +229,16 @@ def _certified_sketch(M: np.ndarray, trunc: float):
         r = np.linalg.svd(R, compute_uv=False)
         if r[-1] ** 2 > np.sqrt(trunc) * r[0] ** 2:
             return None
-        for _ in range(POWER_ITERATIONS):
-            Q = _orth(M @ _orth((Q.conj().T @ M).conj().T))
-        B = Q.conj().T @ M
-        cut = trunc * np.linalg.norm(B, 2) ** 2
-        if cut <= floor:
-            return None
-        resid = Q @ B
-        resid -= M
-        residual = float(np.vdot(resid, resid).real)
-        if residual <= cut:
-            return Q, B, total, residual
+        for q in range(POWER_ITERATIONS + 1):
+            B = Q.conj().T @ M
+            cut = trunc * np.linalg.norm(B, 2) ** 2
+            if cut <= floor:
+                return None
+            residual = _residual(M, Q, B)
+            if residual <= cut:
+                return Q, B, total, residual
+            if q < POWER_ITERATIONS:
+                Q = _orth(M @ _orth(B.conj().T))
         width *= 2
     return None
 

@@ -129,6 +129,7 @@ def test_parse_matrix_file_reports_position(tmp_path):
     assert exc.value.line == 2
     assert exc.value.column == 2
     assert "line 2, column 2" in str(exc.value)
+    assert "invalid matrix entry 'oops' (expected `re` or `re+imj`)" in str(exc.value)
 
 
 def test_parse_matrix_file_rejections(tmp_path):

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -5,8 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schmidt_lab import schmidt
-from schmidt_lab.atom_photon import AtomPhotonParams, coord_grid, coord_matrix
+from schmidt_lab import atom_photon, schmidt
+from schmidt_lab.atom_photon import (
+    AtomPhotonParams,
+    coord_grid,
+    coord_matrix,
+    momentum_grid,
+    momentum_matrix,
+)
 from schmidt_lab.schmidt import (
     DecompositionOptions,
     entanglement_entropy,
@@ -543,6 +550,100 @@ def test_fig1_randomized_route_matches_dense_route():
         assert abs(mode_overlap(mode, rnd.modes_p[k])) == pytest.approx(
             abs(mode_overlap(mode, ref.modes_p[k])), rel=0, abs=1e-10
         )
+
+
+def _fig1_probe():
+    params = AtomPhotonParams(100.0, 0.03, 10.0)
+    grid = atom_photon._pinned_window(params, 800, atom_photon.COORD_PROBE_FACTOR)
+    assert grid.n == 1199
+    return coord_matrix(params, grid)
+
+
+def _fig3_momentum(n):
+    return momentum_matrix(AtomPhotonParams(100.0, 0.03, 10.0), momentum_grid(n))
+
+
+def _counting_orth():
+    return mock.patch.object(schmidt, "_orth", wraps=schmidt._orth)
+
+
+@pytest.mark.parametrize(
+    "make, modes",
+    [
+        (lambda: _fig1_coord(800), True),
+        (_fig1_probe, False),
+        (lambda: _fig3_momentum(400), True),
+    ],
+    ids=["fig1-n800", "fig1-probe-n1199", "fig3-n400"],
+)
+def test_atom_photon_sketch_passes_its_certificate_without_power_iteration(make, modes):
+    # The plain sketch already captures these rank-5 amplitudes far below
+    # the cutoff, so no power iteration (each calls _orth twice) runs.
+    A = make()
+    with _counting_orth() as orth:
+        res = schmidt_decompose(A, modes=modes)
+    assert (res.route, res.sketch_width, res.rank) == ("randomized", schmidt.SKETCH_WIDTH, 5)
+    assert orth.call_count == 0
+
+
+def test_slowly_decaying_spectrum_is_certified_after_a_power_iteration():
+    # sigma_k = 0.35^k: the plain 16-column sketch misses the cutoff, and a
+    # power iteration on the same width brings it under.
+    A = _low_rank(np.random.default_rng(29), 800, 0.35 ** np.arange(40))
+    with _counting_orth() as orth:
+        res = schmidt_decompose(A, modes=False)
+    assert (res.route, res.sketch_width) == ("randomized", schmidt.SKETCH_WIDTH)
+    assert orth.call_count >= 2
+    ref = _dense(A, modes=False)
+    assert res.rank == ref.rank
+    np.testing.assert_allclose(res.lambdas, ref.lambdas, rtol=0, atol=ROUTE_ATOL)
+    assert res.schmidt_number == pytest.approx(ref.schmidt_number, rel=0, abs=ROUTE_ATOL)
+    assert res.entropy == pytest.approx(ref.entropy, rel=0, abs=ROUTE_ATOL)
+
+
+def test_plateau_spectrum_falls_back_to_the_dense_route_after_every_power_iteration():
+    # Ten weights decaying as 0.3^k, then 150 singular values at 1e-4: the
+    # first look passes, but no sketch up to n / 4 = 200 columns captures
+    # the plateau.  Widths 16, 32, 64 and 128 each run every power iteration.
+    s = np.concatenate([0.3 ** np.arange(10), np.full(150, 1e-4)])
+    A = _low_rank(np.random.default_rng(31), 800, s)
+    with _counting_orth() as orth:
+        res = schmidt_decompose(A, modes=False)
+    assert (res.route, res.sketch_width, res.rank) == ("dense", None, 160)
+    assert orth.call_count == 4 * 2 * schmidt.POWER_ITERATIONS
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 130])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_blocked_residual_matches_the_unblocked_norm(n, complex_):
+    rng = np.random.default_rng(n)
+    M = rng.standard_normal((n, n))
+    if complex_:
+        M = M + 1j * rng.standard_normal((n, n))
+    Q = np.linalg.qr(M @ rng.standard_normal((n, 16)))[0]
+    B = Q.conj().T @ M
+    full = np.linalg.norm(M - Q @ B) ** 2
+    assert schmidt._residual(M, Q, B) == pytest.approx(full, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize(
+    "make, modes",
+    [(lambda: _fig1_coord(800), True), (_fig1_probe, False)],
+    ids=["fig1-n800-modes", "fig1-probe-n1199-values"],
+)
+def test_randomized_route_allocates_no_matrix_sized_temporary(make, modes):
+    # The residual is taken in row blocks; every other array the route
+    # allocates is n x 16 or smaller.
+    A = make()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        res = schmidt_decompose(A, modes=modes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.route == "randomized"
+    assert peak <= 0.5 * A.entries.nbytes
 
 
 def _parity_basis(n):
