@@ -32,7 +32,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -255,9 +254,6 @@ class _Resolver:
         self.n = n
         window = self.get("window")
         self.window = None if window is None else make_grid(*window, n)
-        self.jobs = self.get("jobs", 1)
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
         defaults = DecompositionOptions()
         self.opts = DecompositionOptions(
             truncation_threshold=self.get("trunc", defaults.truncation_threshold),
@@ -341,13 +337,6 @@ def _sweep_values(req: _Resolver, prefix: str):
     if stop < start:
         raise ValueError(f"--{prefix}-stop must be >= --{prefix}-start")
     return [float(v) for v in np.linspace(start, stop, steps)]
-
-
-def _map_jobs(fn, values, jobs: int):
-    if jobs <= 1 or len(values) <= 1:
-        return [fn(v) for v in values]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, values))
 
 
 def _spdc_constants(req: _Resolver):
@@ -520,14 +509,12 @@ def _spdc_length_sweep(req: _Resolver) -> ModelRun:
     grid = req.window or spdc_grid(points[0], req.n)
     check_shared_axis(grid)
     check_resolution(max(points, key=lambda params: params.L), grid)
-
-    def point(params):
+    rows = []
+    for params in points:
         A = spdc_matrix(params, grid)
         result = schmidt_decompose(A, req.opts, modes=False)
         F = coherence(A)
-        return (params.L, params.X_o, params.X_e, F.real, result.schmidt_number, result.entropy)
-
-    rows = _map_jobs(point, points, req.jobs)
+        rows.append((params.L, params.X_o, params.X_e, F.real, result.schmidt_number, result.entropy))
     return ModelRun(
         params={"L_values": Ls, "sigma": sigma, "d_o": d_o, "d_e": d_e},
         results={"rows": len(rows), "F_first": rows[0][3], "F_last": rows[-1][3]},
@@ -565,7 +552,6 @@ def _decompose(req: _Resolver) -> ModelRun:
 FLAG_TYPES = {
     "n": int,
     "window": _parse_window,
-    "jobs": int,
     "gauge": str,
     "out": str,
     "format": _parse_formats,
@@ -578,7 +564,6 @@ FLAG_TYPES = {
 FLAG_HELP = {
     "n": "nodes per axis",
     "window": "p_min,p_max,q_min,q_max overriding the automatic sampling window",
-    "jobs": "concurrent sweep evaluations",
     "trunc": "relative weight truncation threshold",
     "gauge": f"mode phase convention: {', '.join(GAUGES)}",
     "out": "output directory (default: out)",
@@ -629,7 +614,7 @@ SUBCOMMANDS = {
         _spdc_length_sweep,
         flags=(
             "L_start", "L_stop", "L_steps", "L_list", "sigma", "d_o", "d_e",
-            "n", "window", "jobs", *SHARED_FLAGS,
+            "n", "window", *SHARED_FLAGS,
         ),
         figs=("fig4",),
         default_n=SPDC_DEFAULT_N,

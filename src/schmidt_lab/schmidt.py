@@ -44,7 +44,7 @@ WEIGHT_SUM_ATOL = 1e-10
 SPECTRUM_DRIFT_MODES = 32
 # Randomized route: first sketch width, the cap on power iterations (each
 # runs only after a failed certificate), and the seed of the generator each
-# call creates (so concurrent calls share no state).
+# call creates (so calls on different threads share no state).
 SKETCH_WIDTH = 16
 POWER_ITERATIONS = 2
 SKETCH_SEED = 0
@@ -204,8 +204,9 @@ def _certified_sketch(M: np.ndarray, trunc: float):
     """A sketch Q (orthonormal columns) that captures ``M`` up to the cutoff.
 
     ``M`` is real or complex, and the sketch is complex only when ``M`` is.
-    Returns ``(Q, B, total, residual)`` with B = Q^H M, total = ||M||_F^2
-    and residual = ||M - Q B||_F^2 <= trunc * sigma_1(B)^2, or None when
+    Returns ``(Q, B, s, total, residual)`` with B = Q^H M, s the singular
+    values of B (computed values only, for the cut), total = ||M||_F^2
+    and residual = ||M - Q B||_F^2 <= trunc * s[0]^2, or None when
     the dense route must run: the first sketch of a width already shows
     sigma_w^2 / sigma_1^2 > sqrt(trunc), the cutoff is at or below the
     residual's rounding floor n eps^2 ||M||_F^2, or the width would pass
@@ -231,12 +232,13 @@ def _certified_sketch(M: np.ndarray, trunc: float):
             return None
         for q in range(POWER_ITERATIONS + 1):
             B = Q.conj().T @ M
-            cut = trunc * np.linalg.norm(B, 2) ** 2
+            s = np.linalg.svd(B, compute_uv=False)
+            cut = trunc * s[0] ** 2
             if cut <= floor:
                 return None
             residual = _residual(M, Q, B)
             if residual <= cut:
-                return Q, B, total, residual
+                return Q, B, s, total, residual
             if q < POWER_ITERATIONS:
                 Q = _orth(M @ _orth(B.conj().T))
         width *= 2
@@ -304,6 +306,8 @@ def schmidt_decompose(
     A matrix whose certified sketch exists (see ``_certified_sketch``)
     takes the randomized route; its weights are normalized by the exact
     ||A||_F^2, and the weight outside the sketch joins the discarded mass.
+    A values-only call reuses the singular values the certificate computed;
+    a call with modes takes them from the SVD of B with vectors.
     Otherwise, with ``modes=False``, a matrix whose centrosymmetric part
     captures it (see ``_centrosymmetric_split``) takes the
     centrosymmetric route, normalized and certified the same way.  Every
@@ -326,10 +330,10 @@ def schmidt_decompose(
     width = residual_mass = None
     if sketch is not None:
         route = "randomized"
-        Q, B, total, residual = sketch
+        Q, B, s, total, residual = sketch
         width, residual_mass = Q.shape[1], residual / total
-        U, s, Vh = _svd(B, modes)
         if modes:
+            U, s, Vh = _svd(B, True)
             U = Q @ U
     elif split is not None:
         route = "centrosymmetric"

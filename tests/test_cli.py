@@ -320,24 +320,6 @@ def test_spdc_length_sweep_with_list(tmp_path):
     assert float(rows[0][3]) > float(rows[1][3])  # F falls as the crystal grows
 
 
-def test_jobs_do_not_change_output(tmp_path):
-    args = ["spdc-length-sweep", "--L-list", "0.5,1.0,2.0", "--sigma", "10", "--n", "160"]
-    out1, out2 = tmp_path / "j1", tmp_path / "j2"
-    assert main(args + ["--jobs", "1", "--out", str(out1)]) == 0
-    assert main(args + ["--jobs", "2", "--out", str(out2)]) == 0
-    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
-    assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
-
-
-def test_fig4_jobs_do_not_change_output(tmp_path):
-    # Every point takes the centrosymmetric route; n = 272 resolves L = 4.
-    args = ["spdc-length-sweep", "--fig4", "--n", "272"]
-    out1, out2 = tmp_path / "j1", tmp_path / "j2"
-    assert main(args + ["--jobs", "1", "--out", str(out1)]) == 0
-    assert main(args + ["--jobs", "2", "--out", str(out2)]) == 0
-    assert _files(out1) == _files(out2)
-
-
 SPDC_N128 = ["spdc", "--L", "1", "--sigma", "10", "--n", "128"]
 
 
@@ -575,6 +557,21 @@ def test_module_entry_point_subprocess(tmp_path):
     assert "duration" not in (out / "summary.json").read_text()
 
 
+def test_cli_import_starts_no_thread_pool_machinery():
+    # The CLI runs every model in one thread; importing it must not pull in
+    # concurrent.futures.  A fresh interpreter, since pytest may import it.
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    code = "import sys, schmidt_lab.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"
+
+
 # (extra argv, files written, summary.json top-level keys, params keys) per
 # subcommand, at meshes small enough to run in well under a second each.
 OUTPUT_SCHEMA = {
@@ -652,6 +649,8 @@ IGNORED_FLAGS = [
     (["spdc-length-sweep", "--fig4"], "gauge", "none"),
     # one photonic spectrum serves the whole dynamics sweep, so no jobs
     (["atom-photon-dynamics", "--fig2"], "jobs", "2"),
+    # the length sweep runs its points one after another, in one thread
+    (["spdc-length-sweep", "--fig4"], "jobs", "2"),
 ]
 
 
@@ -853,7 +852,6 @@ BAD_CONFIG = [
     ("spdc", {"L": True}, "True"),
     ("spdc", {"fig5": True}, "fig5"),
     ("spdc", {"format": ["json-summary", "bogus"]}, "bogus"),
-    ("spdc-length-sweep", {"jobs": 1.5}, "1.5"),
 ]
 
 
@@ -1103,7 +1101,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 def test_readme_flag_table_matches_the_subcommands():
     lines = README.read_text(encoding="utf-8").splitlines()
     start = lines.index(
-        "| subcommand | model flags | presets | `--n` default | `--window` | `--jobs` | `--gauge` |"
+        "| subcommand | model flags | presets | `--n` default | `--window` | `--gauge` |"
     )
     rows = {}
     for line in lines[start + 2 :]:
@@ -1113,8 +1111,8 @@ def test_readme_flag_table_matches_the_subcommands():
         rows[cells[0].split()[0]] = cells[1:]
     assert set(rows) == set(cli.SUBCOMMANDS)
     for name, cmd in cli.SUBCOMMANDS.items():
-        model, presets, n_default, window, jobs, gauge = rows[name]
-        own = {"n", "window", "jobs", "gauge", "file", *cli.SHARED_FLAGS}
+        model, presets, n_default, window, gauge = rows[name]
+        own = {"n", "window", "gauge", "file", *cli.SHARED_FLAGS}
         flags = [cli._flag(k) for k in cmd.flags if k not in own]
         assert model.split() == (flags or ["none"]), name
         assert presets.split() == ([f"--{f}" for f in cmd.figs] or ["none"]), name
@@ -1122,5 +1120,5 @@ def test_readme_flag_table_matches_the_subcommands():
             assert "n" not in cmd.flags and n_default.startswith("no --n"), name
         else:
             assert int(n_default) == cmd.default_n, name
-        yes_no = {k: "yes" if k in cmd.flags else "no" for k in ("window", "jobs", "gauge")}
-        assert (window, jobs, gauge) == (yes_no["window"], yes_no["jobs"], yes_no["gauge"]), name
+        yes_no = {k: "yes" if k in cmd.flags else "no" for k in ("window", "gauge")}
+        assert (window, gauge) == (yes_no["window"], yes_no["gauge"]), name

@@ -586,6 +586,26 @@ def test_atom_photon_sketch_passes_its_certificate_without_power_iteration(make,
     assert orth.call_count == 0
 
 
+def test_values_only_sketch_computes_the_singular_values_of_b_once(monkeypatch):
+    # The certificate's values-only SVD of the 16 x n projection B also
+    # gives the weights.  np.linalg.norm(B, 2) would run that SVD again
+    # through numpy's own module globals, so those are patched as well.
+    A = _fig1_probe()
+    lapack_svd = np.linalg.svd
+    shapes = []
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return lapack_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    norm = getattr(np.linalg.norm, "__wrapped__", np.linalg.norm)
+    monkeypatch.setitem(norm.__globals__, "svd", recording_svd)
+    res = schmidt_decompose(A, modes=False)
+    assert (res.route, res.sketch_width) == ("randomized", schmidt.SKETCH_WIDTH)
+    assert shapes.count((schmidt.SKETCH_WIDTH, A.grid.n)) == 1
+
+
 def test_slowly_decaying_spectrum_is_certified_after_a_power_iteration():
     # sigma_k = 0.35^k: the plain 16-column sketch misses the cutoff, and a
     # power iteration on the same width brings it under.
