@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .schmidt import (
+    EPS,
     DecompositionOptions,
     SchmidtResult,
     entanglement_entropy,
@@ -46,6 +47,13 @@ COORD_PROBE_FACTOR = 1.5
 MOMENTUM_PROBE_FACTOR = 2.0
 CAPTURE_TOL = 1e-6
 VALIDITY_STRICTNESS = 3.0
+# Factored coordinate Gaussian (``_factored_gaussian``): column block width,
+# rows per assembly block, the cutoff on its table error bound relative to
+# the largest entry, and the smallest largest-table-entry it accepts.
+PHASE_BLOCK = 32
+ROW_BLOCK = 64
+FACTORED_ERR_MAX = 2e-14
+FACTORED_TABLE_MIN = 1e-150
 
 
 @dataclass(frozen=True)
@@ -105,14 +113,17 @@ def _as_finite_arrays(*xs):
 def coord_amplitude(params: AtomPhotonParams, p, q):
     """Coordinate-representation amplitude, exactly 0 beyond the light front.
 
-    psi = theta(tau - p) * exp(-(tau - p)/2)
-        * exp(-eta^2 (p + q)^2 / (2 (1 + i tau eta^2 xi0)))
+    psi = theta(tau - p) * exp(-(tau - p)/2) * exp(c (p + q)^2),
+    c = -eta^2 / (2 (1 + i T)),  T = tau eta^2 xi0,
 
-    with theta(0) = 1.  Accepts scalars or broadcastable arrays.  Warns
-    (without rejecting) below tau = 3 where the long-time form is only
-    qualitative; dynamics sweeps rely on this leniency.  The message does
-    not name tau, so the default warning filter prints it once per call
-    site.
+    with theta(0) = 1.  Accepts scalars or broadcastable arrays.  On an
+    open mesh of uniform q nodes the Gaussian comes from three small exp
+    tables (``_factored_gaussian``) when their derived error bound is at
+    most FACTORED_ERR_MAX; every other call keeps the direct form, one
+    complex exp per entry.  Warns (without rejecting) below tau = 3
+    where the long-time form is only qualitative; dynamics sweeps rely on
+    this leniency.  The message does not name tau, so the default warning
+    filter prints it once per call site.
     """
     if params.tau < TAU_APPLICABILITY_WARN:
         warnings.warn(
@@ -127,6 +138,10 @@ def coord_amplitude(params: AtomPhotonParams, p, q):
     inside = x >= 0.0
     front = np.exp(-np.where(inside, x, 0.0) / 2.0)
     denom = 2.0 * (1.0 + 1j * params.tau * params.eta**2 * params.xi0)
+    vals = _factored_gaussian(np.where(inside, front, 0.0), p, q, -(params.eta**2) / denom)
+    if vals is not None:
+        vals[~inside[:, 0]] = 0.0
+        return vals
     s = np.add(p, q, out=np.empty(np.broadcast_shapes(p.shape, q.shape)))
     np.square(s, out=s)
     s *= -(params.eta**2)
@@ -135,6 +150,72 @@ def coord_amplitude(params: AtomPhotonParams, p, q):
     np.multiply(front, vals, out=vals)
     np.copyto(vals, 0.0, where=~inside)
     return complex(vals) if scalar else vals
+
+
+def _factored_gaussian(front, p, q, c):
+    """front * exp(c (p + q)^2) on an open mesh from three small tables, or None.
+
+    ``front`` is the light-front column, 0 beyond the front (the caller
+    writes +0.0 into those rows), ``p`` a column of n nodes and ``q`` a row
+    of m uniform nodes, exactly ``np.linspace(q[0, 0], q[0, -1], m)``.
+    Column j = J B + k, B = PHASE_BLOCK, is q_j = r_J + e_Jk with r_J the
+    node J B + B/2 (the last block is padded with further nodes).  With
+    d_k = (k - B/2) dq,
+
+        (p_i + q_j)^2 = (p_i + r_J)^2 + 2 p_i d_k + e_Jk (2 r_J + e_Jk)
+                        + 2 p_i (e_Jk - d_k),
+
+    and the last term, a few ulp of q_j times p_i, is dropped.  The exps
+    of c times the first three terms are an n x nb table (the front folded
+    in), an n x B table and an nb x B table, nb = ceil(m / B).  Relative to
+    each entry, the tables add an exponent error of at most about
+
+        bound = eps |c| L (2 P + 2 R + L) + 2 |c| P max|e - d|,
+
+    P = max|p|, R = max|r_J|, L = B dq / 2: the rounding of the two offset
+    terms' arguments, which the Gaussian does not damp, and the dropped
+    term.  Returns None (the direct form then runs) for any other shape,
+    non-uniform q, a bound above FACTORED_ERR_MAX, or a largest table
+    entry below FACTORED_TABLE_MIN, where subnormal tables would lose
+    digits.  The product is formed in blocks of rows, so the only n x m
+    array is the result.
+    """
+    if p.ndim != 2 or q.ndim != 2 or p.shape[1] != 1 or q.shape[0] != 1 or q.shape[1] < 2:
+        return None
+    n, m = p.shape[0], q.shape[1]
+    q = q[0]
+    if not np.array_equal(q, np.linspace(q[0], q[-1], m)):
+        return None
+    B, half = PHASE_BLOCK, PHASE_BLOCK // 2
+    nfull, tail = divmod(m, B)
+    nb, full = nfull + (tail > 0), m - tail
+    dq = (q[-1] - q[0]) / (m - 1)
+    padded = np.concatenate((q, q[-1] + dq * np.arange(1, nb * B - m + 1)))
+    r = padded[half::B]
+    e = padded.reshape(nb, B) - r[:, None]
+    d = (np.arange(B) - half) * dq
+    L, P = half * abs(dq), float(np.abs(p).max())
+    bound = abs(c) * (EPS * L * (2.0 * P + 2.0 * float(np.abs(r).max()) + L)
+                      + 2.0 * P * float(np.abs(e - d).max()))
+    if not bound <= FACTORED_ERR_MAX:
+        return None
+    rows = np.exp(c * np.square(p + r)) * front  # (n, nb)
+    if np.abs(rows).max() < FACTORED_TABLE_MIN:
+        return None
+    shift = np.exp(c * (2.0 * p * d))  # (n, B)
+    blocks = np.exp(c * (e * (2.0 * r[:, None] + e)))  # (nb, B)
+    out = np.empty((n, m), dtype=complex)
+    for i in range(0, n, ROW_BLOCK):
+        sl = slice(i, i + ROW_BLOCK)
+        # A reshaped slice of a row block: one strided write, no temporary.
+        view = out[sl, :full].reshape(min(ROW_BLOCK, n - i), nfull, B)
+        np.multiply(rows[sl, :nfull, None], blocks[:nfull], out=view)
+        view *= shift[sl, None, :]
+        if tail:
+            last = out[sl, full:]
+            np.multiply(rows[sl, nfull:], blocks[nfull, :tail], out=last)
+            last *= shift[sl, :tail]
+    return out
 
 
 def momentum_amplitude(params: AtomPhotonParams, nu_ph, pi_a):

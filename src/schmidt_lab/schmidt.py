@@ -213,8 +213,11 @@ def _certified_sketch(M: np.ndarray, trunc: float):
     n / 4.  The certificate is checked on the plain sketch first; only a
     failed check runs a power iteration, Q <- orth(M orth(B^H)), which
     reuses B, and the check is repeated, at most ``POWER_ITERATIONS``
-    times.  The width doubles after the last failed check.  The residual
-    is computed explicitly, one block of rows at a time (``_residual``).
+    times.  A further iteration is skipped when the last one shrank the
+    residual so little that another such step would still miss the cut
+    (rho_q^2 / rho_{q-1} > cut, rho_q the residual after iteration q).
+    The width doubles after the last failed check.  The residual is
+    computed explicitly, one block of rows at a time (``_residual``).
     """
     n = M.shape[0]
     width = SKETCH_WIDTH
@@ -230,6 +233,7 @@ def _certified_sketch(M: np.ndarray, trunc: float):
         r = np.linalg.svd(R, compute_uv=False)
         if r[-1] ** 2 > np.sqrt(trunc) * r[0] ** 2:
             return None
+        previous = np.inf
         for q in range(POWER_ITERATIONS + 1):
             B = Q.conj().T @ M
             s = np.linalg.svd(B, compute_uv=False)
@@ -239,8 +243,12 @@ def _certified_sketch(M: np.ndarray, trunc: float):
             residual = _residual(M, Q, B)
             if residual <= cut:
                 return Q, B, s, total, residual
-            if q < POWER_ITERATIONS:
-                Q = _orth(M @ _orth(B.conj().T))
+            # The next iteration would shrink the residual about as much as
+            # the last one did; if that still misses the cut, widen instead.
+            if q == POWER_ITERATIONS or residual**2 > cut * previous:
+                break
+            previous = residual
+            Q = _orth(M @ _orth(B.conj().T))
         width *= 2
     return None
 

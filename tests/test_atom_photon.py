@@ -113,28 +113,113 @@ def _old_momentum(params, nu, pi):
     return np.exp(-(pi**2) / 2.0) / denom
 
 
-@pytest.mark.parametrize(
-    "params, window, n",
-    [
-        (FIG_PARAMS, None, 400),
-        # rows beyond the light front p = tau, zeroed by the row mask
-        (FIG_PARAMS, (-20.0, 13.7, -25.0, 31.0), 257),
-        (AtomPhotonParams(xi0=100.0, eta=0.08, tau=2.0), (-30.0, 4.0, -40.0, 30.0), 300),
-    ],
-    ids=["fig1-window", "past-the-front", "tau-below-3"],
-)
-def test_coord_matrix_is_byte_identical_to_the_meshgrid_form(params, window, n):
-    grid = coord_grid(params, n) if window is None else make_grid(*window, n)
-    want = _meshgrid_matrix(lambda p, q: _where_coord(params, p, q), grid).entries
+def _longdouble_coord(params, p, q):
+    """coord_amplitude in extended precision at the same float nodes.
+
+    Where np.longdouble is float64 this is one more double evaluation, and
+    the tolerance test below checks less.
+    """
+    L = np.longdouble
+    p, q = p.astype(L), q.astype(L)
+    x = L(params.tau) - p
+    inside = x >= 0
+    T = L(params.tau) * L(params.eta) ** 2 * L(params.xi0)
+    c = -(L(params.eta) ** 2) / (2 * (1 + np.clongdouble(1j) * T))
+    vals = np.exp(-np.where(inside, x, 0) / 2) * np.exp(c * (p + q) ** 2)
+    return np.where(inside, vals, 0)
+
+
+def _open_mesh_amplitude(monkeypatch, params, grid):
+    """coord_amplitude on the open mesh of ``grid``, and the route it took."""
+    routes = []
+    factored = atom_photon._factored_gaussian
+
+    def recording(*args):
+        out = factored(*args)
+        routes.append("direct" if out is None else "factored")
+        return out
+
+    monkeypatch.setattr(atom_photon, "_factored_gaussian", recording)
+    p, q = grid.p_nodes()[:, None], grid.q_nodes()[None, :]
     if params.tau < 3.0:
         with pytest.warns(UserWarning, match="only qualitative below tau = 3"):
-            got = coord_matrix(params, grid)
+            got = coord_amplitude(params, p, q)
     else:
-        got = coord_matrix(params, grid)
-    if window is not None:
-        assert grid.p_max > params.tau and np.all(got.entries[grid.p_nodes() > params.tau] == 0.0)
-    assert got.normalized and got.entries.dtype == want.dtype
-    assert got.entries.tobytes() == want.tobytes()  # signs of zero included
+        got = coord_amplitude(params, p, q)
+    assert len(routes) == 1
+    return got, routes[0]
+
+
+T25 = AtomPhotonParams(xi0=250.0, eta=0.1, tau=10.0)
+T810 = AtomPhotonParams(xi0=1000.0, eta=0.3, tau=9.0)
+
+
+@pytest.mark.parametrize(
+    "params, window, n, route",
+    [
+        (FIG_PARAMS, None, 800, "factored"),
+        (FIG_PARAMS, "probe", 800, "factored"),
+        (AtomPhotonParams(xi0=100.0, eta=0.03, tau=0.1), None, 400, "factored"),
+        (FIG_PARAMS, None, 400, "factored"),  # fig2's last tau
+        # rows beyond the light front p = tau, zeroed by the row mask
+        (FIG_PARAMS, (-20.0, 13.7, -25.0, 31.0), 257, "factored"),
+        (AtomPhotonParams(xi0=100.0, eta=0.08, tau=2.0), (-30.0, 4.0, -40.0, 30.0), 300, "factored"),
+        (FIG_PARAMS, None, 65, "factored"),  # a last block of one column
+        (T25, None, 800, "factored"),
+        (T25, None, 400, "direct"),  # table error bound above the cutoff
+        (T810, None, 64, "direct"),
+        (T810, None, 1600, "direct"),
+    ],
+    ids=[
+        "fig1-window", "fig1-probe", "fig2-first-tau", "fig2-last-tau", "past-the-front",
+        "tau-below-3", "fig1-n65", "T25-n800", "T25-n400", "T810-n64", "T810-n1600",
+    ],
+)
+def test_coord_amplitude_matches_a_longdouble_evaluation(monkeypatch, params, window, n, route):
+    # Tolerance, relative to the largest entry: 4 eps (2 + T).  The direct
+    # form's own rounding grows with the phase T = tau eta^2 xi0 (1.2e-13
+    # at T = 810); the factored route measured at most 1.1e-15 at fig1 and
+    # fig2 and 3.6e-15 at T = 25, against a cutoff of FACTORED_ERR_MAX on
+    # its derived bound.
+    if window is None:
+        grid = coord_grid(params, n)
+    elif window == "probe":
+        grid = atom_photon._pinned_window(params, n, COORD_PROBE_FACTOR)
+    else:
+        grid = make_grid(*window, n)
+    got, taken = _open_mesh_amplitude(monkeypatch, params, grid)
+    assert taken == route
+    T = params.tau * params.eta**2 * params.xi0
+    p, q = grid.p_nodes()[:, None], grid.q_nodes()[None, :]
+    want = _longdouble_coord(params, p, q)
+    scale = float(np.abs(want).max())
+    err = float(np.abs(got - want).max()) / scale
+    assert err <= 4 * np.finfo(float).eps * (2 + T), err
+    beyond = grid.p_nodes() > params.tau
+    if isinstance(window, tuple):
+        assert beyond.any()
+    assert not np.signbit(got[beyond].view(float)).any() and not got[beyond].any()
+    if route == "direct":
+        assert got.tobytes() == _where_coord(params, p, q).tobytes()
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        (9.0, -9.0),
+        # full arrays, not an open mesh
+        tuple(np.meshgrid(np.linspace(-30.0, 10.0, 65), np.linspace(-300.0, 300.0, 65), indexing="ij")),
+        # q nodes that are not np.linspace's
+        (np.linspace(-30.0, 10.0, 65)[:, None], np.linspace(-300.0, 300.0, 65)[None, :] ** 3 / 9e4),
+        # entries near 1e-298: tables this small would go subnormal
+        (np.linspace(9.0, 10.0, 4)[:, None], np.linspace(1650.0, 1660.0, 4)[None, :]),
+    ],
+    ids=["scalar", "full-arrays", "non-uniform-q", "far-off-the-ridge"],
+)
+def test_coord_amplitude_direct_form_is_byte_identical_to_the_where_form(p, q):
+    got = coord_amplitude(FIG_PARAMS, p, q)
+    want = _where_coord(FIG_PARAMS, np.asarray(p), np.asarray(q))
+    assert np.asarray(got).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [64, 401])
@@ -145,10 +230,13 @@ def test_momentum_matrix_is_byte_identical_to_the_meshgrid_form(n):
     assert got.normalized and got.entries.tobytes() == want.tobytes()
 
 
-def test_coord_matrix_peak_memory_is_at_most_twice_its_result():
+@pytest.mark.parametrize("n", [600, 640, 1199])
+def test_coord_matrix_peak_memory_is_at_most_twice_its_result(n):
     # Two n x n meshgrids and a chain of n x n temporaries took 4.6 times
-    # the result; open mesh vectors and one buffer take 1.5 times.
-    grid = coord_grid(FIG_PARAMS, 600)
+    # the result.  The factored route writes its blocks one row block at a
+    # time: a product into the strided block view of all rows at once made
+    # an n x n temporary whenever PHASE_BLOCK does not divide n (600, 1199).
+    grid = coord_grid(FIG_PARAMS, n)
     coord_matrix(FIG_PARAMS, grid)  # first-call allocations stay out of the peak
     tracemalloc.start()
     try:
