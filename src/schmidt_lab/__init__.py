@@ -10,12 +10,12 @@ coherence parameter F.
 
 from .atom_photon import (
     AtomPhotonParams,
-    GridPolicy,
     ValidityReport,
     asymptotics,
     coord_amplitude,
     coord_grid,
     coord_matrix,
+    coord_spectrum,
     eta_opt,
     full_dynamics,
     laguerre_mode,

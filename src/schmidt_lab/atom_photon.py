@@ -87,19 +87,6 @@ class ValidityReport:
     messages: tuple
 
 
-@dataclass(frozen=True)
-class GridPolicy:
-    """Mesh size and capture check of coordinate-model decompositions.
-
-    The window is ``coord_grid``'s.  With ``capture_check`` on, its weight
-    spectrum must move by less than CAPTURE_TOL when the margins grow by
-    COORD_PROBE_FACTOR at fixed spacing (see ``coord_capture_drift``).
-    """
-
-    n: int = DEFAULT_N
-    capture_check: bool = True
-
-
 def _as_finite_arrays(*xs):
     out = []
     for x in xs:
@@ -280,14 +267,14 @@ def momentum_matrix(params: AtomPhotonParams, grid: Grid) -> AmplitudeMatrix:
 
 def coord_spectrum(
     params: AtomPhotonParams,
-    policy: GridPolicy = GridPolicy(),
+    n: int = DEFAULT_N,
     opts: DecompositionOptions = DecompositionOptions(),
 ) -> SchmidtResult:
-    """Values-only decomposition of the coordinate amplitude on the policy window.
+    """Values-only decomposition of the coordinate amplitude on ``coord_grid(params, n)``.
 
     No capture check; ``coord_capture_drift`` adds one.
     """
-    grid = coord_grid(params, policy.n)
+    grid = coord_grid(params, n)
     return schmidt_decompose(coord_matrix(params, grid), opts, modes=False)
 
 
@@ -322,7 +309,7 @@ def momentum_probe(params: AtomPhotonParams, grid: Grid, opts: DecompositionOpti
 
 def coord_capture_drift(
     params: AtomPhotonParams,
-    policy: GridPolicy = GridPolicy(),
+    n: int = DEFAULT_N,
     opts: DecompositionOptions = DecompositionOptions(),
 ) -> tuple[SchmidtResult, float]:
     """``coord_spectrum`` checked against its ``coord_probe``.
@@ -336,26 +323,18 @@ def coord_capture_drift(
         If the drift is at least CAPTURE_TOL.  The automatic
         window is fixed, and the drift falls as the mesh is refined, so the
         message asks for a larger n, which every caller can set
-        (``GridPolicy.n``, the CLI's ``--n``).
+        (the argument ``n``, the CLI's ``--n``).
     """
-    base = coord_spectrum(params, policy, opts)
-    big = coord_probe(params, coord_grid(params, policy.n), opts)
+    base = coord_spectrum(params, n, opts)
+    big = coord_probe(params, coord_grid(params, n), opts)
     drift = spectrum_drift(base, big)
     if drift >= CAPTURE_TOL:
         raise ConvergenceError(
             f"window capture check failed at tau={params.tau:g}: enlarging the "
             f"margins by {COORD_PROBE_FACTOR - 1:.0%} moves the weight spectrum by "
-            f"{drift:.3e} >= {CAPTURE_TOL:.1e}; raise n above {policy.n}"
+            f"{drift:.3e} >= {CAPTURE_TOL:.1e}; raise n above {n}"
         )
     return base, drift
-
-
-def momentum_capture_drift(params: AtomPhotonParams, n: int = DEFAULT_N) -> float:
-    """Weight-spectrum drift of ``momentum_probe`` on the automatic window."""
-    grid = momentum_grid(n)
-    opts = DecompositionOptions()
-    base = schmidt_decompose(momentum_matrix(params, grid), opts, modes=False)
-    return spectrum_drift(base, momentum_probe(params, grid, opts))
 
 
 def xi0_estimate(mass_ratio_M_over_m: float) -> float:
@@ -476,36 +455,25 @@ def zero_order_dynamics(tau: float, squared_entropy_weights: bool = True):
     return k0, s0
 
 
-def full_dynamics(
-    params: AtomPhotonParams,
-    tau: float,
-    policy: GridPolicy = GridPolicy(),
-    opts: DecompositionOptions = DecompositionOptions(),
-    spectrum: SchmidtResult | None = None,
-):
+def full_dynamics(tau: float, spectrum: SchmidtResult):
     """Entanglement measures including the photonic fine structure at time tau.
 
     The excited state survives with weight exp(-tau); the emitted-photon
     branch carries weight 1 - exp(-tau) spread over the Schmidt weights
-    mu_k of the coordinate amplitude.  The composite spectrum
+    mu_k of ``spectrum``, a decomposition of the coordinate amplitude
+    (``coord_spectrum`` or ``coord_capture_drift``).  The composite spectrum
     {exp(-tau)} U {(1 - exp(-tau)) mu_k} sums to 1 by construction, and K
     and S follow from it.  When the amplitude is effectively rank-1
     (eta -> 0) this reduces to the two-level (K0, S0) with the
     spectrum-consistent entropy reading.
 
     After the emission the atom and the photon evolve freely, a local
-    unitary, so mu_k does not depend on tau.  A time sweep therefore
-    passes one decomposition as ``spectrum`` for all its points.  Without
-    it, the amplitude at tau is decomposed on the ``policy`` window under
-    ``opts``, with the capture check of ``coord_capture_drift`` when
-    ``policy.capture_check`` is on.  Returns (K, S, lambdas) with lambdas
-    the composite spectrum.
+    unitary, so mu_k does not depend on tau, and a time sweep passes one
+    decomposition for all its points.  Samples and decomposes nothing.
+    Returns (K, S, lambdas) with lambdas the composite spectrum.
 
     Raises
     ------
-    ConvergenceError
-        If the enlarged-window consistency check moves the weight spectrum
-        by CAPTURE_TOL or more.
     ValueError
         For negative or NaN tau.
     """
@@ -514,16 +482,7 @@ def full_dynamics(
     le = math.exp(-tau)
     lg = -math.expm1(-tau)
     if lg == 0.0:
-        lam = np.array([1.0])
-        return 1.0, 0.0, lam
-
-    if spectrum is None:
-        at_tau = AtomPhotonParams(params.xi0, params.eta, tau)
-        if policy.capture_check:
-            spectrum, _ = coord_capture_drift(at_tau, policy, opts)
-        else:
-            spectrum = coord_spectrum(at_tau, policy, opts)
-
+        return 1.0, 0.0, np.array([1.0])
     lam = np.concatenate(([le], lg * spectrum.lambdas))
     lam = lam / lam.sum()
     return schmidt_number(lam), entanglement_entropy(lam), lam

@@ -42,7 +42,6 @@ from .atom_photon import (
     CAPTURE_TOL,
     DEFAULT_N as ATOM_DEFAULT_N,
     AtomPhotonParams,
-    GridPolicy,
     asymptotics,
     coord_capture_drift,
     coord_grid,
@@ -426,14 +425,15 @@ def _dynamics(req: _Resolver) -> ModelRun:
     """
     xi0, eta = req.require("xi0"), req.require("eta")
     taus = _sweep_values(req, "tau")
+    # Rejects a negative or NaN tau before anything is sampled.
+    zero_order = [zero_order_dynamics(tau, squared_entropy_weights=False) for tau in taus]
     positive = [t for t in taus if t > 0]
     if not positive:
         raise ValueError(f"the tau sweep needs at least one positive tau, got {taus}")
     params = AtomPhotonParams(xi0, eta, max(positive))
-    policy = GridPolicy(n=req.n)
-    spectrum, drift = coord_capture_drift(params, policy, req.opts)
+    spectrum, drift = coord_capture_drift(params, req.n, req.opts)
     first = AtomPhotonParams(xi0, eta, min(positive))
-    invariance = spectrum_drift(spectrum, coord_spectrum(first, policy, req.opts))
+    invariance = spectrum_drift(spectrum, coord_spectrum(first, req.n, req.opts))
     if invariance >= CAPTURE_TOL:
         raise ConvergenceError(
             f"tau-invariance check failed: the photonic Schmidt weights at "
@@ -442,13 +442,11 @@ def _dynamics(req: _Resolver) -> ModelRun:
             "raise n"
         )
 
-    def row(tau: float):
-        k0, s0 = zero_order_dynamics(tau, squared_entropy_weights=False)
-        k, s, _ = full_dynamics(params, tau, spectrum=spectrum)
-        return (tau, k0, s0, k, s, k - k0, s - s0)
-
     header = ("tau", "K0", "S0", "K", "S", "K_minus_K0", "S_minus_S0")
-    rows = [row(tau) for tau in taus]
+    rows = []
+    for tau, (k0, s0) in zip(taus, zero_order):
+        k, s, _ = full_dynamics(tau, spectrum)
+        rows.append((tau, k0, s0, k, s, k - k0, s - s0))
     return ModelRun(
         params={"xi0": xi0, "eta": eta, "tau_values": taus},
         blocks={"validity": asdict(validity_check(params))},

@@ -13,15 +13,15 @@ import numpy as np
 from oracles import schmidt_weights
 from schmidt_lab.atom_photon import (
     AtomPhotonParams,
-    GridPolicy,
     asymptotics,
     coord_grid,
     coord_matrix,
+    coord_spectrum,
     full_dynamics,
     laguerre_mode,
-    momentum_capture_drift,
     momentum_grid,
     momentum_matrix,
+    momentum_probe,
     zero_order_dynamics,
 )
 from schmidt_lab.cli import main
@@ -30,7 +30,13 @@ from schmidt_lab.polarization import (
     mixture_decomposition,
     polarization_density_matrix,
 )
-from schmidt_lab.schmidt import mode_overlap, reconstruct, schmidt_decompose
+from schmidt_lab.schmidt import (
+    DecompositionOptions,
+    mode_overlap,
+    reconstruct,
+    schmidt_decompose,
+    spectrum_drift,
+)
 from schmidt_lab.spdc import spdc_grid, spdc_matrix, spdc_params
 from schmidt_lab.tensor_core import AmplitudeMatrix, make_grid, normalize
 
@@ -105,7 +111,9 @@ def test_criterion_4_momentum_measures_near_analytic_limits():
         failures.append(f"K-1={k_excess:.3e} not within 10% of {k_inf - 1.0:.3e}")
     if not abs(res.entropy - s_inf) <= 0.2 * s_inf:
         failures.append(f"S={res.entropy:.4e} not within 20% of {s_inf:.4e}")
-    drift = momentum_capture_drift(params, n=800)
+    grid, opts = momentum_grid(800), DecompositionOptions()
+    base = schmidt_decompose(momentum_matrix(params, grid), opts, modes=False)
+    drift = spectrum_drift(base, momentum_probe(params, grid, opts))
     if not drift < 1e-6:
         failures.append(f"window-doubling spectrum drift {drift:.2e} >= 1e-6")
     _criterion(4, "momentum measures approach the analytic limits", failures)
@@ -133,12 +141,10 @@ def test_criterion_5_two_level_weights_balance_point_and_limits():
 
 def test_criterion_6_composite_spectrum_reduces_to_two_level():
     failures = []
-    tiny = AtomPhotonParams(xi0=100.0, eta=1e-8, tau=10.0)
-    policy = GridPolicy(n=200, capture_check=False)
     for tau in (0.5, math.log(2.0), 2.0, 10.0):
         k0, _ = zero_order_dynamics(tau)
         _, s0 = zero_order_dynamics(tau, squared_entropy_weights=False)
-        k, s, _ = full_dynamics(tiny, tau, policy)
+        k, s, _ = full_dynamics(tau, coord_spectrum(AtomPhotonParams(100.0, 1e-8, tau), 200))
         if not abs(k - k0) <= 1e-6:
             failures.append(f"tau={tau:g}: |K-K0|={abs(k - k0):.2e} > 1e-6")
         if not abs(s - s0) <= 1e-6:
@@ -149,12 +155,10 @@ def test_criterion_6_composite_spectrum_reduces_to_two_level():
     if not abs(s_sq - s_lin) <= 1e-12:
         failures.append(f"entropy conventions differ at ln 2: {s_sq!r} vs {s_lin!r}")
     # at a realistic deflection the difference stays pinned below the bound
-    real = AtomPhotonParams(xi0=100.0, eta=0.03, tau=10.0)
-    pol = GridPolicy(n=400, capture_check=False)
     worst = 0.0
-    for tau in np.linspace(0.1, 10.0, 34):
-        k0, _ = zero_order_dynamics(float(tau))
-        k, _, _ = full_dynamics(real, float(tau), pol)
+    for tau in map(float, np.linspace(0.1, 10.0, 34)):
+        k0, _ = zero_order_dynamics(tau)
+        k, _, _ = full_dynamics(tau, coord_spectrum(AtomPhotonParams(100.0, 0.03, tau), 400))
         if k < 1.0 - 1e-12:
             failures.append(f"tau={tau:g}: K={k!r} < 1")
         worst = max(worst, abs(k - k0))

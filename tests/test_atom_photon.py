@@ -8,10 +8,11 @@ import scipy.special
 import schmidt_lab.atom_photon as atom_photon
 from schmidt_lab.atom_photon import (
     COORD_PROBE_FACTOR,
+    DEFAULT_N,
     AtomPhotonParams,
-    GridPolicy,
     asymptotics,
     coord_amplitude,
+    coord_capture_drift,
     coord_grid,
     coord_matrix,
     coord_spectrum,
@@ -19,15 +20,15 @@ from schmidt_lab.atom_photon import (
     full_dynamics,
     laguerre_mode,
     momentum_amplitude,
-    momentum_capture_drift,
     momentum_grid,
     momentum_matrix,
+    momentum_probe,
     validity_check,
     xi0_estimate,
     zero_order_dynamics,
 )
 from schmidt_lab.errors import ConvergenceError
-from schmidt_lab.schmidt import mode_overlap, schmidt_decompose, spectrum_drift
+from schmidt_lab.schmidt import DecompositionOptions, mode_overlap, schmidt_decompose, spectrum_drift
 from schmidt_lab.tensor_core import AmplitudeMatrix, enlarged_n, make_grid, normalize
 
 FIG_PARAMS = AtomPhotonParams(xi0=100.0, eta=0.03, tau=10.0)
@@ -368,7 +369,7 @@ def test_coord_grid_geometry():
 
 
 def test_coord_window_enlargement_invariance():
-    base = coord_spectrum(FIG_PARAMS, GridPolicy(n=400))
+    base = coord_spectrum(FIG_PARAMS, 400)
     big_grid = atom_photon._pinned_window(FIG_PARAMS, 400, 2.0)
     big = schmidt_decompose(coord_matrix(FIG_PARAMS, big_grid), modes=False)
     assert spectrum_drift(base, big) < 1e-6
@@ -376,8 +377,9 @@ def test_coord_window_enlargement_invariance():
 
 
 def test_momentum_window_doubling_invariance():
-    drift = momentum_capture_drift(FIG_PARAMS, n=200)
-    assert drift < 1e-6
+    grid, opts = momentum_grid(200), DecompositionOptions()
+    base = schmidt_decompose(momentum_matrix(FIG_PARAMS, grid), opts, modes=False)
+    assert spectrum_drift(base, momentum_probe(FIG_PARAMS, grid, opts)) < 1e-6
 
 
 def test_momentum_eta_zero_is_separable():
@@ -387,29 +389,28 @@ def test_momentum_eta_zero_is_separable():
 
 
 def test_full_dynamics_reduces_to_zero_order():
-    tiny = AtomPhotonParams(xi0=100.0, eta=1e-8, tau=10.0)
-    policy = GridPolicy(n=128, capture_check=False)
     for tau in (0.5, math.log(2.0), 2.0):
         k0, _ = zero_order_dynamics(tau)
         _, s0 = zero_order_dynamics(tau, squared_entropy_weights=False)
-        k, s, lam = full_dynamics(tiny, tau, policy)
+        spectrum = coord_spectrum(AtomPhotonParams(xi0=100.0, eta=1e-8, tau=tau), 128)
+        k, s, lam = full_dynamics(tau, spectrum)
         assert abs(k - k0) < 1e-6
         assert abs(s - s0) < 1e-6
         assert lam.sum() == pytest.approx(1.0, abs=1e-12)
-    assert full_dynamics(tiny, 0.0, policy)[:2] == (1.0, 0.0)
+    assert full_dynamics(0.0, spectrum)[:2] == (1.0, 0.0)
 
 
 def test_full_dynamics_approaches_asymptotic_k():
-    k, _, _ = full_dynamics(FIG_PARAMS, 10.0, GridPolicy(n=300, capture_check=False))
+    k, _, _ = full_dynamics(10.0, coord_spectrum(FIG_PARAMS, 300))
     eta_sq = FIG_PARAMS.eta**2
     assert eta_sq / 2.0 <= k - 1.0 <= 2.0 * eta_sq
 
 
-def test_full_dynamics_capture_check_reuses_base_decomposition(monkeypatch):
-    # Default policy: one base and one enlarged-window SVD per tau, and the
-    # check changes nothing it returns.
+def test_coord_capture_drift_reuses_base_decomposition(monkeypatch):
+    # One base and one enlarged-window SVD per call, and the check changes
+    # nothing it returns.
     taus = (5.0, 10.0)
-    unchecked = [full_dynamics(FIG_PARAMS, tau, GridPolicy(capture_check=False)) for tau in taus]
+    unchecked = [coord_spectrum(AtomPhotonParams(100.0, 0.03, tau)) for tau in taus]
     sizes = []
     decompose = atom_photon.schmidt_decompose
 
@@ -418,40 +419,42 @@ def test_full_dynamics_capture_check_reuses_base_decomposition(monkeypatch):
         return decompose(A, *args, **kwargs)
 
     monkeypatch.setattr(atom_photon, "schmidt_decompose", recording)
-    checked = [full_dynamics(FIG_PARAMS, tau) for tau in taus]
-    n = GridPolicy().n
+    checked = [coord_capture_drift(AtomPhotonParams(100.0, 0.03, tau))[0] for tau in taus]
+    n = DEFAULT_N
     assert sizes == [n, enlarged_n(n, COORD_PROBE_FACTOR)] * len(taus)
-    for (k, s, lam), (k0, s0, lam0) in zip(checked, unchecked):
-        assert (k, s) == (k0, s0)
-        assert np.array_equal(lam, lam0)
+    for base, base0 in zip(checked, unchecked):
+        assert np.array_equal(base.lambdas, base0.lambdas)
 
 
 def test_full_dynamics_capture_failure_raises():
     # At n = 64 the eta = 0.08 window drifts by 1.1e-6 under the probe.
     params = AtomPhotonParams(xi0=100.0, eta=0.08, tau=10.0)
     with pytest.raises(ConvergenceError, match="capture"):
-        full_dynamics(params, 10.0, GridPolicy(n=64))
+        coord_capture_drift(params, 64)
 
 
 @pytest.mark.filterwarnings("ignore:coordinate amplitude is a long-time approximation")
 def test_full_dynamics_with_a_shared_spectrum_matches_the_per_tau_route(monkeypatch):
     # Free evolution is local, so one spectrum serves every tau.
-    policy = GridPolicy(n=96, capture_check=False)
-    spectrum = coord_spectrum(FIG_PARAMS, policy)
-    per_tau = {tau: full_dynamics(FIG_PARAMS, tau, policy) for tau in (0.1, 1.0, 2.5, 6.0, 10.0)}
+    spectrum = coord_spectrum(FIG_PARAMS, 96)
+    per_tau = {
+        tau: full_dynamics(tau, coord_spectrum(AtomPhotonParams(100.0, 0.03, tau), 96))
+        for tau in (0.1, 1.0, 2.5, 6.0, 10.0)
+    }
 
     def no_decomposition(*args, **kwargs):
-        raise AssertionError("a shared spectrum needs no decomposition")
+        raise AssertionError("full_dynamics samples and decomposes nothing")
 
-    monkeypatch.setattr(atom_photon, "schmidt_decompose", no_decomposition)
+    for name in ("schmidt_decompose", "coord_matrix"):
+        monkeypatch.setattr(atom_photon, name, no_decomposition)
     for tau, (k0, s0, lam0) in per_tau.items():
-        k, s, lam = full_dynamics(FIG_PARAMS, tau, spectrum=spectrum)
+        k, s, lam = full_dynamics(tau, spectrum)
         assert abs(k - k0) <= 1e-12 and abs(s - s0) <= 1e-12
         np.testing.assert_allclose(lam, lam0, rtol=0, atol=1e-15)
-    assert full_dynamics(FIG_PARAMS, 0.0, spectrum=spectrum)[:2] == (1.0, 0.0)
+    assert full_dynamics(0.0, spectrum)[:2] == (1.0, 0.0)
     for bad in (-1.0, math.nan):
         with pytest.raises(ValueError, match="non-negative"):
-            full_dynamics(FIG_PARAMS, bad, spectrum=spectrum)
+            full_dynamics(bad, spectrum)
 
 
 def test_coord_matrix_normalized():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import schmidt_lab.atom_photon as atom_photon
 import schmidt_lab.cli as cli
 from schmidt_lab import schmidt, spdc
-from schmidt_lab.atom_photon import AtomPhotonParams, GridPolicy, full_dynamics
+from schmidt_lab.atom_photon import AtomPhotonParams, coord_capture_drift, coord_spectrum, full_dynamics
 from schmidt_lab.cli import FIG_PRESETS, FORMATS, main
 from schmidt_lab.errors import ConvergenceError
 from schmidt_lab.polarization import coherence
@@ -496,13 +496,12 @@ def test_capture_checks_and_the_cli_reach_one_probe_per_model(tmp_path, monkeypa
         for namespace in (mod, cli):
             monkeypatch.setattr(namespace, name, counting)
     params = AtomPhotonParams(100.0, 0.03, 10.0)
-    atom_photon.coord_capture_drift(params, GridPolicy(n=48))
-    atom_photon.momentum_capture_drift(params, n=48)
-    assert calls == ["coord_probe", "momentum_probe"]
+    atom_photon.coord_capture_drift(params, 48)
+    assert calls == ["coord_probe"]
     dynamics = [*DYNAMICS, "--eta", "0.03", "--n", "48", "--tau-list", "5,10"]
     for i, argv in enumerate((COORD_N64, MOMENTUM_N64, SPDC_N64, dynamics)):
         assert main([*argv, "--out", str(tmp_path / str(i))]) == 0
-    assert calls[2:] == ["coord_probe", "momentum_probe", "spdc_probe", "coord_probe"]
+    assert calls[1:] == ["coord_probe", "momentum_probe", "spdc_probe", "coord_probe"]
 
 
 def test_mode_tables_hold_each_cell_as_one_complex_scalar_gives_it():
@@ -713,9 +712,8 @@ def test_dynamics_rows_match_the_per_tau_route(tmp_path, n, eta):
     assert main([*argv, "--tau-list", taus, "--out", str(tmp_path)]) == 0
     header, rows = _read_csv(tmp_path / "sweep.csv")
     got = np.array([[float(r[header.index(c)]) for c in ("K", "S")] for r in rows])
-    params = AtomPhotonParams(100.0, eta, max(DYNAMICS_TAUS))
-    policy = GridPolicy(n=n, capture_check=False)
-    want = np.array([full_dynamics(params, tau, policy)[:2] for tau in DYNAMICS_TAUS])
+    spectra = [coord_spectrum(AtomPhotonParams(100.0, eta, tau), n) for tau in DYNAMICS_TAUS]
+    want = np.array([full_dynamics(tau, sp)[:2] for tau, sp in zip(DYNAMICS_TAUS, spectra)])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     assert tuple(float(r[0]) for r in rows) == DYNAMICS_TAUS
     convergence = _summary(tmp_path)["grid_convergence"]
@@ -730,10 +728,9 @@ def test_dynamics_exits_3_where_the_per_tau_route_fails_its_capture_check(tmp_pa
     taus = ",".join(map(repr, DYNAMICS_TAUS))
     assert main([*argv, "--tau-list", taus, "--out", str(tmp_path / "out")]) == 3
     assert "window capture check failed" in capsys.readouterr().err
-    params = AtomPhotonParams(100.0, 0.08, 10.0)
     for tau in DYNAMICS_TAUS:
         with pytest.raises(ConvergenceError, match="window capture check failed"):
-            full_dynamics(params, tau, GridPolicy(n=64))
+            coord_capture_drift(AtomPhotonParams(100.0, 0.08, tau), 64)
 
 
 @pytest.mark.filterwarnings("ignore:coordinate amplitude is a long-time approximation")
@@ -794,21 +791,25 @@ def test_dynamics_tau_invariance_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_dynamics_zero_tau_row_and_invalid_taus(tmp_path, capsys):
+def test_dynamics_zero_tau_row_and_invalid_taus(tmp_path):
     argv = [*DYNAMICS, "--eta", "0.03", "--n", "64"]
     assert main([*argv, "--tau-list", "0,5", "--out", str(tmp_path / "ok")]) == 0
     header, rows = _read_csv(tmp_path / "ok" / "sweep.csv")
     assert len(rows) == 2
     assert rows[0] == ["0", "1", "0", "1", "0", "0", "0"]
-    for taus in ("-1,5", "5,nan"):
-        assert main([*argv, f"--tau-list={taus}", "--out", str(tmp_path / "bad")]) == 2
-        assert "tau must be non-negative" in capsys.readouterr().err
-    assert not (tmp_path / "bad").exists()
 
 
-@pytest.mark.parametrize("taus", ["0", "0,0"])
+@pytest.mark.parametrize(
+    "taus,message",
+    [
+        pytest.param("0", "needs at least one positive tau", id="0"),
+        pytest.param("0,0", "needs at least one positive tau", id="0,0"),
+        pytest.param("-1,5", "tau must be non-negative", id="-1,5"),
+        pytest.param("5,nan", "tau must be non-negative", id="5,nan"),
+    ],
+)
 def test_dynamics_without_a_positive_tau_exits_2_before_sampling(
-    tmp_path, monkeypatch, capsys, taus
+    tmp_path, monkeypatch, capsys, taus, message
 ):
     sampled = []
     sample = atom_photon.coord_matrix
@@ -819,9 +820,9 @@ def test_dynamics_without_a_positive_tau_exits_2_before_sampling(
 
     for mod in (cli, atom_photon):
         monkeypatch.setattr(mod, "coord_matrix", recording)
-    argv = [*DYNAMICS, "--eta", "0.03", "--n", "48", "--tau-list", taus]
+    argv = [*DYNAMICS, "--eta", "0.03", "--n", "48", f"--tau-list={taus}"]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
-    assert "needs at least one positive tau" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert sampled == []
     assert not (tmp_path / "out").exists()
 
