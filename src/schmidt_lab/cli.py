@@ -300,7 +300,7 @@ def _modes_table(coord_name: str, coords, modes):
     for k in range(1, r + 1):
         header += [f"mode{k}_re", f"mode{k}_im"]
         columns += [modes[k - 1].real, modes[k - 1].imag]
-    return tuple(header), np.column_stack(columns).tolist()
+    return tuple(header), np.column_stack(columns)
 
 
 def _density_table(coord_name: str, coords, modes):
@@ -310,7 +310,7 @@ def _density_table(coord_name: str, coords, modes):
     # complex scalar does; np.abs and ** may take SIMD loops whose last bits
     # differ.
     density = np.float_power(np.hypot(modes[:r].real, modes[:r].imag), 2)
-    return tuple(header), np.column_stack([coords, *density]).tolist()
+    return tuple(header), np.column_stack([coords, *density])
 
 
 def _mode_tables(result: SchmidtResult, modes: dict) -> dict:

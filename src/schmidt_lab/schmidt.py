@@ -49,6 +49,8 @@ SKETCH_WIDTH = 16
 POWER_ITERATIONS = 2
 SKETCH_SEED = 0
 EPS = float(np.finfo(float).eps)
+# Rows per block of the passes that stop early or must not allocate n x n.
+ROW_BLOCK = 64
 # Relative margin within which mode components count as tied in the gauge:
 # mirror components of the leading SPDC modes differ by rounding (at most
 # 1.3e-14 measured), the top two components of an atom-photon mode by
@@ -189,23 +191,35 @@ def _orth(Y: np.ndarray) -> np.ndarray:
     return np.linalg.qr(Y)[0]
 
 
+def _has_imag(e: np.ndarray) -> bool:
+    """Whether any imaginary part of ``e`` is nonzero.
+
+    The scan runs over blocks of ``ROW_BLOCK`` rows and stops at the first
+    block that has one, so a complex amplitude is told after one block.
+    """
+    if not np.iscomplexobj(e):
+        return False
+    im = e.imag
+    return any(im[i : i + ROW_BLOCK].any() for i in range(0, im.shape[0], ROW_BLOCK))
+
+
 def _residual(M: np.ndarray, Q: np.ndarray, B: np.ndarray) -> float:
     """||M - Q B||_F^2, summed over blocks of rows: no n x n temporary."""
-    rows = 64
     residual = 0.0
-    for i in range(0, M.shape[0], rows):
-        d = Q[i : i + rows] @ B
-        d -= M[i : i + rows]
+    for i in range(0, M.shape[0], ROW_BLOCK):
+        d = Q[i : i + ROW_BLOCK] @ B
+        d -= M[i : i + ROW_BLOCK]
         residual += float(np.vdot(d, d).real)
     return residual
 
 
-def _certified_sketch(M: np.ndarray, trunc: float):
+def _certified_sketch(M: np.ndarray, trunc: float, total: float):
     """A sketch Q (orthonormal columns) that captures ``M`` up to the cutoff.
 
-    ``M`` is real or complex, and the sketch is complex only when ``M`` is.
-    Returns ``(Q, B, s, total, residual)`` with B = Q^H M, s the singular
-    values of B (computed values only, for the cut), total = ||M||_F^2
+    ``M`` is real or complex, and the sketch is complex only when ``M`` is;
+    ``total`` is ||M||_F^2.
+    Returns ``(Q, B, s, residual)`` with B = Q^H M, s the singular
+    values of B (computed values only, for the cut)
     and residual = ||M - Q B||_F^2 <= trunc * s[0]^2, or None when
     the dense route must run: the first sketch of a width already shows
     sigma_w^2 / sigma_1^2 > sqrt(trunc), the cutoff is at or below the
@@ -222,7 +236,6 @@ def _certified_sketch(M: np.ndarray, trunc: float):
     n = M.shape[0]
     width = SKETCH_WIDTH
     cplx = np.iscomplexobj(M)
-    total = float(np.vdot(M, M).real)
     floor = n * EPS**2 * total
     rng = np.random.default_rng(SKETCH_SEED)
     while width <= n / 4:
@@ -242,7 +255,7 @@ def _certified_sketch(M: np.ndarray, trunc: float):
                 return None
             residual = _residual(M, Q, B)
             if residual <= cut:
-                return Q, B, s, total, residual
+                return Q, B, s, residual
             # The next iteration would shrink the residual about as much as
             # the last one did; if that still misses the cut, widen instead.
             if q == POWER_ITERATIONS or residual**2 > cut * previous:
@@ -253,7 +266,7 @@ def _certified_sketch(M: np.ndarray, trunc: float):
     return None
 
 
-def _centrosymmetric_split(M: np.ndarray, trunc: float):
+def _centrosymmetric_split(M: np.ndarray, trunc: float, total: float):
     """Singular values of the centrosymmetric part of ``M``, if it captures ``M``.
 
     M = M_s + M_a with M_s = (M + J M J) / 2 and M_a = (M - J M J) / 2;
@@ -263,10 +276,10 @@ def _centrosymmetric_split(M: np.ndarray, trunc: float):
     (S[:, :h] + S[:, ::-1][:, :h]) / 2, its middle row and column divided by
     sqrt(2) when n is odd, and the odd block is
     (S[:m, :m] - S[:m, ::-1][:, :m]) / 2.  The same formulas hold for real
-    and complex ``M``.
+    and complex ``M``.  ``total`` is ||M||_F^2.
 
-    Returns ``(s, total, residual)``: the singular values of M_s,
-    non-increasing, total = ||M||_F^2 and residual = ||M_a||_F^2 <=
+    Returns ``(s, residual)``: the singular values of M_s,
+    non-increasing, and residual = ||M_a||_F^2 <=
     trunc * s[0]^2.  Returns None after one pass when
     residual > sqrt(trunc) * total, and after the block SVDs when the
     certificate fails; under ``trunc = 0`` only an exactly centrosymmetric
@@ -275,7 +288,6 @@ def _centrosymmetric_split(M: np.ndarray, trunc: float):
     n = M.shape[0]
     h, m = n - n // 2, n // 2
     top, bottom = M[:h], M[::-1, ::-1][:h]
-    total = float(np.vdot(M, M).real)
     # anti holds the first h rows of 2 M_a.  Row i < m of M_a recurs,
     # reversed, as row n - 1 - i; the middle row of an odd n occurs once.
     anti = top - bottom
@@ -296,7 +308,7 @@ def _centrosymmetric_split(M: np.ndarray, trunc: float):
     s = np.sort(s)[::-1]
     if residual > trunc * s[0] ** 2:
         return None
-    return s, total, residual
+    return s, residual
 
 
 def schmidt_decompose(
@@ -321,6 +333,14 @@ def schmidt_decompose(
     centrosymmetric route, normalized and certified the same way.  Every
     other matrix takes the dense route.
 
+    Both certified routes take ||A||_F^2 from ``A.sq_sum``, the sum the
+    unit-norm check computed, when they decompose ``A.entries`` itself
+    (complex entries with a nonzero imaginary part, or C-contiguous real
+    ones).  Otherwise, as for a complex matrix whose imaginary parts are
+    all zero, the same ``np.vdot`` sum is taken once over the matrix they
+    decompose.  The real-or-complex test stops at the first block of
+    ``ROW_BLOCK`` rows with a nonzero imaginary part.
+
     Raises
     ------
     ValueError
@@ -331,21 +351,23 @@ def schmidt_decompose(
     e = A.entries
     # One decision of real or complex arithmetic for every route; a real
     # array never allocates its zero imaginary part.
-    M = e if np.iscomplexobj(e) and e.imag.any() else np.ascontiguousarray(e.real)
+    M = e if _has_imag(e) else np.ascontiguousarray(e.real)
+    # The unit-norm check's sum, when it was taken over M itself.
+    total = A.sq_sum if M is e and A.sq_sum is not None else float(np.vdot(M, M).real)
     trunc = opts.truncation_threshold
-    sketch = _certified_sketch(M, trunc)
-    split = None if sketch is not None or modes else _centrosymmetric_split(M, trunc)
+    sketch = _certified_sketch(M, trunc, total)
+    split = None if sketch is not None or modes else _centrosymmetric_split(M, trunc, total)
     width = residual_mass = None
     if sketch is not None:
         route = "randomized"
-        Q, B, s, total, residual = sketch
+        Q, B, s, residual = sketch
         width, residual_mass = Q.shape[1], residual / total
         if modes:
             U, s, Vh = _svd(B, True)
             U = Q @ U
     elif split is not None:
         route = "centrosymmetric"
-        s, total, residual = split
+        s, residual = split
         residual_mass = residual / total
     else:
         route = "dense"

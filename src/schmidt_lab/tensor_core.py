@@ -12,7 +12,7 @@ inclusive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -103,12 +103,16 @@ class AmplitudeMatrix:
     (a non-finite entry is named by node index and (p, q)) and, when
     flagged, unit norm.  Each check is one pass over the entries; for a
     flagged matrix the squared-modulus sum doubles as the finiteness test,
-    since any inf or NaN entry makes it non-finite.
+    since any inf or NaN entry makes it non-finite.  That sum,
+    ``float(np.vdot(entries, entries).real)``, is kept as ``sq_sum`` (None
+    when not flagged), so a decomposition of the same entries need not
+    compute it again.
     """
 
     grid: Grid
     entries: np.ndarray
     normalized: bool = False
+    sq_sum: float | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         e = self.entries
@@ -120,6 +124,7 @@ class AmplitudeMatrix:
             total = float(np.vdot(e, e).real)
             # "<=", not "not >": a NaN total must fail the test.
             if abs(total - 1.0) <= NORM_ATOL:
+                object.__setattr__(self, "sq_sum", total)
                 return
         elif np.isfinite(e).all():
             return
@@ -142,7 +147,7 @@ def sample_amplitude(f: Callable, grid: Grid) -> AmplitudeMatrix:
     shape (1, n), and must return an (n, n) array, or an (n, 1) or (1, n)
     one that depends on a single variable and is broadcast.  A real result
     is kept in float64, a complex one in complex128.  The returned array
-    belongs to this call (``f`` must not keep it), so it is divided by its
+    belongs to this call (``f`` must not keep it), so it is scaled to unit
     norm in place; the entries are scanned for a non-finite value only
     when that norm is not finite or its square underflows.
 
@@ -170,13 +175,21 @@ def sample_amplitude(f: Callable, grid: Grid) -> AmplitudeMatrix:
 
 
 def _unit_norm(grid: Grid, e: np.ndarray, out=None) -> AmplitudeMatrix:
-    """``e`` divided by its norm into ``out`` (a new array if None), flagged normalized.
+    """``e`` scaled to unit norm into ``out`` (a new array if None), flagged normalized.
 
     The norm comes first.  Only when its squared-modulus sum is not a
     normal float (zero, subnormal or inf) are the entries scanned: a
     non-finite entry is named, an all-zero matrix is refused, and finite
     entries whose sum under- or overflowed are first divided by their
     largest real or imaginary part, so the norm is taken at unit scale.
+
+    A C-contiguous complex128 ``e`` is scaled by multiplying its float64
+    view by ``1.0 / nrm``, which costs a fraction of NumPy's complex
+    division by a real.  That division computes ``(a + 0 b) (1 / nrm)``
+    for each part a (b the other part of the entry), so both forms give
+    the same bits for every nonzero part.  A zero part may differ in sign:
+    ``(-0+1j) / 7`` has real part +0, the multiply keeps -0.  Any other
+    ``e`` (real, or strided such as a transpose) is divided by ``nrm``.
     """
     with np.errstate(over="ignore"):  # an overflow is rescaled below
         nrm = float(np.linalg.norm(e))
@@ -187,7 +200,12 @@ def _unit_norm(grid: Grid, e: np.ndarray, out=None) -> AmplitudeMatrix:
             raise ValueError("cannot normalize an all-zero amplitude matrix")
         e = np.divide(e, scale, out=out)
         nrm = float(np.linalg.norm(e))
-    return AmplitudeMatrix(grid=grid, entries=np.divide(e, nrm, out=out), normalized=True)
+    if e.dtype == complex and e.flags.c_contiguous:
+        parts = None if out is None else out.view(float)
+        scaled = np.multiply(e.view(float), 1.0 / nrm, out=parts).view(complex)
+    else:
+        scaled = np.divide(e, nrm, out=out)
+    return AmplitudeMatrix(grid=grid, entries=scaled, normalized=True)
 
 
 def normalize(A: AmplitudeMatrix) -> AmplitudeMatrix:

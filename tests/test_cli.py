@@ -504,9 +504,11 @@ def test_capture_checks_and_the_cli_reach_one_probe_per_model(tmp_path, monkeypa
     assert calls[1:] == ["coord_probe", "momentum_probe", "spdc_probe", "coord_probe"]
 
 
-def test_mode_tables_hold_each_cell_as_one_complex_scalar_gives_it():
+def test_mode_tables_hold_each_cell_as_one_complex_scalar_gives_it(tmp_path):
     # The per-cell form the tables replaced; the sign of every zero counts.
     # On random modes np.abs(z) ** 2 differs from abs(z) ** 2 in a few cells.
+    # The tables are float64 arrays, and write_csv writes them as it writes
+    # the same cells given as lists of Python floats.
     rng = np.random.default_rng(7)
     modes = (rng.standard_normal((5, 5000)) + 1j * rng.standard_normal((5, 5000))) * 1e-3
     modes[1, :4] = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0)]
@@ -519,9 +521,12 @@ def test_mode_tables_hold_each_cell_as_one_complex_scalar_gives_it():
         [float(x)] + [float(abs(modes[k][i]) ** 2) for k in range(4)] for i, x in enumerate(coords)
     ]
     for table, want in ((cli._modes_table, want_modes), (cli._density_table, want_density)):
-        _, rows = table("p", coords, modes)
-        assert all(type(v) is float for row in rows for v in row)
-        assert np.array(rows).tobytes() == np.array(want).tobytes()
+        header, rows = table("p", coords, modes)
+        assert rows.dtype == np.float64
+        assert rows.tobytes() == np.array(want).tobytes()
+        cli.write_csv(tmp_path / "array.csv", header, rows)
+        cli.write_csv(tmp_path / "lists.csv", header, want)
+        assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "lists.csv").read_bytes()
 
 
 def test_format_filter_limits_emitted_files(tmp_path):

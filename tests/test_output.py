@@ -111,6 +111,28 @@ def test_write_csv_cells_of_every_type(tmp_path):
         write_csv(tmp_path / "bad.csv", ["x"], [[math.nan]])
 
 
+def test_write_csv_writes_an_array_as_the_same_rows_as_lists(tmp_path):
+    cells = [-0.0, 5e-324, 1e308, 1.0, 1e-300]
+    rows = [cells, cells[::-1], [-x for x in cells]]
+    header = [f"c{i}" for i in range(len(cells))]
+    write_csv(tmp_path / "lists.csv", header, rows)
+    write_csv(tmp_path / "array.csv", header, np.array(rows))
+    raw = (tmp_path / "array.csv").read_bytes()
+    assert raw == (tmp_path / "lists.csv").read_bytes()
+    assert raw.splitlines()[1] == b"-0,4.9406564584124654e-324,1e+308,1,1e-300"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_write_csv_refuses_a_non_finite_array_cell_as_a_list_cell(tmp_path, bad):
+    rows = [[1.0, 2.0], [3.0, bad]]
+    errors = []
+    for given in (rows, np.array(rows)):
+        with pytest.raises(ValueError, match="non-finite") as exc:
+            write_csv(tmp_path / "bad.csv", ["a", "b"], given)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+
+
 def test_parse_matrix_file_valid(tmp_path):
     f = tmp_path / "m.txt"
     f.write_text("1 2\n3-4j 1+2j\n\n")

@@ -42,8 +42,8 @@ def _random_matrix(rng, n):
 def _dense(A, opts=DecompositionOptions(), modes=True):
     """schmidt_decompose forced onto the dense route."""
     with (
-        mock.patch.object(schmidt, "_certified_sketch", lambda e, trunc: None),
-        mock.patch.object(schmidt, "_centrosymmetric_split", lambda e, trunc: None),
+        mock.patch.object(schmidt, "_certified_sketch", lambda M, trunc, total: None),
+        mock.patch.object(schmidt, "_centrosymmetric_split", lambda M, trunc, total: None),
     ):
         return schmidt_decompose(A, opts, modes=modes)
 
@@ -785,3 +785,71 @@ def test_asymmetric_input_bails_before_any_block_is_decomposed(make, monkeypatch
     n = A.grid.n
     assert not {(n - n // 2,) * 2, (n // 2,) * 2} & set(shapes)
     assert shapes[-1] == (n, n)
+
+
+_STORED_SUM_INPUTS = pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _fig1_coord(400),
+        lambda: _spdc_fig4(512),
+        lambda: _wrap(_random_matrix(np.random.default_rng(3), 300)),
+        lambda: _as_amplitude(np.random.default_rng(4).standard_normal((301, 301))),
+    ],
+    ids=["fig1-coord-n400", "spdc-fig4-n512", "complex-gaussian-300", "real-gaussian-301"],
+)
+
+
+@_STORED_SUM_INPUTS
+def test_flagged_matrix_is_decomposed_without_an_n_by_n_vdot(make, monkeypatch):
+    # Both certified routes take ||A||_F^2 from the unit-norm check; only
+    # the blocks of the residual and the anti-centrosymmetric rows remain.
+    A = make()
+    n = A.grid.n
+    vdot = np.vdot
+    shapes = []
+
+    def recording_vdot(a, b):
+        shapes.append(np.shape(a))
+        return vdot(a, b)
+
+    monkeypatch.setattr(schmidt.np, "vdot", recording_vdot)
+    for modes in (True, False):
+        schmidt_decompose(A, modes=modes)
+    assert shapes and (n, n) not in shapes
+
+
+@_STORED_SUM_INPUTS
+def test_stored_sum_gives_the_bits_of_a_fresh_one(make):
+    A = make()
+    fresh = AmplitudeMatrix(grid=A.grid, entries=A.entries, normalized=True)
+    object.__setattr__(fresh, "sq_sum", None)
+    for modes in (True, False):
+        got, want = schmidt_decompose(A, modes=modes), schmidt_decompose(fresh, modes=modes)
+        assert got.route == want.route
+        assert got.lambdas.tobytes() == want.lambdas.tobytes()
+        assert got.reconstruction_error == want.reconstruction_error
+        assert got.residual_mass == want.residual_mass
+
+
+@pytest.mark.parametrize("n", [65, 129])
+def test_imaginary_part_in_the_last_row_alone_takes_complex_arithmetic(n, monkeypatch):
+    # The real-or-complex scan stops at the first block of 64 rows with a
+    # nonzero imaginary part; here only the last, partial block has one.
+    e = np.random.default_rng(n).standard_normal((n, n)).astype(complex)
+    assert not schmidt._has_imag(e)
+    e[-1, 3] += 1e-3j
+    assert schmidt._has_imag(e)
+    A = _wrap(e)
+    ref = np.linalg.svd(A.entries, compute_uv=False) ** 2
+    lapack_svd = np.linalg.svd
+    dtypes = []
+
+    def recording_svd(a, *args, **kwargs):
+        dtypes.append(a.dtype)
+        return lapack_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    for modes in (True, False):
+        res = schmidt_decompose(A, modes=modes)
+        np.testing.assert_allclose(res.lambdas, ref[: res.rank], rtol=0, atol=1e-12)
+    assert dtypes and set(dtypes) == {np.dtype(complex)}

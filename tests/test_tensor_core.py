@@ -1,8 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+from schmidt_lab import tensor_core
 from schmidt_lab.tensor_core import (
     AmplitudeMatrix,
     enlarged_grid,
@@ -162,6 +164,69 @@ def test_normalize_rescales_when_the_squared_sum_under_or_overflows(scale, dtype
     for got in (N, S):
         assert got.normalized and got.entries.dtype == want.dtype
         np.testing.assert_allclose(got.entries, want, rtol=0, atol=1e-15)
+
+
+def _divided(e):
+    """The unit-norm scaling by complex division, with the same rescale guard."""
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(e))
+    if not tensor_core._NORM_MIN <= nrm < math.inf:
+        e = np.divide(e, max(np.abs(e.real).max(), np.abs(e.imag).max()))
+        nrm = float(np.linalg.norm(e))
+    return np.divide(e, nrm)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65])
+@pytest.mark.parametrize("span", [150, 300])
+def test_unit_norm_multiplies_to_the_bits_of_complex_division(n, span):
+    # Parts from 1e-span to 1e+span with both signs; at span 300 the squared
+    # sum overflows and the rescale guard runs first.  Every nonzero part is
+    # bit-identical to np.divide(e, nrm); a zero part may differ in sign.
+    rng = np.random.default_rng(n + span)
+    parts = rng.choice([-1.0, 1.0], (n, 2 * n)) * 10.0 ** rng.uniform(-span, span, (n, 2 * n))
+    parts[0, :4] = [-0.0, 1.0, 0.0, -1.0]
+    parts[n - 1, -2:] = [-0.0, -0.0]
+    e = parts.view(complex)
+    g = make_grid(0.0, 1.0, 0.0, 1.0, n)
+    want = _divided(e).view(float)
+    nonzero = want != 0.0
+    for got in (
+        normalize(AmplitudeMatrix(grid=g, entries=e)),
+        sample_amplitude(lambda p, q: e.copy(), g),
+    ):
+        got = got.entries.view(float)
+        assert got[nonzero].tobytes() == want[nonzero].tobytes()
+        assert not got[~nonzero].any()
+
+
+def test_unit_norm_keeps_the_sign_of_a_zero_part():
+    # (-0+1j) / 7 has real part +0; the multiply of the float64 view keeps
+    # -0.  (The rescale guard's own division, when it runs, gives +0.)
+    g = make_grid(0.0, 1.0, 0.0, 1.0, 2)
+    e = np.array([[complex(-0.0, 1.0), 2.0], [3.0, 5.0 + 1j]])
+    got = normalize(AmplitudeMatrix(grid=g, entries=e)).entries
+    assert math.copysign(1.0, got[0, 0].real) == -1.0
+    assert math.copysign(1.0, _divided(e)[0, 0].real) == 1.0
+    assert got[0, 1:].tobytes() == _divided(e)[0, 1:].tobytes()
+
+
+def test_unit_norm_divides_a_strided_matrix():
+    # A transpose has no contiguous float64 view, so it keeps np.divide,
+    # zero signs included.
+    rng = np.random.default_rng(11)
+    e = rng.standard_normal((65, 65)) + 1j * rng.standard_normal((65, 65))
+    e[3, 5] = complex(-0.0, 1.0)
+    g = make_grid(0.0, 1.0, 0.0, 1.0, 65)
+    got = normalize(AmplitudeMatrix(grid=g, entries=e.T)).entries
+    assert got.tobytes() == _divided(e.T).tobytes()
+
+
+def test_flagged_matrix_keeps_its_squared_modulus_sum():
+    g = make_grid(0.0, 1.0, 0.0, 1.0, 3)
+    e = np.arange(9.0).reshape(3, 3) * (1 + 2j)
+    assert AmplitudeMatrix(grid=g, entries=e).sq_sum is None
+    N = normalize(AmplitudeMatrix(grid=g, entries=e))
+    assert N.sq_sum == float(np.vdot(N.entries, N.entries).real)
 
 
 def test_sample_amplitude_scans_for_non_finite_entries_only_when_the_norm_fails(monkeypatch):
