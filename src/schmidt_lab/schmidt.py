@@ -333,13 +333,9 @@ def schmidt_decompose(
     centrosymmetric route, normalized and certified the same way.  Every
     other matrix takes the dense route.
 
-    Both certified routes take ||A||_F^2 from ``A.sq_sum``, the sum the
-    unit-norm check computed, when they decompose ``A.entries`` itself
-    (complex entries with a nonzero imaginary part, or C-contiguous real
-    ones).  Otherwise, as for a complex matrix whose imaginary parts are
-    all zero, the same ``np.vdot`` sum is taken once over the matrix they
-    decompose.  The real-or-complex test stops at the first block of
-    ``ROW_BLOCK`` rows with a nonzero imaginary part.
+    ||A||_F^2 is taken once, by ``np.vdot`` over the matrix decomposed, and
+    shared by both certified routes.  The real-or-complex test stops at the
+    first block of ``ROW_BLOCK`` rows with a nonzero imaginary part.
 
     Raises
     ------
@@ -352,8 +348,7 @@ def schmidt_decompose(
     # One decision of real or complex arithmetic for every route; a real
     # array never allocates its zero imaginary part.
     M = e if _has_imag(e) else np.ascontiguousarray(e.real)
-    # The unit-norm check's sum, when it was taken over M itself.
-    total = A.sq_sum if M is e and A.sq_sum is not None else float(np.vdot(M, M).real)
+    total = float(np.vdot(M, M).real)
     trunc = opts.truncation_threshold
     sketch = _certified_sketch(M, trunc, total)
     split = None if sketch is not None or modes else _centrosymmetric_split(M, trunc, total)

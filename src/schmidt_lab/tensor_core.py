@@ -12,7 +12,7 @@ inclusive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -103,16 +103,12 @@ class AmplitudeMatrix:
     (a non-finite entry is named by node index and (p, q)) and, when
     flagged, unit norm.  Each check is one pass over the entries; for a
     flagged matrix the squared-modulus sum doubles as the finiteness test,
-    since any inf or NaN entry makes it non-finite.  That sum,
-    ``float(np.vdot(entries, entries).real)``, is kept as ``sq_sum`` (None
-    when not flagged), so a decomposition of the same entries need not
-    compute it again.
+    since any inf or NaN entry makes it non-finite.
     """
 
     grid: Grid
     entries: np.ndarray
     normalized: bool = False
-    sq_sum: float | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         e = self.entries
@@ -124,7 +120,6 @@ class AmplitudeMatrix:
             total = float(np.vdot(e, e).real)
             # "<=", not "not >": a NaN total must fail the test.
             if abs(total - 1.0) <= NORM_ATOL:
-                object.__setattr__(self, "sq_sum", total)
                 return
         elif np.isfinite(e).all():
             return

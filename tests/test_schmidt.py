@@ -787,7 +787,7 @@ def test_asymmetric_input_bails_before_any_block_is_decomposed(make, monkeypatch
     assert shapes[-1] == (n, n)
 
 
-_STORED_SUM_INPUTS = pytest.mark.parametrize(
+@pytest.mark.parametrize(
     "make",
     [
         lambda: _fig1_coord(400),
@@ -797,38 +797,18 @@ _STORED_SUM_INPUTS = pytest.mark.parametrize(
     ],
     ids=["fig1-coord-n400", "spdc-fig4-n512", "complex-gaussian-300", "real-gaussian-301"],
 )
-
-
-@_STORED_SUM_INPUTS
-def test_flagged_matrix_is_decomposed_without_an_n_by_n_vdot(make, monkeypatch):
-    # Both certified routes take ||A||_F^2 from the unit-norm check; only
-    # the blocks of the residual and the anti-centrosymmetric rows remain.
+def test_decomposition_takes_one_n_by_n_vdot(make, monkeypatch):
+    # ||A||_F^2 is summed once and shared by the sketch and the parity
+    # split; the other vdot calls are over residual blocks and anti rows.
     A = make()
     n = A.grid.n
     vdot = np.vdot
     shapes = []
-
-    def recording_vdot(a, b):
-        shapes.append(np.shape(a))
-        return vdot(a, b)
-
-    monkeypatch.setattr(schmidt.np, "vdot", recording_vdot)
+    monkeypatch.setattr(schmidt.np, "vdot", lambda a, b: shapes.append(np.shape(a)) or vdot(a, b))
     for modes in (True, False):
+        shapes.clear()
         schmidt_decompose(A, modes=modes)
-    assert shapes and (n, n) not in shapes
-
-
-@_STORED_SUM_INPUTS
-def test_stored_sum_gives_the_bits_of_a_fresh_one(make):
-    A = make()
-    fresh = AmplitudeMatrix(grid=A.grid, entries=A.entries, normalized=True)
-    object.__setattr__(fresh, "sq_sum", None)
-    for modes in (True, False):
-        got, want = schmidt_decompose(A, modes=modes), schmidt_decompose(fresh, modes=modes)
-        assert got.route == want.route
-        assert got.lambdas.tobytes() == want.lambdas.tobytes()
-        assert got.reconstruction_error == want.reconstruction_error
-        assert got.residual_mass == want.residual_mass
+        assert shapes.count((n, n)) == 1
 
 
 @pytest.mark.parametrize("n", [65, 129])

@@ -221,14 +221,6 @@ def test_unit_norm_divides_a_strided_matrix():
     assert got.tobytes() == _divided(e.T).tobytes()
 
 
-def test_flagged_matrix_keeps_its_squared_modulus_sum():
-    g = make_grid(0.0, 1.0, 0.0, 1.0, 3)
-    e = np.arange(9.0).reshape(3, 3) * (1 + 2j)
-    assert AmplitudeMatrix(grid=g, entries=e).sq_sum is None
-    N = normalize(AmplitudeMatrix(grid=g, entries=e))
-    assert N.sq_sum == float(np.vdot(N.entries, N.entries).real)
-
-
 def test_sample_amplitude_scans_for_non_finite_entries_only_when_the_norm_fails(monkeypatch):
     g = make_grid(0.0, 1.0, 0.0, 1.0, 3)
     calls = []
