@@ -421,7 +421,7 @@ def _dynamics(req: _Resolver) -> ModelRun:
     is built from one decomposition, at the largest tau, where the
     Gaussian ridge is widest and the window capture is checked.  The
     tau-invariance is checked too, against a decomposition at the
-    smallest positive tau.
+    smallest positive tau, which is reused when it is the largest.
     """
     xi0, eta = req.require("xi0"), req.require("eta")
     taus = _sweep_values(req, "tau")
@@ -433,7 +433,8 @@ def _dynamics(req: _Resolver) -> ModelRun:
     params = AtomPhotonParams(xi0, eta, max(positive))
     spectrum, drift = coord_capture_drift(params, req.n, req.opts)
     first = AtomPhotonParams(xi0, eta, min(positive))
-    invariance = spectrum_drift(spectrum, coord_spectrum(first, req.n, req.opts))
+    first_spectrum = spectrum if first == params else coord_spectrum(first, req.n, req.opts)
+    invariance = spectrum_drift(spectrum, first_spectrum)
     if invariance >= CAPTURE_TOL:
         raise ConvergenceError(
             f"tau-invariance check failed: the photonic Schmidt weights at "

@@ -17,8 +17,7 @@ singular values alone.
 A matrix of low rank at the truncation cutoff is factored through a
 randomized range finder (Halko, Martinsson and Tropp, SIAM Rev. 53, 217
 (2011)): a seeded Gaussian sketch and the SVD of the small projection
-B = Q^H A, with up to two power iterations only when the sketch fails its
-certificate.  The sketch is accepted only when the explicitly computed
+B = Q^H A.  The sketch is accepted only when the explicitly computed
 residual ||A - Q B||_F^2 is at most the cutoff
 ``truncation_threshold * sigma_1^2``, so no weight it leaves out could
 have been kept.
@@ -42,11 +41,9 @@ from .tensor_core import AmplitudeMatrix, Grid
 GAUGES = ("largest-real-positive", "none")
 WEIGHT_SUM_ATOL = 1e-10
 SPECTRUM_DRIFT_MODES = 32
-# Randomized route: first sketch width, the cap on power iterations (each
-# runs only after a failed certificate), and the seed of the generator each
+# Randomized route: first sketch width, and the seed of the generator each
 # call creates (so calls on different threads share no state).
 SKETCH_WIDTH = 16
-POWER_ITERATIONS = 2
 SKETCH_SEED = 0
 EPS = float(np.finfo(float).eps)
 # Rows per block of the passes that stop early or must not allocate n x n.
@@ -187,10 +184,6 @@ def _svd(X: np.ndarray, modes: bool):
     return None, np.linalg.svd(X, compute_uv=False), None
 
 
-def _orth(Y: np.ndarray) -> np.ndarray:
-    return np.linalg.qr(Y)[0]
-
-
 def _has_imag(e: np.ndarray) -> bool:
     """Whether any imaginary part of ``e`` is nonzero.
 
@@ -221,17 +214,12 @@ def _certified_sketch(M: np.ndarray, trunc: float, total: float):
     Returns ``(Q, B, s, residual)`` with B = Q^H M, s the singular
     values of B (computed values only, for the cut)
     and residual = ||M - Q B||_F^2 <= trunc * s[0]^2, or None when
-    the dense route must run: the first sketch of a width already shows
+    the dense route must run: a sketch already shows
     sigma_w^2 / sigma_1^2 > sqrt(trunc), the cutoff is at or below the
     residual's rounding floor n eps^2 ||M||_F^2, or the width would pass
-    n / 4.  The certificate is checked on the plain sketch first; only a
-    failed check runs a power iteration, Q <- orth(M orth(B^H)), which
-    reuses B, and the check is repeated, at most ``POWER_ITERATIONS``
-    times.  A further iteration is skipped when the last one shrank the
-    residual so little that another such step would still miss the cut
-    (rho_q^2 / rho_{q-1} > cut, rho_q the residual after iteration q).
-    The width doubles after the last failed check.  The residual is
-    computed explicitly, one block of rows at a time (``_residual``).
+    n / 4.  Each width draws one sketch and checks it once; a failed
+    check doubles the width.  The residual is computed explicitly, one
+    block of rows at a time (``_residual``).
     """
     n = M.shape[0]
     width = SKETCH_WIDTH
@@ -246,22 +234,14 @@ def _certified_sketch(M: np.ndarray, trunc: float, total: float):
         r = np.linalg.svd(R, compute_uv=False)
         if r[-1] ** 2 > np.sqrt(trunc) * r[0] ** 2:
             return None
-        previous = np.inf
-        for q in range(POWER_ITERATIONS + 1):
-            B = Q.conj().T @ M
-            s = np.linalg.svd(B, compute_uv=False)
-            cut = trunc * s[0] ** 2
-            if cut <= floor:
-                return None
-            residual = _residual(M, Q, B)
-            if residual <= cut:
-                return Q, B, s, residual
-            # The next iteration would shrink the residual about as much as
-            # the last one did; if that still misses the cut, widen instead.
-            if q == POWER_ITERATIONS or residual**2 > cut * previous:
-                break
-            previous = residual
-            Q = _orth(M @ _orth(B.conj().T))
+        B = Q.conj().T @ M
+        s = np.linalg.svd(B, compute_uv=False)
+        cut = trunc * s[0] ** 2
+        if cut <= floor:
+            return None
+        residual = _residual(M, Q, B)
+        if residual <= cut:
+            return Q, B, s, residual
         width *= 2
     return None
 

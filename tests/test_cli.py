@@ -770,6 +770,25 @@ def test_dynamics_decomposes_three_times_whatever_the_tau_count(tmp_path, monkey
     assert calls == [(64, False), (big, False), (64, False)]
 
 
+def test_dynamics_with_one_positive_tau_decomposes_twice(tmp_path, monkeypatch):
+    # The smallest positive tau is the largest, so its spectrum is reused
+    # for the tau-invariance check instead of being decomposed again.
+    calls = []
+    decompose = atom_photon.schmidt_decompose
+
+    def counting(A, opts=schmidt.DecompositionOptions(), modes=True):
+        calls.append((A.grid.n, modes))
+        return decompose(A, opts, modes)
+
+    for mod in (cli, atom_photon):
+        monkeypatch.setattr(mod, "schmidt_decompose", counting)
+    argv = [*DYNAMICS, "--eta", "0.03", "--n", "64", "--tau-list", "0,5"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    big = enlarged_n(64, atom_photon.COORD_PROBE_FACTOR)
+    assert calls == [(64, False), (big, False)]
+    assert _summary(tmp_path)["grid_convergence"]["tau_invariance_drift"] == 0.0
+
+
 def test_dynamics_warns_only_when_a_tau_is_below_3(tmp_path):
     # The tau-invariance sample at the smallest positive tau raises it.
     argv = [*DYNAMICS, "--eta", "0.03", "--n", "48"]

@@ -404,8 +404,9 @@ def test_values_only_route_matches_full_route(A):
     np.testing.assert_allclose(vals.lambdas, ref[: vals.rank], rtol=0, atol=1e-8)
 
 
-def _fig1_coord(n):
-    params = AtomPhotonParams(100.0, 0.03, 10.0)
+def _coord(n, eta=0.03):
+    """The coordinate amplitude at xi0 = 100, tau = 10; eta = 0.03 is --fig1."""
+    params = AtomPhotonParams(100.0, eta, 10.0)
     return coord_matrix(params, coord_grid(params, n))
 
 
@@ -414,23 +415,38 @@ def _spdc_fig4(n):
     return spdc_matrix(params, spdc_grid(params, n))
 
 
+def _counting_residual():
+    """Counts certificate checks: each computes one ``_residual``."""
+    return mock.patch.object(schmidt, "_residual", wraps=schmidt._residual)
+
+
+# sketch: (width, rank, certificate checks) on the randomized route.
 @pytest.mark.parametrize(
-    "make, opts, route",
+    "make, opts, route, sketch",
     [
-        (lambda: _fig1_coord(400), DecompositionOptions(), "randomized"),
-        (lambda: _spdc_fig4(512), DecompositionOptions(), "centrosymmetric"),
-        (lambda: _fig1_coord(400), DecompositionOptions(truncation_threshold=0.0), "dense"),
-        (lambda: _wrap(_random_matrix(np.random.default_rng(3), 300)), DecompositionOptions(), "dense"),
+        (lambda: _coord(400), DecompositionOptions(), "randomized", (16, 5, 1)),
+        # The only model input known to double its width: eta = 0.5 has
+        # more than 16 weights above the cutoff.
+        (lambda: _coord(400, eta=0.5), DecompositionOptions(), "randomized", (32, 25, 2)),
+        (lambda: _spdc_fig4(512), DecompositionOptions(), "centrosymmetric", None),
+        (lambda: _coord(400), DecompositionOptions(truncation_threshold=0.0), "dense", None),
+        (lambda: _wrap(_random_matrix(np.random.default_rng(3), 300)), DecompositionOptions(), "dense", None),
     ],
-    ids=["fig1-coord-n400", "spdc-fig4-n512", "trunc-0", "complex-gaussian-300"],
+    ids=["fig1-coord-n400", "coord-eta0.5-n400", "spdc-fig4-n512", "trunc-0", "complex-gaussian-300"],
 )
-def test_route_taken_by_each_input(make, opts, route):
-    res = schmidt_decompose(make(), opts, modes=False)
+def test_route_taken_by_each_input(make, opts, route, sketch):
+    A = make()
+    with _counting_residual() as residual:
+        res = schmidt_decompose(A, opts, modes=False)
     assert res.route == route
-    if route == "randomized":
-        assert res.sketch_width == schmidt.SKETCH_WIDTH and res.rank == 5
+    if sketch is None:
+        assert res.sketch_width is None and residual.call_count == 0
     else:
-        assert res.sketch_width is None
+        assert (res.sketch_width, res.rank, residual.call_count) == sketch
+        ref = _dense(A, opts, modes=False)
+        np.testing.assert_allclose(res.lambdas, ref.lambdas, rtol=0, atol=ROUTE_ATOL)
+        assert res.schmidt_number == pytest.approx(ref.schmidt_number, rel=0, abs=ROUTE_ATOL)
+        assert res.entropy == pytest.approx(ref.entropy, rel=0, abs=ROUTE_ATOL)
     if route == "dense":
         assert res.residual_mass is None
     else:
@@ -446,10 +462,12 @@ def test_route_taken_by_each_input(make, opts, route):
 )
 def test_high_rank_input_bails_before_any_power_iteration(make):
     # sigma_16^2 / sigma_1^2 of the first sketch exceeds sqrt(1e-14), so the
-    # sketch is given up after one n x 16 product and no power iteration.
+    # sketch is given up after one n x 16 product, before any certificate
+    # check.
     A = make()
-    with mock.patch.object(schmidt, "_orth", side_effect=AssertionError("power iteration")):
+    with _counting_residual() as residual:
         assert schmidt_decompose(A, modes=False).route != "randomized"
+    assert residual.call_count == 0
 
 
 def test_rejected_sketch_doubles_its_width_up_to_a_quarter_of_n():
@@ -465,6 +483,12 @@ def test_rejected_sketch_doubles_its_width_up_to_a_quarter_of_n():
     # at n = 96 a 32-column sketch would pass n / 4: the dense route runs
     res = schmidt_decompose(_low_rank(rng, 96, s), modes=False)
     assert (res.route, res.sketch_width, res.rank) == ("dense", None, 24)
+    # sigma_k = 0.35^k: 16 weights lie above the cutoff, but a 16-column
+    # sketch leaves a residual above it; a 32-column one does not.
+    A = _low_rank(np.random.default_rng(29), 800, 0.35 ** np.arange(40))
+    res = schmidt_decompose(A, modes=False)
+    assert (res.route, res.sketch_width) == ("randomized", 32)
+    np.testing.assert_allclose(res.lambdas, _dense(A, modes=False).lambdas, rtol=0, atol=ROUTE_ATOL)
 
 
 # Randomized and dense modes agree to MODE_ATOL / gap, where gap is the
@@ -535,7 +559,7 @@ def test_fig1_randomized_route_matches_dense_route():
     # 1e-10.  Measured: modes 1-4 agree to 4e-12, overlaps to 1.4e-14.
     from schmidt_lab.atom_photon import laguerre_mode
 
-    A = _fig1_coord(800)
+    A = _coord(800)
     rnd = schmidt_decompose(A)
     ref = _dense(A)
     assert (rnd.route, rnd.rank, ref.rank) == ("randomized", 5, 5)
@@ -563,27 +587,23 @@ def _fig3_momentum(n):
     return momentum_matrix(AtomPhotonParams(100.0, 0.03, 10.0), momentum_grid(n))
 
 
-def _counting_orth():
-    return mock.patch.object(schmidt, "_orth", wraps=schmidt._orth)
-
-
 @pytest.mark.parametrize(
     "make, modes",
     [
-        (lambda: _fig1_coord(800), True),
+        (lambda: _coord(800), True),
         (_fig1_probe, False),
         (lambda: _fig3_momentum(400), True),
     ],
     ids=["fig1-n800", "fig1-probe-n1199", "fig3-n400"],
 )
 def test_atom_photon_sketch_passes_its_certificate_without_power_iteration(make, modes):
-    # The plain sketch already captures these rank-5 amplitudes far below
-    # the cutoff, so no power iteration (each calls _orth twice) runs.
+    # The first 16-column sketch already captures these rank-5 amplitudes
+    # far below the cutoff, so one certificate check accepts it.
     A = make()
-    with _counting_orth() as orth:
+    with _counting_residual() as residual:
         res = schmidt_decompose(A, modes=modes)
     assert (res.route, res.sketch_width, res.rank) == ("randomized", schmidt.SKETCH_WIDTH, 5)
-    assert orth.call_count == 0
+    assert residual.call_count == 1
 
 
 def test_values_only_sketch_computes_the_singular_values_of_b_once(monkeypatch):
@@ -606,36 +626,17 @@ def test_values_only_sketch_computes_the_singular_values_of_b_once(monkeypatch):
     assert shapes.count((schmidt.SKETCH_WIDTH, A.grid.n)) == 1
 
 
-def test_slowly_decaying_spectrum_is_certified_after_a_power_iteration():
-    # sigma_k = 0.35^k: the plain 16-column sketch misses the cutoff, and a
-    # power iteration on the same width brings it under.
-    A = _low_rank(np.random.default_rng(29), 800, 0.35 ** np.arange(40))
-    with _counting_orth() as orth:
-        res = schmidt_decompose(A, modes=False)
-    assert (res.route, res.sketch_width) == ("randomized", schmidt.SKETCH_WIDTH)
-    assert orth.call_count >= 2
-    ref = _dense(A, modes=False)
-    assert res.rank == ref.rank
-    np.testing.assert_allclose(res.lambdas, ref.lambdas, rtol=0, atol=ROUTE_ATOL)
-    assert res.schmidt_number == pytest.approx(ref.schmidt_number, rel=0, abs=ROUTE_ATOL)
-    assert res.entropy == pytest.approx(ref.entropy, rel=0, abs=ROUTE_ATOL)
-
-
-def test_plateau_spectrum_falls_back_to_the_dense_route_after_one_power_iteration_per_width():
+def test_plateau_spectrum_falls_back_to_the_dense_route_after_one_check_per_width():
     # Ten weights decaying as 0.3^k, then 150 singular values at 1e-4: the
     # first look passes, but no sketch up to n / 4 = 200 columns captures
-    # the plateau.  At widths 16, 32, 64 and 128 the first power iteration
-    # shrinks the residual by under 2x, so a second one would still miss
-    # the cut and is skipped: two certificate checks per width, not three.
+    # the plateau.  Widths 16, 32, 64 and 128 each fail one certificate
+    # check.
     s = np.concatenate([0.3 ** np.arange(10), np.full(150, 1e-4)])
     A = _low_rank(np.random.default_rng(31), 800, s)
-    with _counting_orth() as orth, mock.patch.object(
-        schmidt, "_residual", wraps=schmidt._residual
-    ) as residual:
+    with _counting_residual() as residual:
         res = schmidt_decompose(A, modes=False)
     assert (res.route, res.sketch_width, res.rank) == ("dense", None, 160)
-    assert residual.call_count == 4 * 2
-    assert orth.call_count == 4 * 2
+    assert residual.call_count == 4
     assert res.lambdas.tobytes() == _dense(A, modes=False).lambdas.tobytes()
 
 
@@ -654,7 +655,7 @@ def test_blocked_residual_matches_the_unblocked_norm(n, complex_):
 
 @pytest.mark.parametrize(
     "make, modes",
-    [(lambda: _fig1_coord(800), True), (_fig1_probe, False)],
+    [(lambda: _coord(800), True), (_fig1_probe, False)],
     ids=["fig1-n800-modes", "fig1-probe-n1199-values"],
 )
 def test_randomized_route_allocates_no_matrix_sized_temporary(make, modes):
@@ -790,7 +791,7 @@ def test_asymmetric_input_bails_before_any_block_is_decomposed(make, monkeypatch
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: _fig1_coord(400),
+        lambda: _coord(400),
         lambda: _spdc_fig4(512),
         lambda: _wrap(_random_matrix(np.random.default_rng(3), 300)),
         lambda: _as_amplitude(np.random.default_rng(4).standard_normal((301, 301))),
