@@ -32,6 +32,7 @@ from .schmidt import (
     schmidt_decompose,
     schmidt_number,
     spectrum_drift,
+    spectrum_result,
 )
 from .tensor_core import AmplitudeMatrix, Grid, enlarged_grid, enlarged_n, make_grid, sample_amplitude
 
@@ -46,6 +47,10 @@ MOMENTUM_PI_MAX = 6.0
 COORD_PROBE_FACTOR = 1.5
 MOMENTUM_PROBE_FACTOR = 2.0
 CAPTURE_TOL = 1e-6
+# Largest q spacing of the thin factor (``coord_thin_spectrum``), in units
+# of 1/eta.  Its q-sum of a Gaussian is then a trapezoid rule whose aliasing
+# error, about 2 exp(-pi^2 / (eta h_q)^2) = 1.4e-17, is below rounding.
+THIN_Q_SPACING = 0.5
 VALIDITY_STRICTNESS = 3.0
 # Factored coordinate Gaussian (``_factored_gaussian``): column block width,
 # rows per assembly block, the cutoff on its table error bound relative to
@@ -270,16 +275,73 @@ def coord_spectrum(
     n: int = DEFAULT_N,
     opts: DecompositionOptions = DecompositionOptions(),
 ) -> SchmidtResult:
-    """Values-only decomposition of the coordinate amplitude on ``coord_grid(params, n)``.
+    """Schmidt weights of the coordinate amplitude on the p nodes of ``coord_grid(params, n)``.
 
-    No capture check; ``coord_capture_drift`` adds one.
+    Values only, from the thin real factor of ``coord_thin_spectrum`` at
+    the automatic margin COORD_SIGMA_MARGIN; no n x n matrix is sampled or
+    decomposed.  No capture check; ``coord_capture_drift`` adds one.
     """
-    grid = coord_grid(params, n)
-    return schmidt_decompose(coord_matrix(params, grid), opts, modes=False)
+    return coord_thin_spectrum(params, coord_grid(params, n), COORD_SIGMA_MARGIN, opts)
 
 
-# The probes call coord_matrix, momentum_matrix and schmidt_decompose
-# through this module's globals, where bench/tracing.py wraps them.
+def coord_thin_spectrum(
+    params: AtomPhotonParams,
+    grid: Grid,
+    margin: float,
+    opts: DecompositionOptions = DecompositionOptions(),
+) -> SchmidtResult:
+    """Values-only decomposition of the coordinate amplitude from a thin real factor.
+
+    The chirp T = tau eta^2 xi0 is the free spreading of the atom's packet,
+    a unitary on q alone, so the Schmidt weights are those of the T = 0
+    amplitude.  On the n p nodes of ``grid`` and m uniform q nodes over the
+    T = 0 window [-p_max - margin / eta, -p_min + margin / eta] of width W,
+    that is the real n x m factor
+
+        F_ij = f(p_i) exp(-eta^2 (p_i + q_j)^2 / 2),
+
+    f the light-front factor of ``coord_amplitude``.  Its q-sum is a
+    trapezoid rule for a Gaussian, exact to rounding once
+    h_q <= THIN_Q_SPACING / eta (Trefethen and Weideman, SIAM Rev. 56, 385
+    (2014)); m = ceil(W eta / THIN_Q_SPACING) + 1 is the smallest count
+    that allows it.  The weights then match the sampled n x n amplitude on
+    the same p nodes, with route "thin-factor" and the truncation rule of
+    ``schmidt_decompose``.  xi0 is never read, and tau only places the
+    light front, so the weights do not depend on tau and no tau < 3
+    advisory is raised.
+
+    Raises
+    ------
+    ConvergenceError
+        If the kept rank reaches m, where the q nodes could cut a weight
+        above the cutoff (``truncation_threshold = 0`` always does).
+    """
+    q = _thin_q_nodes(grid, params.eta, margin)
+    p = grid.p_nodes()
+    x = params.tau - p
+    front = np.where(x >= 0.0, np.exp(-np.maximum(x, 0.0) / 2.0), 0.0)
+    F = front[:, None] * np.exp(-(params.eta**2) / 2.0 * np.square(p[:, None] + q))
+    result = spectrum_result(np.linalg.svd(F, compute_uv=False), opts, "thin-factor")
+    m = q.size
+    if result.rank >= m:
+        raise ConvergenceError(
+            f"the thin factor at tau={params.tau:g} kept all {m} of its q-node weights, "
+            "so it cannot show that none above the cutoff is lost; raise the "
+            "truncation threshold (--trunc)"
+        )
+    return result
+
+
+def _thin_q_nodes(grid: Grid, eta: float, margin: float) -> np.ndarray:
+    """The m q nodes of ``coord_thin_spectrum``: the fewest with h_q <= THIN_Q_SPACING / eta."""
+    q_lo, q_hi = -grid.p_max - margin / eta, -grid.p_min + margin / eta
+    return np.linspace(q_lo, q_hi, math.ceil((q_hi - q_lo) * eta / THIN_Q_SPACING) + 1)
+
+
+# The window probes call coord_matrix, momentum_matrix and
+# schmidt_decompose through this module's globals, where bench/tracing.py
+# wraps them.  The thin factor calls none of them, so a traced capture
+# check is one probe span with no sample or decompose inside.
 
 
 def coord_probe(params: AtomPhotonParams, grid: Grid, opts: DecompositionOptions) -> SchmidtResult:
@@ -312,10 +374,13 @@ def coord_capture_drift(
     n: int = DEFAULT_N,
     opts: DecompositionOptions = DecompositionOptions(),
 ) -> tuple[SchmidtResult, float]:
-    """``coord_spectrum`` checked against its ``coord_probe``.
+    """``coord_spectrum`` checked against its window probe.
 
-    Returns the base decomposition and the drift of the weight spectrum
-    between the two.
+    The probe is the thin factor (``coord_thin_spectrum``) on the p nodes
+    of ``_pinned_window(params, n, COORD_PROBE_FACTOR)``, the window
+    ``coord_probe`` samples, with the margin grown by the same factor.  No
+    n x n matrix is sampled or decomposed.  Returns the base decomposition
+    and the drift of the weight spectrum between the two.
 
     Raises
     ------
@@ -326,7 +391,8 @@ def coord_capture_drift(
         (the argument ``n``, the CLI's ``--n``).
     """
     base = coord_spectrum(params, n, opts)
-    big = coord_probe(params, coord_grid(params, n), opts)
+    big_grid = _pinned_window(params, n, COORD_PROBE_FACTOR)
+    big = coord_thin_spectrum(params, big_grid, COORD_PROBE_FACTOR * COORD_SIGMA_MARGIN, opts)
     drift = spectrum_drift(base, big)
     if drift >= CAPTURE_TOL:
         raise ConvergenceError(
@@ -461,7 +527,8 @@ def full_dynamics(tau: float, spectrum: SchmidtResult):
     The excited state survives with weight exp(-tau); the emitted-photon
     branch carries weight 1 - exp(-tau) spread over the Schmidt weights
     mu_k of ``spectrum``, a decomposition of the coordinate amplitude
-    (``coord_spectrum`` or ``coord_capture_drift``).  The composite spectrum
+    (``coord_spectrum`` or ``coord_capture_drift``, both from the thin
+    T = 0 factor, or a sampled ``schmidt_decompose``).  The composite spectrum
     {exp(-tau)} U {(1 - exp(-tau)) mu_k} sums to 1 by construction, and K
     and S follow from it.  When the amplitude is effectively rank-1
     (eta -> 0) this reduces to the two-level (K0, S0) with the

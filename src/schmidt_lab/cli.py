@@ -47,7 +47,6 @@ from .atom_photon import (
     coord_grid,
     coord_matrix,
     coord_probe,
-    coord_spectrum,
     full_dynamics,
     laguerre_mode,
     momentum_grid,
@@ -349,8 +348,10 @@ def _spdc_constants(req: _Resolver):
 # decomposition, coherence and dynamics functions up in this module's
 # globals at call time, and the atom-photon probes look theirs up in
 # atom_photon's, because bench/tracing.py wraps them there and tells a
-# probe by its grid differing from the first one sampled.  Sweep points,
-# whose modes are never read, pass modes=False.
+# probe by its grid differing from the first one sampled.  The dynamics
+# sweep's capture check (coord_capture_drift) samples nothing, so its one
+# sampled grid, the tau-invariance check's, is never taken for a probe.
+# Sweep points, whose modes are never read, pass modes=False.
 
 
 def _coord(req: _Resolver) -> ModelRun:
@@ -418,10 +419,10 @@ def _dynamics(req: _Resolver) -> ModelRun:
     not squared) so that S - S0 vanishes when the fine structure does;
     K0 is identical under both readings.  Free evolution after the
     emission leaves the photonic Schmidt weights unchanged, so every row
-    is built from one decomposition, at the largest tau, where the
-    Gaussian ridge is widest and the window capture is checked.  The
-    tau-invariance is checked too, against a decomposition at the
-    smallest positive tau, which is reused when it is the largest.
+    is built from one spectrum: the thin T = 0 factor on the largest tau's
+    window, capture-checked by ``coord_capture_drift``.  The
+    tau-invariance is checked too, against the one sampled n x n
+    decomposition of the run, at the smallest positive tau.
     """
     xi0, eta = req.require("xi0"), req.require("eta")
     taus = _sweep_values(req, "tau")
@@ -433,14 +434,14 @@ def _dynamics(req: _Resolver) -> ModelRun:
     params = AtomPhotonParams(xi0, eta, max(positive))
     spectrum, drift = coord_capture_drift(params, req.n, req.opts)
     first = AtomPhotonParams(xi0, eta, min(positive))
-    first_spectrum = spectrum if first == params else coord_spectrum(first, req.n, req.opts)
-    invariance = spectrum_drift(spectrum, first_spectrum)
+    sampled = schmidt_decompose(coord_matrix(first, coord_grid(first, req.n)), req.opts, modes=False)
+    invariance = spectrum_drift(spectrum, sampled)
     if invariance >= CAPTURE_TOL:
         raise ConvergenceError(
-            f"tau-invariance check failed: the photonic Schmidt weights at "
-            f"tau={first.tau:g} and tau={params.tau:g} differ by {invariance:.3e} >= "
-            f"{CAPTURE_TOL:.1e}, though free evolution cannot change them; "
-            "raise n"
+            f"tau-invariance check failed: the photonic Schmidt weights sampled at "
+            f"tau={first.tau:g} and those of the T = 0 factor at tau={params.tau:g} "
+            f"differ by {invariance:.3e} >= {CAPTURE_TOL:.1e}, though free evolution "
+            "cannot change them; raise n"
         )
 
     header = ("tau", "K0", "S0", "K", "S", "K_minus_K0", "S_minus_S0")

@@ -5,8 +5,9 @@ class ConvergenceError(RuntimeError):
     """A discretization is too coarse or a window too small for the requested run.
 
     Raised when an enlarged-window consistency check moves the Schmidt
-    spectrum by more than the allowed drift, or when the oscillatory
-    phase-matching factor is under-resolved by the grid.
+    spectrum by more than the allowed drift, when the oscillatory
+    phase-matching factor is under-resolved by the grid, or when the thin
+    coordinate factor keeps as many weights as it has q nodes.
     """
 
 

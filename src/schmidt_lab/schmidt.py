@@ -101,8 +101,10 @@ class SchmidtResult:
         dropped).
     route
         "dense" (LAPACK SVD of the whole matrix), "randomized" (SVD of a
-        certified sketch) or "centrosymmetric" (SVDs of the two parity
-        blocks of the centrosymmetric part, values only).
+        certified sketch), "centrosymmetric" (SVDs of the two parity
+        blocks of the centrosymmetric part, values only) or "thin-factor"
+        (SVD of the real T = 0 coordinate factor of
+        ``atom_photon.coord_thin_spectrum``, values only).
     sketch_width
         Columns of the accepted sketch; None on the other routes.
     residual_mass
@@ -347,14 +349,39 @@ def schmidt_decompose(
     else:
         route = "dense"
         U, s, Vh = _svd(M, modes)
+        total = None
+    return spectrum_result(s, opts, route, total, (U, Vh) if modes else None, width, residual_mass)
+
+
+def spectrum_result(
+    s: np.ndarray,
+    opts: DecompositionOptions = DecompositionOptions(),
+    route: str = "dense",
+    total: float | None = None,
+    factors=None,
+    sketch_width: int | None = None,
+    residual_mass: float | None = None,
+) -> SchmidtResult:
+    """The decomposition given by the singular values ``s`` (non-increasing) of a factor.
+
+    The raw weights are s^2 / ``total``, with ``total`` = ||A||_F^2, by
+    default sum(s^2) when ``s`` holds every singular value.  Those at or
+    above ``opts.truncation_threshold`` times the largest are kept and
+    renormalized to sum to 1; the rest, plus ``residual_mass`` (a certified
+    weight outside the factor, as a share of ``total``), is the discarded
+    mass.  ``factors`` is ``(U, Vh)``: their kept columns and rows become
+    the modes, gauged by ``opts.gauge``.  None gives a values-only result.
+    """
+    if total is None:
         total = float((s**2).sum())
     lam_raw = s**2 / total
 
-    keep = lam_raw >= trunc * lam_raw[0]
+    keep = lam_raw >= opts.truncation_threshold * lam_raw[0]
     rank = int(np.count_nonzero(keep))
     lam_kept = lam_raw[:rank]
     u = v = None
-    if modes:
+    if factors is not None:
+        U, Vh = factors
         # Copy only the kept modes, so no full n x n factor outlives the call.
         u = U[:, :rank].T.astype(complex, order="C")
         v = Vh[:rank].astype(complex, order="C")
@@ -374,7 +401,7 @@ def schmidt_decompose(
         entropy=entanglement_entropy(lam),
         reconstruction_error=float(np.sqrt(max(discarded, 0.0))),
         route=route,
-        sketch_width=width,
+        sketch_width=sketch_width,
         residual_mass=residual_mass,
     )
 

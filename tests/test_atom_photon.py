@@ -8,7 +8,8 @@ import scipy.special
 import schmidt_lab.atom_photon as atom_photon
 from schmidt_lab.atom_photon import (
     COORD_PROBE_FACTOR,
-    DEFAULT_N,
+    COORD_SIGMA_MARGIN,
+    THIN_Q_SPACING,
     AtomPhotonParams,
     asymptotics,
     coord_amplitude,
@@ -29,7 +30,7 @@ from schmidt_lab.atom_photon import (
 )
 from schmidt_lab.errors import ConvergenceError
 from schmidt_lab.schmidt import DecompositionOptions, mode_overlap, schmidt_decompose, spectrum_drift
-from schmidt_lab.tensor_core import AmplitudeMatrix, enlarged_n, make_grid, normalize
+from schmidt_lab.tensor_core import AmplitudeMatrix, make_grid, normalize
 
 FIG_PARAMS = AtomPhotonParams(xi0=100.0, eta=0.03, tau=10.0)
 
@@ -407,23 +408,84 @@ def test_full_dynamics_approaches_asymptotic_k():
 
 
 def test_coord_capture_drift_reuses_base_decomposition(monkeypatch):
-    # One base and one enlarged-window SVD per call, and the check changes
-    # nothing it returns.
+    # Both legs are thin factors: no n x n matrix is sampled or decomposed,
+    # and the check changes nothing it returns.
     taus = (5.0, 10.0)
     unchecked = [coord_spectrum(AtomPhotonParams(100.0, 0.03, tau)) for tau in taus]
-    sizes = []
-    decompose = atom_photon.schmidt_decompose
 
-    def recording(A, *args, **kwargs):
-        sizes.append(A.grid.n)
-        return decompose(A, *args, **kwargs)
+    def sampled(*args, **kwargs):
+        raise AssertionError("the capture check samples and decomposes no n x n matrix")
 
-    monkeypatch.setattr(atom_photon, "schmidt_decompose", recording)
+    for name in ("schmidt_decompose", "coord_matrix", "coord_probe"):
+        monkeypatch.setattr(atom_photon, name, sampled)
     checked = [coord_capture_drift(AtomPhotonParams(100.0, 0.03, tau))[0] for tau in taus]
-    n = DEFAULT_N
-    assert sizes == [n, enlarged_n(n, COORD_PROBE_FACTOR)] * len(taus)
     for base, base0 in zip(checked, unchecked):
+        assert base.route == "thin-factor"
         assert np.array_equal(base.lambdas, base0.lambdas)
+
+
+def _sampled_spectrum(params, n):
+    """The values-only decomposition of the sampled n x n amplitude on ``coord_grid``."""
+    return schmidt_decompose(coord_matrix(params, coord_grid(params, n)), modes=False)
+
+
+# (xi0, eta, tau, n); T = tau eta^2 xi0 runs from 0.009 to 2250.
+THIN_CASES = [
+    (100.0, 0.03, 10.0, 400),
+    (100.0, 0.03, 10.0, 800),
+    (100.0, 0.03, 0.1, 400),
+    (100.0, 0.3, 10.0, 400),
+    (100.0, 0.5, 10.0, 200),
+    (100.0, 0.5, 10.0, 400),
+    (1000.0, 0.3, 9.0, 400),
+    (1000.0, 0.5, 9.0, 400),
+]
+
+
+@pytest.mark.filterwarnings("ignore:coordinate amplitude is a long-time approximation")
+@pytest.mark.parametrize("xi0,eta,tau,n", THIN_CASES)
+def test_thin_factor_matches_the_sampled_route(xi0, eta, tau, n):
+    params = AtomPhotonParams(xi0, eta, tau)
+    thin = coord_spectrum(params, n)
+    ref = _sampled_spectrum(params, n)
+    assert thin.route == "thin-factor" and thin.modes_p is None
+    assert thin.rank == ref.rank
+    np.testing.assert_allclose(thin.lambdas, ref.lambdas, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("eta", [0.03, 0.3, 0.5])
+@pytest.mark.parametrize("margin", [COORD_SIGMA_MARGIN, COORD_PROBE_FACTOR * COORD_SIGMA_MARGIN])
+def test_thin_factor_takes_the_fewest_q_nodes_its_spacing_bound_allows(eta, margin):
+    grid = coord_grid(AtomPhotonParams(100.0, eta, 10.0), 400)
+    q = atom_photon._thin_q_nodes(grid, eta, margin)
+    width = grid.p_max - grid.p_min + 2.0 * margin / eta
+    assert q[0] == -grid.p_max - margin / eta and q[-1] == pytest.approx(q[0] + width)
+    h = THIN_Q_SPACING / eta
+    assert width / (q.size - 1) <= h < width / (q.size - 2)
+
+
+def test_thin_factor_with_a_wider_q_spacing_is_measurably_worse(monkeypatch):
+    # At eta h_q = 0.7 the trapezoid rule's aliasing error shows.
+    params = AtomPhotonParams(100.0, 0.5, 10.0)
+    ref = _sampled_spectrum(params, 400)
+    monkeypatch.setattr(atom_photon, "THIN_Q_SPACING", 0.7)
+    assert atom_photon._thin_q_nodes(coord_grid(params, 400), 0.5, COORD_SIGMA_MARGIN).size == 47
+    coarse = coord_spectrum(params, 400)
+    assert (coarse.rank, ref.rank) == (24, 25)
+    assert np.max(np.abs(coarse.lambdas - ref.lambdas[:24])) > 1e-10
+
+
+def test_thin_factor_refuses_a_rank_that_fills_its_q_nodes():
+    opts = DecompositionOptions(truncation_threshold=0.0)
+    with pytest.raises(ConvergenceError, match="kept all 28 of its q-node weights"):
+        coord_spectrum(FIG_PARAMS, 400, opts)
+
+
+def test_coord_spectrum_does_not_depend_on_xi0():
+    # xi0 enters only the validity window and the chirp, a local unitary.
+    spectra = [coord_spectrum(AtomPhotonParams(xi0, 0.03, 10.0), 400) for xi0 in (10.0, 100.0, 1000.0)]
+    for other in spectra[1:]:
+        assert np.array_equal(other.lambdas, spectra[0].lambdas)
 
 
 def test_full_dynamics_capture_failure_raises():
@@ -438,7 +500,7 @@ def test_full_dynamics_with_a_shared_spectrum_matches_the_per_tau_route(monkeypa
     # Free evolution is local, so one spectrum serves every tau.
     spectrum = coord_spectrum(FIG_PARAMS, 96)
     per_tau = {
-        tau: full_dynamics(tau, coord_spectrum(AtomPhotonParams(100.0, 0.03, tau), 96))
+        tau: full_dynamics(tau, _sampled_spectrum(AtomPhotonParams(100.0, 0.03, tau), 96))
         for tau in (0.1, 1.0, 2.5, 6.0, 10.0)
     }
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import schmidt_lab.atom_photon as atom_photon
 import schmidt_lab.cli as cli
 from schmidt_lab import schmidt, spdc
-from schmidt_lab.atom_photon import AtomPhotonParams, coord_capture_drift, coord_spectrum, full_dynamics
+from schmidt_lab.atom_photon import AtomPhotonParams, coord_capture_drift, coord_grid, coord_matrix, full_dynamics
 from schmidt_lab.cli import FIG_PRESETS, FORMATS, main
 from schmidt_lab.errors import ConvergenceError
 from schmidt_lab.polarization import coherence
@@ -496,12 +496,13 @@ def test_capture_checks_and_the_cli_reach_one_probe_per_model(tmp_path, monkeypa
         for namespace in (mod, cli):
             monkeypatch.setattr(namespace, name, counting)
     params = AtomPhotonParams(100.0, 0.03, 10.0)
+    # The capture check's probe is a thin factor, not a sampled coord_probe.
     atom_photon.coord_capture_drift(params, 48)
-    assert calls == ["coord_probe"]
+    assert calls == []
     dynamics = [*DYNAMICS, "--eta", "0.03", "--n", "48", "--tau-list", "5,10"]
     for i, argv in enumerate((COORD_N64, MOMENTUM_N64, SPDC_N64, dynamics)):
         assert main([*argv, "--out", str(tmp_path / str(i))]) == 0
-    assert calls[1:] == ["coord_probe", "momentum_probe", "spdc_probe", "coord_probe"]
+    assert calls == ["coord_probe", "momentum_probe", "spdc_probe"]
 
 
 def test_mode_tables_hold_each_cell_as_one_complex_scalar_gives_it(tmp_path):
@@ -717,7 +718,10 @@ def test_dynamics_rows_match_the_per_tau_route(tmp_path, n, eta):
     assert main([*argv, "--tau-list", taus, "--out", str(tmp_path)]) == 0
     header, rows = _read_csv(tmp_path / "sweep.csv")
     got = np.array([[float(r[header.index(c)]) for c in ("K", "S")] for r in rows])
-    spectra = [coord_spectrum(AtomPhotonParams(100.0, eta, tau), n) for tau in DYNAMICS_TAUS]
+    spectra = [
+        schmidt.schmidt_decompose(coord_matrix(params, coord_grid(params, n)), modes=False)
+        for params in (AtomPhotonParams(100.0, eta, tau) for tau in DYNAMICS_TAUS)
+    ]
     want = np.array([full_dynamics(tau, sp)[:2] for tau, sp in zip(DYNAMICS_TAUS, spectra)])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     assert tuple(float(r[0]) for r in rows) == DYNAMICS_TAUS
@@ -751,9 +755,9 @@ def test_dynamics_capture_failure_advice_can_be_followed(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("count", [2, 5, 34])
-def test_dynamics_decomposes_three_times_whatever_the_tau_count(tmp_path, monkeypatch, count):
-    # The spectrum at the largest tau, its enlarged-window probe, and the
-    # tau-invariance sample at the smallest positive tau.
+def test_dynamics_decomposes_once_whatever_the_tau_count(tmp_path, monkeypatch, count):
+    # The spectrum and its capture probe are thin factors; the one sampled
+    # decomposition is the tau-invariance check at the smallest positive tau.
     calls = []
     decompose = atom_photon.schmidt_decompose
 
@@ -766,13 +770,12 @@ def test_dynamics_decomposes_three_times_whatever_the_tau_count(tmp_path, monkey
     taus = ",".join(repr(float(t)) for t in np.linspace(3.0, 10.0, count))
     argv = [*DYNAMICS, "--eta", "0.03", "--n", "64", "--tau-list", taus]
     assert main([*argv, "--out", str(tmp_path)]) == 0
-    big = enlarged_n(64, atom_photon.COORD_PROBE_FACTOR)
-    assert calls == [(64, False), (big, False), (64, False)]
+    assert calls == [(64, False)]
 
 
-def test_dynamics_with_one_positive_tau_decomposes_twice(tmp_path, monkeypatch):
-    # The smallest positive tau is the largest, so its spectrum is reused
-    # for the tau-invariance check instead of being decomposed again.
+def test_dynamics_with_one_positive_tau_decomposes_once(tmp_path, monkeypatch):
+    # The smallest positive tau is the largest: the sampled check compares
+    # the thin spectrum with the sampled amplitude at that same tau.
     calls = []
     decompose = atom_photon.schmidt_decompose
 
@@ -784,9 +787,8 @@ def test_dynamics_with_one_positive_tau_decomposes_twice(tmp_path, monkeypatch):
         monkeypatch.setattr(mod, "schmidt_decompose", counting)
     argv = [*DYNAMICS, "--eta", "0.03", "--n", "64", "--tau-list", "0,5"]
     assert main([*argv, "--out", str(tmp_path)]) == 0
-    big = enlarged_n(64, atom_photon.COORD_PROBE_FACTOR)
-    assert calls == [(64, False), (big, False)]
-    assert _summary(tmp_path)["grid_convergence"]["tau_invariance_drift"] == 0.0
+    assert calls == [(64, False)]
+    assert _summary(tmp_path)["grid_convergence"]["tau_invariance_drift"] < 1e-15
 
 
 def test_dynamics_warns_only_when_a_tau_is_below_3(tmp_path):
