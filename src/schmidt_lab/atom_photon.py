@@ -31,10 +31,9 @@ from .schmidt import (
     entanglement_entropy,
     schmidt_decompose,
     schmidt_number,
-    spectrum_drift,
     spectrum_result,
 )
-from .tensor_core import AmplitudeMatrix, Grid, enlarged_grid, enlarged_n, make_grid, sample_amplitude
+from .tensor_core import AmplitudeMatrix, Grid, grown_grid, make_grid, sample_amplitude
 
 TAU_APPLICABILITY_WARN = 3.0
 DEFAULT_N = 400
@@ -43,7 +42,9 @@ COORD_DECAY_SPAN = 40.0
 COORD_SIGMA_MARGIN = 6.0
 MOMENTUM_NU_MAX = 60.0
 MOMENTUM_PI_MAX = 6.0
-# Window growth of coord_probe and momentum_probe, at fixed mesh spacing.
+# Window growth of coord_capture_drift and momentum_probe, by whole mesh
+# steps (``tensor_core.grown_grid``).  The coordinate probe grows its decay
+# span behind the light front and its thin factor's q margin by its factor.
 COORD_PROBE_FACTOR = 1.5
 MOMENTUM_PROBE_FACTOR = 2.0
 CAPTURE_TOL = 1e-6
@@ -231,23 +232,12 @@ def coord_grid(params: AtomPhotonParams, n: int = DEFAULT_N) -> Grid:
 
     p covers [tau - COORD_DECAY_SPAN, tau]; q covers the ridge q = -p
     broadened by COORD_SIGMA_MARGIN times the modulus-width of the Gaussian
-    factor, w = sqrt(1 + (tau eta^2 xi0)^2) / eta.  ``coord_probe`` grows
-    this window behind the light front, which stays at p = tau.
-    """
-    return _pinned_window(params, n, 1.0)
-
-
-def _pinned_window(params: AtomPhotonParams, n: int, enlarge: float) -> Grid:
-    """``coord_grid`` with both margins grown by ``enlarge`` at its spacing.
-
-    Unlike ``enlarged_grid`` it keeps the light front pinned at p = tau.
+    factor, w = sqrt(1 + (tau eta^2 xi0)^2) / eta.
     """
     tau, eta, xi0 = params.tau, params.eta, params.xi0
     w = math.sqrt(1.0 + (tau * eta**2 * xi0) ** 2) / eta
-    decay_span, sigma_margin = enlarge * COORD_DECAY_SPAN, enlarge * COORD_SIGMA_MARGIN
-    p_lo, p_hi = tau - decay_span, tau
-    q_lo, q_hi = -p_hi - sigma_margin * w, -p_lo + sigma_margin * w
-    return make_grid(p_lo, p_hi, q_lo, q_hi, enlarged_n(n, enlarge))
+    p_lo = tau - COORD_DECAY_SPAN
+    return make_grid(p_lo, tau, -tau - COORD_SIGMA_MARGIN * w, -p_lo + COORD_SIGMA_MARGIN * w, n)
 
 
 def momentum_grid(n: int = DEFAULT_N) -> Grid:
@@ -279,7 +269,7 @@ def coord_spectrum(
 
     Values only, from the thin real factor of ``coord_thin_spectrum`` at
     the automatic margin COORD_SIGMA_MARGIN; no n x n matrix is sampled or
-    decomposed.  No capture check; ``coord_capture_drift`` adds one.
+    decomposed.  ``coord_capture_drift`` is its window probe.
     """
     return coord_thin_spectrum(params, coord_grid(params, n), COORD_SIGMA_MARGIN, opts)
 
@@ -294,9 +284,10 @@ def coord_thin_spectrum(
 
     The chirp T = tau eta^2 xi0 is the free spreading of the atom's packet,
     a unitary on q alone, so the Schmidt weights are those of the T = 0
-    amplitude.  On the n p nodes of ``grid`` and m uniform q nodes over the
-    T = 0 window [-p_max - margin / eta, -p_min + margin / eta] of width W,
-    that is the real n x m factor
+    amplitude.  On the p nodes of ``grid`` up to the light front p = tau
+    (past it the amplitude is 0) and m uniform q nodes over the T = 0
+    window [-p_max - margin / eta, -p_min + margin / eta] of width W, that
+    is the real factor
 
         F_ij = f(p_i) exp(-eta^2 (p_i + q_j)^2 / 2),
 
@@ -314,12 +305,13 @@ def coord_thin_spectrum(
     ------
     ConvergenceError
         If the kept rank reaches m, where the q nodes could cut a weight
-        above the cutoff (``truncation_threshold = 0`` always does).
+        above the cutoff (``truncation_threshold = 0`` does once F has at
+        least m rows).
     """
     q = _thin_q_nodes(grid, params.eta, margin)
     p = grid.p_nodes()
-    x = params.tau - p
-    front = np.where(x >= 0.0, np.exp(-np.maximum(x, 0.0) / 2.0), 0.0)
+    p = p[p <= params.tau]
+    front = np.exp(-(params.tau - p) / 2.0)
     F = front[:, None] * np.exp(-(params.eta**2) / 2.0 * np.square(p[:, None] + q))
     result = spectrum_result(np.linalg.svd(F, compute_uv=False), opts, "thin-factor")
     m = q.size
@@ -338,69 +330,47 @@ def _thin_q_nodes(grid: Grid, eta: float, margin: float) -> np.ndarray:
     return np.linspace(q_lo, q_hi, math.ceil((q_hi - q_lo) * eta / THIN_Q_SPACING) + 1)
 
 
-# The window probes call coord_matrix, momentum_matrix and
-# schmidt_decompose through this module's globals, where bench/tracing.py
-# wraps them.  The thin factor calls none of them, so a traced capture
-# check is one probe span with no sample or decompose inside.
-
-
-def coord_probe(params: AtomPhotonParams, grid: Grid, opts: DecompositionOptions) -> SchmidtResult:
-    """Values-only decomposition on the window probe of ``grid``.
-
-    The probe window keeps the mesh spacing of ``grid`` and is
-    COORD_PROBE_FACTOR times larger.  The automatic window
-    (``coord_grid(params, grid.n)``) grows its margins behind the light
-    front, which stays at p = tau; any other window grows about its centre.
-    """
-    if grid == coord_grid(params, grid.n):
-        big_grid = _pinned_window(params, grid.n, COORD_PROBE_FACTOR)
-    else:
-        big_grid = enlarged_grid(grid, COORD_PROBE_FACTOR)
-    return schmidt_decompose(coord_matrix(params, big_grid), opts, modes=False)
+# momentum_probe calls momentum_matrix and schmidt_decompose through this
+# module's globals, where bench/tracing.py wraps them and tells the probe by
+# its grid.  The coordinate probe samples nothing, so the tracer counts it by
+# its name, coord_capture_drift, as the CLI calls it.
 
 
 def momentum_probe(params: AtomPhotonParams, grid: Grid, opts: DecompositionOptions) -> SchmidtResult:
     """Values-only decomposition on the window probe of ``grid``.
 
-    The probe window keeps the mesh spacing of ``grid`` and grows about its
-    centre by MOMENTUM_PROBE_FACTOR.
+    The probe window is ``grown_grid(grid, MOMENTUM_PROBE_FACTOR)``: the
+    mesh spacing of ``grid``, and nodes that contain its nodes.
     """
-    big_grid = enlarged_grid(grid, MOMENTUM_PROBE_FACTOR)
+    big_grid = grown_grid(grid, MOMENTUM_PROBE_FACTOR)
     return schmidt_decompose(momentum_matrix(params, big_grid), opts, modes=False)
 
 
 def coord_capture_drift(
     params: AtomPhotonParams,
-    n: int = DEFAULT_N,
+    grid: Grid,
     opts: DecompositionOptions = DecompositionOptions(),
-) -> tuple[SchmidtResult, float]:
-    """``coord_spectrum`` checked against its window probe.
+) -> SchmidtResult:
+    """Values-only decomposition on the window probe of ``grid``.
 
-    The probe is the thin factor (``coord_thin_spectrum``) on the p nodes
-    of ``_pinned_window(params, n, COORD_PROBE_FACTOR)``, the window
-    ``coord_probe`` samples, with the margin grown by the same factor.  No
-    n x n matrix is sampled or decomposed.  Returns the base decomposition
-    and the drift of the weight spectrum between the two.
+    The coordinate model's one window probe: the thin factor
+    (``coord_thin_spectrum``) on the p nodes of ``grid`` grown by
+    2 COORD_PROBE_FACTOR - 1, at the q margin
+    COORD_PROBE_FACTOR * COORD_SIGMA_MARGIN.  The light front p = tau is
+    the automatic window's edge, so the decay span behind it grows by
+    COORD_PROBE_FACTOR, and the thin factor drops the nodes past it.  No n x n
+    matrix is sampled or decomposed.  The probe is exact in q, so against
+    a sampled base the drift also carries the base's q-window and q-mesh
+    error.  The dynamics sweep's capture drift, which names the function,
+    is ``spectrum_drift(coord_spectrum(params, n), probe)``.
 
     Raises
     ------
     ConvergenceError
-        If the drift is at least CAPTURE_TOL.  The automatic
-        window is fixed, and the drift falls as the mesh is refined, so the
-        message asks for a larger n, which every caller can set
-        (the argument ``n``, the CLI's ``--n``).
+        From ``coord_thin_spectrum``, if the kept rank reaches its q-node count.
     """
-    base = coord_spectrum(params, n, opts)
-    big_grid = _pinned_window(params, n, COORD_PROBE_FACTOR)
-    big = coord_thin_spectrum(params, big_grid, COORD_PROBE_FACTOR * COORD_SIGMA_MARGIN, opts)
-    drift = spectrum_drift(base, big)
-    if drift >= CAPTURE_TOL:
-        raise ConvergenceError(
-            f"window capture check failed at tau={params.tau:g}: enlarging the "
-            f"margins by {COORD_PROBE_FACTOR - 1:.0%} moves the weight spectrum by "
-            f"{drift:.3e} >= {CAPTURE_TOL:.1e}; raise n above {n}"
-        )
-    return base, drift
+    big_grid = grown_grid(grid, 2.0 * COORD_PROBE_FACTOR - 1.0)
+    return coord_thin_spectrum(params, big_grid, COORD_PROBE_FACTOR * COORD_SIGMA_MARGIN, opts)
 
 
 def xi0_estimate(mass_ratio_M_over_m: float) -> float:
@@ -527,8 +497,8 @@ def full_dynamics(tau: float, spectrum: SchmidtResult):
     The excited state survives with weight exp(-tau); the emitted-photon
     branch carries weight 1 - exp(-tau) spread over the Schmidt weights
     mu_k of ``spectrum``, a decomposition of the coordinate amplitude
-    (``coord_spectrum`` or ``coord_capture_drift``, both from the thin
-    T = 0 factor, or a sampled ``schmidt_decompose``).  The composite spectrum
+    (``coord_spectrum``, from the thin T = 0 factor, or a sampled
+    ``schmidt_decompose``).  The composite spectrum
     {exp(-tau)} U {(1 - exp(-tau)) mu_k} sums to 1 by construction, and K
     and S follow from it.  When the amplitude is effectively rank-1
     (eta -> 0) this reduces to the two-level (K0, S0) with the

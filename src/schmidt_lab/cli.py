@@ -46,7 +46,7 @@ from .atom_photon import (
     coord_capture_drift,
     coord_grid,
     coord_matrix,
-    coord_probe,
+    coord_spectrum,
     full_dynamics,
     laguerre_mode,
     momentum_grid,
@@ -343,14 +343,13 @@ def _spdc_constants(req: _Resolver):
 
 
 # Model functions.  Each samples its base grid first; the window probe is
-# its model's library function (coord_probe, momentum_probe, spdc_probe),
-# called after the base decomposition.  The models look the sampling,
-# decomposition, coherence and dynamics functions up in this module's
-# globals at call time, and the atom-photon probes look theirs up in
-# atom_photon's, because bench/tracing.py wraps them there and tells a
-# probe by its grid differing from the first one sampled.  The dynamics
-# sweep's capture check (coord_capture_drift) samples nothing, so its one
-# sampled grid, the tau-invariance check's, is never taken for a probe.
+# its model's library function (coord_capture_drift, momentum_probe,
+# spdc_probe), called after the base decomposition.  The models look the
+# sampling, decomposition, probe, coherence and dynamics functions up in
+# this module's globals at call time, and momentum_probe looks its own up
+# in atom_photon's, because bench/tracing.py wraps them there.  The tracer
+# tells a sampled probe by its grid differing from the first one sampled,
+# and counts coord_capture_drift, which samples nothing, by its name.
 # Sweep points, whose modes are never read, pass modes=False.
 
 
@@ -359,7 +358,7 @@ def _coord(req: _Resolver) -> ModelRun:
     params = AtomPhotonParams(req.require("xi0"), req.require("eta"), req.require("tau"))
     grid = req.window or coord_grid(params, req.n)
     result = schmidt_decompose(coord_matrix(params, grid), req.opts)
-    big = coord_probe(params, grid, req.opts)
+    big = coord_capture_drift(params, grid, req.opts)
     p_nodes = grid.p_nodes()
     overlaps = [
         (k, abs(mode_overlap(laguerre_mode(k, params.tau, p_nodes), result.modes_p[k])))
@@ -432,7 +431,17 @@ def _dynamics(req: _Resolver) -> ModelRun:
     if not positive:
         raise ValueError(f"the tau sweep needs at least one positive tau, got {taus}")
     params = AtomPhotonParams(xi0, eta, max(positive))
-    spectrum, drift = coord_capture_drift(params, req.n, req.opts)
+    spectrum = coord_spectrum(params, req.n, req.opts)
+    drift = spectrum_drift(spectrum, coord_capture_drift(params, coord_grid(params, req.n), req.opts))
+    if drift >= CAPTURE_TOL:
+        # The probe's nodes contain the base nodes and both are exact in q,
+        # so the drift is weight that the fixed automatic window cuts off.
+        raise ConvergenceError(
+            f"window capture check failed at tau={params.tau:g}: growing the automatic "
+            f"window by whole mesh steps moves the weight spectrum by {drift:.3e} >= "
+            f"{CAPTURE_TOL:.1e}; its span (atom_photon.COORD_DECAY_SPAN, "
+            "COORD_SIGMA_MARGIN) cuts off the amplitude, and no n restores it"
+        )
     first = AtomPhotonParams(xi0, eta, min(positive))
     sampled = schmidt_decompose(coord_matrix(first, coord_grid(first, req.n)), req.opts, modes=False)
     invariance = spectrum_drift(spectrum, sampled)

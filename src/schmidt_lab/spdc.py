@@ -23,7 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConvergenceError
 from .polarization import coherence
 from .schmidt import DecompositionOptions, SchmidtResult, schmidt_decompose
-from .tensor_core import AmplitudeMatrix, Grid, enlarged_grid, make_grid, sample_amplitude
+from .tensor_core import AmplitudeMatrix, Grid, grown_grid, make_grid, sample_amplitude
 
 DEFAULT_D_O = 0.076
 DEFAULT_D_E = 0.266
@@ -36,7 +36,7 @@ SINC_SERIES_CUTOFF = 1e-4
 # spectrum is converged to ~1e-4 well below this; the guard only catches
 # grids that genuinely cannot represent the oscillation.
 MAX_PHASE_STEP = math.pi / 2.0
-# Window growth of spdc_probe, at fixed mesh spacing.
+# Window growth of spdc_probe by whole mesh steps (``tensor_core.grown_grid``).
 SPDC_PROBE_FACTOR = 1.5
 
 
@@ -218,13 +218,13 @@ def spdc_matrix(params: SpdcParams, grid: Grid) -> AmplitudeMatrix:
 def spdc_probe(params: SpdcParams, grid: Grid, opts: DecompositionOptions) -> tuple[SchmidtResult, complex]:
     """Values-only decomposition and coherence F on the window probe of ``grid``.
 
-    The probe window keeps the mesh spacing of ``grid`` and grows about its
-    centre by SPDC_PROBE_FACTOR.
+    The probe window is ``grown_grid(grid, SPDC_PROBE_FACTOR)``: the mesh
+    spacing of ``grid``, and nodes that contain its nodes.
 
     Raises
     ------
     ConvergenceError
         If the probe grid under-resolves the sinc oscillation.
     """
-    A = spdc_matrix(params, enlarged_grid(grid, SPDC_PROBE_FACTOR))
+    A = spdc_matrix(params, grown_grid(grid, SPDC_PROBE_FACTOR))
     return schmidt_decompose(A, opts, modes=False), coherence(A)

@@ -74,21 +74,17 @@ def make_grid(p_min: float, p_max: float, q_min: float, q_max: float, n: int) ->
     return Grid(float(p_min), float(p_max), float(q_min), float(q_max), n)
 
 
-def enlarged_n(n: int, factor: float) -> int:
-    """Node count that keeps the mesh spacing when a window grows by ``factor``."""
-    return int(round(factor * (n - 1))) + 1
+def grown_grid(grid: Grid, factor: float) -> Grid:
+    """``grid`` widened by whole mesh steps to at least ``factor`` times its width.
 
-
-def enlarged_grid(grid: Grid, factor: float) -> Grid:
-    """Scale both windows about their centres by ``factor`` at fixed spacing.
-
-    This is the window the convergence probe of a sampled run compares against.
+    Each side of both axes gains s = ceil((factor - 1) (n - 1) / 2) steps
+    of that axis's spacing, so the result has n + 2 s nodes at the spacing
+    of ``grid``, and node j of ``grid`` is its node j + s, to rounding.
+    This is the window the convergence probe of a run compares against.
     """
-    pc = 0.5 * (grid.p_min + grid.p_max)
-    qc = 0.5 * (grid.q_min + grid.q_max)
-    hp = 0.5 * (grid.p_max - grid.p_min) * factor
-    hq = 0.5 * (grid.q_max - grid.q_min) * factor
-    return make_grid(pc - hp, pc + hp, qc - hq, qc + hq, enlarged_n(grid.n, factor))
+    s = math.ceil((factor - 1.0) * (grid.n - 1) / 2.0)
+    dp, dq = s * grid.dp, s * grid.dq
+    return make_grid(grid.p_min - dp, grid.p_max + dp, grid.q_min - dq, grid.q_max + dq, grid.n + 2 * s)
 
 
 @dataclass(frozen=True, eq=False)

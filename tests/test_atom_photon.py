@@ -6,7 +6,9 @@ import pytest
 import scipy.special
 
 import schmidt_lab.atom_photon as atom_photon
+import schmidt_lab.cli as cli
 from schmidt_lab.atom_photon import (
+    CAPTURE_TOL,
     COORD_PROBE_FACTOR,
     COORD_SIGMA_MARGIN,
     THIN_Q_SPACING,
@@ -30,7 +32,7 @@ from schmidt_lab.atom_photon import (
 )
 from schmidt_lab.errors import ConvergenceError
 from schmidt_lab.schmidt import DecompositionOptions, mode_overlap, schmidt_decompose, spectrum_drift
-from schmidt_lab.tensor_core import AmplitudeMatrix, make_grid, normalize
+from schmidt_lab.tensor_core import AmplitudeMatrix, grown_grid, make_grid, normalize
 
 FIG_PARAMS = AtomPhotonParams(xi0=100.0, eta=0.03, tau=10.0)
 
@@ -186,7 +188,7 @@ def test_coord_amplitude_matches_a_longdouble_evaluation(monkeypatch, params, wi
     if window is None:
         grid = coord_grid(params, n)
     elif window == "probe":
-        grid = atom_photon._pinned_window(params, n, COORD_PROBE_FACTOR)
+        grid = grown_grid(coord_grid(params, n), 2.0 * COORD_PROBE_FACTOR - 1.0)
     else:
         grid = make_grid(*window, n)
     got, taken = _open_mesh_amplitude(monkeypatch, params, grid)
@@ -371,7 +373,7 @@ def test_coord_grid_geometry():
 
 def test_coord_window_enlargement_invariance():
     base = coord_spectrum(FIG_PARAMS, 400)
-    big_grid = atom_photon._pinned_window(FIG_PARAMS, 400, 2.0)
+    big_grid = grown_grid(coord_grid(FIG_PARAMS, 400), 2.0)
     big = schmidt_decompose(coord_matrix(FIG_PARAMS, big_grid), modes=False)
     assert spectrum_drift(base, big) < 1e-6
     assert base.modes_p is None  # values only
@@ -408,20 +410,20 @@ def test_full_dynamics_approaches_asymptotic_k():
 
 
 def test_coord_capture_drift_reuses_base_decomposition(monkeypatch):
-    # Both legs are thin factors: no n x n matrix is sampled or decomposed,
-    # and the check changes nothing it returns.
-    taus = (5.0, 10.0)
-    unchecked = [coord_spectrum(AtomPhotonParams(100.0, 0.03, tau)) for tau in taus]
-
+    # The probe is a thin factor on the grown window: no n x n matrix is
+    # sampled or decomposed, and the base spectrum it checks is the thin
+    # one the sweep's rows are built from.
     def sampled(*args, **kwargs):
-        raise AssertionError("the capture check samples and decomposes no n x n matrix")
+        raise AssertionError("the coordinate probe samples and decomposes no n x n matrix")
 
-    for name in ("schmidt_decompose", "coord_matrix", "coord_probe"):
+    for name in ("schmidt_decompose", "coord_matrix"):
         monkeypatch.setattr(atom_photon, name, sampled)
-    checked = [coord_capture_drift(AtomPhotonParams(100.0, 0.03, tau))[0] for tau in taus]
-    for base, base0 in zip(checked, unchecked):
-        assert base.route == "thin-factor"
-        assert np.array_equal(base.lambdas, base0.lambdas)
+    for tau in (5.0, 10.0):
+        params = AtomPhotonParams(100.0, 0.03, tau)
+        base = coord_spectrum(params)
+        probe = coord_capture_drift(params, coord_grid(params, atom_photon.DEFAULT_N))
+        assert base.route == probe.route == "thin-factor"
+        assert spectrum_drift(base, probe) <= 1e-15
 
 
 def _sampled_spectrum(params, n):
@@ -488,11 +490,29 @@ def test_coord_spectrum_does_not_depend_on_xi0():
         assert np.array_equal(other.lambdas, spectra[0].lambdas)
 
 
-def test_full_dynamics_capture_failure_raises():
-    # At n = 64 the eta = 0.08 window drifts by 1.1e-6 under the probe.
-    params = AtomPhotonParams(xi0=100.0, eta=0.08, tau=10.0)
-    with pytest.raises(ConvergenceError, match="capture"):
-        coord_capture_drift(params, 64)
+def test_full_dynamics_capture_failure_raises(monkeypatch, tmp_path):
+    # A decay span of 10 cuts exp(-10) of the weight.  The probe's nodes
+    # contain the base nodes, so it sees that cut at every n, and the sweep
+    # raises.
+    monkeypatch.setattr(atom_photon, "COORD_DECAY_SPAN", 10.0)
+    params = AtomPhotonParams(xi0=100.0, eta=0.03, tau=10.0)
+    for n in (64, 65, 256):
+        probe = coord_capture_drift(params, coord_grid(params, n))
+        assert spectrum_drift(coord_spectrum(params, n), probe) >= CAPTURE_TOL
+    argv = ["atom-photon-dynamics", "--xi0", "100", "--eta", "0.03", "--tau-list", "5,10"]
+    args = cli.build_parser().parse_args([*argv, "--out", str(tmp_path / "out")])
+    with pytest.raises(ConvergenceError, match="window capture check failed at tau=10"):
+        cli.run(args)
+
+
+@pytest.mark.parametrize("n", [8, 9, 64])
+@pytest.mark.parametrize("eta", [0.03, 0.3, 2.0])
+def test_automatic_window_drifts_by_rounding_at_any_mesh(eta, n):
+    # The probe sees window error only, and the automatic window holds all
+    # but about 1e-17 of the weight, however coarse the mesh.
+    params = AtomPhotonParams(xi0=100.0, eta=eta, tau=10.0)
+    probe = coord_capture_drift(params, coord_grid(params, n))
+    assert spectrum_drift(coord_spectrum(params, n), probe) <= 1e-15
 
 
 @pytest.mark.filterwarnings("ignore:coordinate amplitude is a long-time approximation")

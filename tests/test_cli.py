@@ -15,12 +15,21 @@ from hypothesis import strategies as st
 import schmidt_lab.atom_photon as atom_photon
 import schmidt_lab.cli as cli
 from schmidt_lab import schmidt, spdc
-from schmidt_lab.atom_photon import AtomPhotonParams, coord_capture_drift, coord_grid, coord_matrix, full_dynamics
+from schmidt_lab.atom_photon import (
+    CAPTURE_TOL,
+    AtomPhotonParams,
+    coord_capture_drift,
+    coord_grid,
+    coord_matrix,
+    coord_spectrum,
+    full_dynamics,
+)
 from schmidt_lab.cli import FIG_PRESETS, FORMATS, main
 from schmidt_lab.errors import ConvergenceError
 from schmidt_lab.polarization import coherence
 from schmidt_lab.schmidt import GAUGES, spectrum_drift
-from schmidt_lab.tensor_core import Grid, enlarged_grid, enlarged_n, make_grid
+from schmidt_lab.tensor_core import Grid
+from test_tensor_core import assert_nests
 
 
 def _write_matrix(path, m):
@@ -417,33 +426,39 @@ MOMENTUM_N64 = ["atom-photon-momentum", "--xi0", "100", "--eta", "0.03", "--n", 
 SPDC_N64 = ["spdc", "--L", "0.5", "--sigma", "10", "--n", "64"]
 
 
-def test_coord_probe_pins_the_light_front_only_on_the_automatic_window(tmp_path, monkeypatch):
+# model: (argv at n = 64, a --window, the module whose global the probe
+# reads, that global, and its whole steps a side at n nodes).
+PROBES = {
+    "coord": (COORD_N64, "-30,10,-200,60", atom_photon, "coord_thin_spectrum", lambda n: math.ceil((n - 1) / 2)),
+    "momentum": (MOMENTUM_N64, "-50,70,-5,7", atom_photon, "momentum_matrix", lambda n: math.ceil((n - 1) / 2)),
+    "spdc": (SPDC_N64, "-30,30,-30,30", spdc, "spdc_matrix", lambda n: math.ceil((n - 1) / 4)),
+}
+
+
+@pytest.mark.parametrize("window", [False, True], ids=["auto", "window"])
+@pytest.mark.parametrize("n", [64, 65])
+@pytest.mark.parametrize("model", list(PROBES))
+def test_every_probe_keeps_the_base_spacing_and_contains_its_nodes(tmp_path, monkeypatch, model, n, window):
+    argv, flag, module, name, steps = PROBES[model]
     grids = []
-    sample = atom_photon.coord_matrix
+    fn = getattr(module, name)
 
-    def recording(params, grid):
+    def recording(params, grid, *args):
         grids.append(grid)
-        return sample(params, grid)
+        return fn(params, grid, *args)
 
-    for mod in (cli, atom_photon):
-        monkeypatch.setattr(mod, "coord_matrix", recording)
-    auto = atom_photon.coord_grid(AtomPhotonParams(100.0, 0.03, 10.0), 64)
-    window = make_grid(-30.0, 10.0, -200.0, 60.0, 64)
-    same = ",".join(repr(v) for v in (auto.p_min, auto.p_max, auto.q_min, auto.q_max))
-    for name, flags in (
-        ("auto", []),
-        ("window", ["--window=-30,10,-200,60"]),
-        ("same", [f"--window={same}"]),  # the automatic window, bit for bit
-    ):
-        assert main([*COORD_N64, *flags, "--out", str(tmp_path / name)]) == 0
-    pinned = grids[1]
-    assert pinned.p_max == 10.0
-    assert pinned.n == enlarged_n(64, atom_photon.COORD_PROBE_FACTOR)
-    assert grids == [
-        auto, pinned,
-        window, enlarged_grid(window, atom_photon.COORD_PROBE_FACTOR),
-        auto, pinned,
-    ]
+    # The CLI takes its base through its own globals, so only the probe
+    # reaches the module's.
+    monkeypatch.setattr(module, name, recording)
+    argv = [*argv[:-1], str(n), *([f"--window={flag}"] if window else [])]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    base = Grid(**_summary(tmp_path)["params"]["window"])
+    (probe,) = grids
+    assert probe.n == n + 2 * steps(n)
+    assert_nests(probe, base)
+    if model == "coord" and not window:
+        # Behind the light front p = tau the decay span grows by half.
+        assert probe.p_min <= 10.0 - 1.5 * atom_photon.COORD_DECAY_SPAN + 1e-12
 
 
 @pytest.mark.parametrize(
@@ -469,7 +484,7 @@ def test_grid_convergence_comes_from_the_model_probe(tmp_path, argv):
     else:
         params = AtomPhotonParams(100.0, 0.03, 10.0)
         A = atom_photon.coord_matrix(params, grid)
-        big = atom_photon.coord_probe(params, grid, opts)
+        big = atom_photon.coord_capture_drift(params, grid, opts)
     base = schmidt.schmidt_decompose(A, opts)
     assert summary["grid_convergence"] == {
         "lambda_drift": spectrum_drift(base, big),
@@ -482,7 +497,7 @@ def test_grid_convergence_comes_from_the_model_probe(tmp_path, argv):
 def test_capture_checks_and_the_cli_reach_one_probe_per_model(tmp_path, monkeypatch):
     calls = []
     for mod, name in (
-        (atom_photon, "coord_probe"),
+        (atom_photon, "coord_capture_drift"),
         (atom_photon, "momentum_probe"),
         (spdc, "spdc_probe"),
     ):
@@ -495,14 +510,27 @@ def test_capture_checks_and_the_cli_reach_one_probe_per_model(tmp_path, monkeypa
 
         for namespace in (mod, cli):
             monkeypatch.setattr(namespace, name, counting)
-    params = AtomPhotonParams(100.0, 0.03, 10.0)
-    # The capture check's probe is a thin factor, not a sampled coord_probe.
-    atom_photon.coord_capture_drift(params, 48)
-    assert calls == []
+    # The coordinate run and the dynamics capture check share one probe.
     dynamics = [*DYNAMICS, "--eta", "0.03", "--n", "48", "--tau-list", "5,10"]
     for i, argv in enumerate((COORD_N64, MOMENTUM_N64, SPDC_N64, dynamics)):
         assert main([*argv, "--out", str(tmp_path / str(i))]) == 0
-    assert calls == ["coord_probe", "momentum_probe", "spdc_probe"]
+    assert calls == ["coord_capture_drift", "momentum_probe", "spdc_probe", "coord_capture_drift"]
+
+
+def test_fig1_coordinate_probe_drifts_by_rounding_only(tmp_path):
+    # The probe's nodes contain the base nodes, so it sees only the weight
+    # outside the window: 1.2e-17 of the total.  Measured: 2.0e-18.
+    assert main(["atom-photon-coord", "--fig1", "--out", str(tmp_path)]) == 0
+    convergence = _summary(tmp_path)["grid_convergence"]
+    assert convergence["lambda_drift"] <= 1e-14
+    assert abs(convergence["dK"]) <= 1e-14
+
+
+def test_coord_trunc_0_exits_3_from_the_thin_probe(tmp_path, capsys):
+    # Every thin weight is kept, so the probe's q nodes could cut one.
+    assert main([*COORD_N64, "--trunc", "0", "--out", str(tmp_path / "out")]) == 3
+    assert "raise the truncation threshold (--trunc)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_mode_tables_hold_each_cell_as_one_complex_scalar_gives_it(tmp_path):
@@ -730,28 +758,43 @@ def test_dynamics_rows_match_the_per_tau_route(tmp_path, n, eta):
     assert convergence["tau_invariance_drift"] < 1e-15
 
 
-@pytest.mark.filterwarnings("ignore:coordinate amplitude is a long-time approximation")
-def test_dynamics_exits_3_where_the_per_tau_route_fails_its_capture_check(tmp_path, capsys):
-    # At n = 64 the eta = 0.08 window drifts by 1.1e-6 at every tau.
-    argv = [*DYNAMICS, "--eta", "0.08", "--n", "64"]
+def test_dynamics_exits_3_where_the_per_tau_route_fails_its_capture_check(tmp_path, monkeypatch, capsys):
+    # A decay span of 10 cuts exp(-10) of the weight: the probe, 5 decay
+    # lengths longer behind the front, sees it at every tau.
+    monkeypatch.setattr(atom_photon, "COORD_DECAY_SPAN", 10.0)
+    argv = [*DYNAMICS, "--eta", "0.03", "--n", "64"]
     taus = ",".join(map(repr, DYNAMICS_TAUS))
     assert main([*argv, "--tau-list", taus, "--out", str(tmp_path / "out")]) == 3
     assert "window capture check failed" in capsys.readouterr().err
     for tau in DYNAMICS_TAUS:
-        with pytest.raises(ConvergenceError, match="window capture check failed"):
-            coord_capture_drift(AtomPhotonParams(100.0, 0.08, tau), 64)
+        params = AtomPhotonParams(100.0, 0.03, tau)
+        probe = coord_capture_drift(params, coord_grid(params, 64))
+        assert spectrum_drift(coord_spectrum(params, 64), probe) >= CAPTURE_TOL
 
 
 @pytest.mark.filterwarnings("ignore:coordinate amplitude is a long-time approximation")
-def test_dynamics_capture_failure_advice_can_be_followed(tmp_path, capsys):
-    # Dynamics rejects --window, so the message must not ask to widen it.
-    argv = [*DYNAMICS, "--eta", "0.08", "--n", "64", "--tau-list", "1,10"]
-    assert main([*argv, "--out", str(tmp_path / "out")]) == 3
-    err = capsys.readouterr().err
-    assert "raise n above 64" in err
-    assert "--window" not in err and "widen" not in err
-    argv[argv.index("--n") + 1] = "80"
+def test_dynamics_capture_failure_advice_can_be_followed(tmp_path, monkeypatch, capsys):
+    # Dynamics rejects --window and no n restores a cut window, so the
+    # message names the span constants.
+    monkeypatch.setattr(atom_photon, "COORD_DECAY_SPAN", 10.0)
+    argv = [*DYNAMICS, "--eta", "0.03", "--n", "64", "--tau-list", "1,10"]
+    for n in ("64", "256"):
+        argv[argv.index("--n") + 1] = n
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "COORD_DECAY_SPAN" in err and "no n restores it" in err
+        assert "--window" not in err and "raise n" not in err
+    monkeypatch.setattr(atom_photon, "COORD_DECAY_SPAN", 20.0)
     assert main([*argv, "--out", str(tmp_path / "ok")]) == 0
+
+
+@pytest.mark.parametrize("n", [199, 200, 201])
+def test_dynamics_capture_verdict_does_not_depend_on_the_parity_of_n(tmp_path, n):
+    # The probe's nodes contain the base nodes at every n.  When they did
+    # not, n = 200 moved the spectrum by 1.0e-6 and exited 3.
+    argv = [*DYNAMICS, "--eta", "0.5", "--n", str(n), "--tau-list", "0,10"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert _summary(tmp_path)["grid_convergence"]["endpoint_lambda_drift"] <= 1e-15
 
 
 @pytest.mark.parametrize("count", [2, 5, 34])
@@ -1004,7 +1047,7 @@ def test_sweep_values_only_route_matches_full_route(tmp_path, monkeypatch, argv)
     for mod in (cli, atom_photon):
         monkeypatch.setattr(mod, "schmidt_decompose", full_route)
     assert main(argv + ["--out", str(tmp_path / "full")]) == 0
-    # Every sweep point and the dynamics capture probe read weights only.
+    # Every sweep point and the dynamics tau-invariance check read weights only.
     assert requested and not any(requested)
     header, values = _read_csv(tmp_path / "values" / "sweep.csv")
     _, full = _read_csv(tmp_path / "full" / "sweep.csv")

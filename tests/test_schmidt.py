@@ -24,7 +24,7 @@ from schmidt_lab.schmidt import (
     truncate_rank,
 )
 from schmidt_lab.spdc import spdc_grid, spdc_matrix, spdc_params
-from schmidt_lab.tensor_core import AmplitudeMatrix, make_grid, normalize
+from schmidt_lab.tensor_core import AmplitudeMatrix, grown_grid, make_grid, normalize
 
 from oracles import schmidt_weights
 
@@ -577,9 +577,10 @@ def test_fig1_randomized_route_matches_dense_route():
 
 
 def _fig1_probe():
+    """The fig1 amplitude sampled on its probe window, 400 of whose rows are zeros."""
     params = AtomPhotonParams(100.0, 0.03, 10.0)
-    grid = atom_photon._pinned_window(params, 800, atom_photon.COORD_PROBE_FACTOR)
-    assert grid.n == 1199
+    grid = grown_grid(coord_grid(params, 800), 2.0 * atom_photon.COORD_PROBE_FACTOR - 1.0)
+    assert grid.n == 1600
     return coord_matrix(params, grid)
 
 
@@ -594,7 +595,7 @@ def _fig3_momentum(n):
         (_fig1_probe, False),
         (lambda: _fig3_momentum(400), True),
     ],
-    ids=["fig1-n800", "fig1-probe-n1199", "fig3-n400"],
+    ids=["fig1-n800", "fig1-probe-n1600", "fig3-n400"],
 )
 def test_atom_photon_sketch_passes_its_certificate_without_power_iteration(make, modes):
     # The first 16-column sketch already captures these rank-5 amplitudes
@@ -656,7 +657,7 @@ def test_blocked_residual_matches_the_unblocked_norm(n, complex_):
 @pytest.mark.parametrize(
     "make, modes",
     [(lambda: _coord(800), True), (_fig1_probe, False)],
-    ids=["fig1-n800-modes", "fig1-probe-n1199-values"],
+    ids=["fig1-n800-modes", "fig1-probe-n1600-values"],
 )
 def test_randomized_route_allocates_no_matrix_sized_temporary(make, modes):
     # The residual is taken in row blocks; every other array the route
