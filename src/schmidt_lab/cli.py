@@ -314,11 +314,9 @@ def _density_table(coord_name: str, coords, modes):
 
 def _mode_tables(result: SchmidtResult, modes: dict) -> dict:
     """The weight spectrum table plus a model's mode tables."""
-    rows = []
-    cum = 0.0
-    for k, lam in enumerate(result.lambdas, start=1):
-        cum += float(lam)
-        rows.append((k, float(lam), cum))
+    lam = result.lambdas
+    # cumsum is a sequential accumulate: the bits of a running-sum loop.
+    rows = np.column_stack([np.arange(1, lam.size + 1), lam, np.cumsum(lam)])
     spectrum = (("k", "lambda_k", "cumulative_weight"), rows)
     return {"csv-spectrum": {"spectrum.csv": spectrum}, "csv-modes": modes}
 
@@ -386,10 +384,10 @@ def _momentum(req: _Resolver) -> ModelRun:
     """Decompose the momentum-space amplitude; emit modes and densities."""
     # The momentum amplitude is the long-time limit, so tau plays no part.
     params = AtomPhotonParams(req.require("xi0"), req.require("eta"), tau=1.0)
+    k_inf, s_inf = asymptotics(params.eta)  # refuses eta >= 1 before sampling
     grid = req.window or momentum_grid(req.n)
     result = schmidt_decompose(momentum_matrix(params, grid), req.opts)
     big = momentum_probe(params, grid, req.opts)
-    k_inf, s_inf = asymptotics(params.eta)
     nu = grid.p_nodes()
     pi = grid.q_nodes()
     modes = {

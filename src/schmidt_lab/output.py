@@ -79,36 +79,24 @@ def write_json(path, obj) -> None:
     _write_utf8(path, dump_json(obj))
 
 
-def _cell(v) -> str:
-    if type(v) is float:  # most cells; skips the isinstance chain below
-        return fmt_float(v)
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return fmt_float(float(v))
-
-
 def write_csv(path, header, rows) -> None:
     """Write a CSV table with a header row and fixed float formatting.
 
-    ``rows`` is a sequence of rows, or a 2-D float64 array.  An array is
-    scanned for a non-finite value once, raising the ``ValueError`` that
-    ``fmt_float`` raises for the first one, and each of its rows is
-    formatted with one ``"%.17g,...,%.17g"`` string; for a finite float,
-    ``%`` formatting writes the same bytes as ``fmt_float``.
+    ``rows`` is a 2-D float64 array or any sequence of rows of numbers.
+    Every table is converted to one float64 array, so an integer cell
+    such as ``k`` writes as ``1`` and text that is not a number raises
+    ``ValueError``.  The array is scanned for a non-finite value once,
+    raising the ``ValueError`` that ``fmt_float`` raises for the first
+    one, and each row is formatted with one ``"%.17g,...,%.17g"`` string;
+    for a finite float, ``%`` formatting writes the same bytes as
+    ``fmt_float``.
     """
-    lines = [",".join(header)]
-    if isinstance(rows, np.ndarray) and rows.dtype == float:
-        finite = np.isfinite(rows)
-        if not finite.all():
-            fmt_float(rows[~finite][0])  # raises, naming the first one
-        row_fmt = ",".join(["%" + FLOAT_FMT] * rows.shape[1])
-        lines += [row_fmt % tuple(row) for row in rows.tolist()]
-    else:
-        lines += [",".join(_cell(v) for v in row) for row in rows]
+    table = np.asarray(rows, dtype=float)
+    finite = np.isfinite(table)
+    if not finite.all():
+        fmt_float(table[~finite][0])  # raises, naming the first one
+    row_fmt = ",".join(["%" + FLOAT_FMT] * len(header))
+    lines = [",".join(header)] + [row_fmt % tuple(row) for row in table.tolist()]
     _write_utf8(path, "\n".join(lines) + "\n")
 
 

@@ -173,6 +173,8 @@ def _unit_norm(grid: Grid, e: np.ndarray, out=None) -> AmplitudeMatrix:
     non-finite entry is named, an all-zero matrix is refused, and finite
     entries whose sum under- or overflowed are first divided by their
     largest real or imaginary part, so the norm is taken at unit scale.
+    That division is real, part by part, for every layout: complex
+    division by a subnormal scale overflows.
 
     A C-contiguous complex128 ``e`` is scaled by multiplying its float64
     view by ``1.0 / nrm``, which costs a fraction of NumPy's complex
@@ -189,7 +191,11 @@ def _unit_norm(grid: Grid, e: np.ndarray, out=None) -> AmplitudeMatrix:
         scale = max(float(np.max(np.abs(e.real))), float(np.max(np.abs(e.imag))))
         if scale == 0.0:
             raise ValueError("cannot normalize an all-zero amplitude matrix")
-        e = np.divide(e, scale, out=out)
+        res = np.empty_like(e) if out is None else out
+        np.divide(e.real, scale, out=res.real)  # a real array's .real is itself
+        if np.iscomplexobj(e):
+            np.divide(e.imag, scale, out=res.imag)
+        e = res
         nrm = float(np.linalg.norm(e))
     if e.dtype == complex and e.flags.c_contiguous:
         parts = None if out is None else out.view(float)

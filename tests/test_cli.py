@@ -130,10 +130,11 @@ def test_decompose_round_trip_through_emitted_modes(tmp_path):
     assert s2["results"]["S"] == pytest.approx(s1["results"]["S"], abs=1e-10)
 
 
-@pytest.mark.parametrize("scale", [1e-170, 1e200])
+@pytest.mark.parametrize("scale", [1e-170, 1e200, 2.0**-1060])
 def test_decompose_tiny_or_huge_entries_like_the_unit_scale_matrix(tmp_path, scale):
     # The squared sum underflows to 0 or overflows to inf; the matrix is
     # rescaled before its norm, not refused as all-zero or unnormalized.
+    # At 2**-1060 the entries are subnormal, and exact since m is dyadic.
     m = np.array([[1.0, 0.5], [0.25, 1.0]])
     outs = []
     for name, entries in (("unit", m), ("scaled", scale * m)):
@@ -231,6 +232,20 @@ def test_coord_preset_with_flag_override(tmp_path):
     ovl = s["results"]["laguerre_overlaps"]
     assert ovl[0]["k"] == 0 and ovl[0]["overlap_modulus"] > 0.99
     assert (out / "laguerre_overlaps.csv").exists()
+
+
+@pytest.mark.parametrize("eta", ["1", "1.5"])
+def test_momentum_refuses_eta_at_or_above_1_before_sampling(tmp_path, monkeypatch, capsys, eta):
+    calls = []
+    real = atom_photon.momentum_matrix
+    for mod in (cli, atom_photon):  # the base grid and the probe
+        monkeypatch.setattr(mod, "momentum_matrix", lambda *a: calls.append(a) or real(*a))
+    out = tmp_path / "out"
+    argv = ["atom-photon-momentum", "--xi0", "100", "--eta", eta, "--n", "64", "--out", str(out)]
+    assert main(argv) == 2
+    assert "asymptotics require 0 < eta < 1" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
 
 
 def test_momentum_preset_with_flag_override(tmp_path):
@@ -360,15 +375,6 @@ def test_spdc_values_only_decompositions_take_the_split(tmp_path, monkeypatch, a
         monkeypatch.setattr(mod, "schmidt_decompose", recording)
     assert main([*argv, "--out", str(tmp_path)]) == 0
     assert taken == routes
-
-
-def test_repeat_runs_are_byte_identical(tmp_path):
-    args = ["spdc", "--L", "0.5", "--sigma", "10", "--n", "96"]
-    out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    assert main(args + ["--out", str(out1)]) == 0
-    assert main(args + ["--out", str(out2)]) == 0
-    for name in ("summary.json", "spectrum.csv", "modes_o.csv", "modes_e.csv"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_env_var_supplies_default_n(tmp_path, monkeypatch):
@@ -665,6 +671,20 @@ def test_output_files_and_key_order(tmp_path, command):
     s = _summary(out)
     assert list(s) == top_keys
     assert list(s["params"]) == param_keys
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_SCHEMA))
+def test_repeat_runs_are_byte_identical(tmp_path, command):
+    # Every table of every subcommand: spectra, modes, densities, overlaps
+    # and both sweeps.
+    extra, files, _, _ = OUTPUT_SCHEMA[command]
+    _write_matrix(tmp_path / "eye.txt", np.eye(2))
+    extra = [str(tmp_path / a) if a == "eye.txt" else a for a in extra]
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    assert main([command, *extra, "--out", str(out1)]) == 0
+    assert main([command, *extra, "--out", str(out2)]) == 0
+    for name in files:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 # A flag the subcommand would ignore, given as a flag and as a config key.

@@ -101,12 +101,17 @@ def test_write_csv_formats_floats_at_full_precision(tmp_path):
 
 
 def test_write_csv_cells_of_every_type(tmp_path):
-    # A Python float takes the fast path; its NumPy twin, ints, bools and
-    # strings take the general one, and equal values write equal bytes.
-    row = [0.1, np.float64(0.1), -0.0, np.float32(0.5), 3, np.int64(3), True, np.bool_(False), "a"]
+    # Every table is converted to one float64 array: a numeric cell of any
+    # Python or NumPy type writes the bytes of its float64 value, an integer
+    # with no decimal point.  A text cell that is not a number is refused.
+    row = [0.1, np.float64(0.1), -0.0, np.float32(0.5), 3, np.int64(3), np.int32(-7), 2**53]
     write_csv(tmp_path / "t.csv", [f"c{i}" for i in range(len(row))], [row])
     body = (tmp_path / "t.csv").read_text().splitlines()[1]
-    assert body == "0.10000000000000001,0.10000000000000001,-0,0.5,3,3,true,false,a"
+    assert body == "0.10000000000000001,0.10000000000000001,-0,0.5,3,3,-7,9007199254740992"
+    assert body == ",".join(fmt_float(v) for v in row)
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "str.csv", ["k", "x"], [[1, "a"]])
+    assert not (tmp_path / "str.csv").exists()
     with pytest.raises(ValueError, match="non-finite"):
         write_csv(tmp_path / "bad.csv", ["x"], [[math.nan]])
 

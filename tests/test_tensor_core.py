@@ -174,23 +174,30 @@ def test_sample_amplitude_rejects_an_all_zero_amplitude():
         sample_amplitude(lambda p, q: 0.0 * p * q, g)
 
 
-@pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e200, 1e300])
+@pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e200, 1e300, 2.0**-1060])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_normalize_rescales_when_the_squared_sum_under_or_overflows(scale, dtype):
     # The squared-modulus sum of these entries is 0, subnormal or inf, so
     # the norm is taken after dividing by the largest part: the result is
-    # the unit-scale matrix normalized, with no RuntimeWarning.
+    # the unit-scale matrix normalized, with no RuntimeWarning.  At 2**-1060
+    # the largest part is subnormal, where complex division overflows; the
+    # entries are dyadic there, so the scaled input is exact.
     g = make_grid(0.0, 1.0, 0.0, 1.0, 4)
     rng = np.random.default_rng(3)
     unit = rng.uniform(0.5, 1.0, (4, 4)).astype(dtype)
     if dtype is complex:
         unit += 1j * rng.uniform(-1.0, 1.0, (4, 4))
+    if scale < np.finfo(float).tiny:
+        unit = np.round(4 * unit) / 4
     want = normalize(AmplitudeMatrix(grid=g, entries=unit)).entries
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         N = normalize(AmplitudeMatrix(grid=g, entries=scale * unit))
         S = sample_amplitude(lambda p, q: scale * unit, g)
-    for got in (N, S):
+        # A strided (Fortran-ordered) layout, normalized and sampled.
+        NT = normalize(AmplitudeMatrix(grid=g, entries=np.asfortranarray(scale * unit)))
+        ST = sample_amplitude(lambda p, q: np.asfortranarray(scale * unit), g)
+    for got in (N, S, NT, ST):
         assert got.normalized and got.entries.dtype == want.dtype
         np.testing.assert_allclose(got.entries, want, rtol=0, atol=1e-15)
 
@@ -200,7 +207,8 @@ def _divided(e):
     with np.errstate(over="ignore"):
         nrm = float(np.linalg.norm(e))
     if not tensor_core._NORM_MIN <= nrm < math.inf:
-        e = np.divide(e, max(np.abs(e.real).max(), np.abs(e.imag).max()))
+        scale = max(np.abs(e.real).max(), np.abs(e.imag).max())
+        e = e.real / scale + 1j * (e.imag / scale)
         nrm = float(np.linalg.norm(e))
     return np.divide(e, nrm)
 
@@ -230,11 +238,14 @@ def test_unit_norm_multiplies_to_the_bits_of_complex_division(n, span):
 
 def test_unit_norm_keeps_the_sign_of_a_zero_part():
     # (-0+1j) / 7 has real part +0; the multiply of the float64 view keeps
-    # -0.  (The rescale guard's own division, when it runs, gives +0.)
+    # -0.  The rescale guard, when it runs, divides each part and keeps -0
+    # too.
     g = make_grid(0.0, 1.0, 0.0, 1.0, 2)
     e = np.array([[complex(-0.0, 1.0), 2.0], [3.0, 5.0 + 1j]])
     got = normalize(AmplitudeMatrix(grid=g, entries=e)).entries
     assert math.copysign(1.0, got[0, 0].real) == -1.0
+    tiny = normalize(AmplitudeMatrix(grid=g, entries=2.0**-1060 * e)).entries
+    assert math.copysign(1.0, tiny[0, 0].real) == -1.0
     assert math.copysign(1.0, _divided(e)[0, 0].real) == 1.0
     assert got[0, 1:].tobytes() == _divided(e)[0, 1:].tobytes()
 
