@@ -459,6 +459,13 @@ def laguerre_mode(k: int, tau: float, p_nodes) -> np.ndarray:
     return vals / nrm
 
 
+def _decay_weights(tau: float):
+    """(exp(-tau), 1 - exp(-tau)); ValueError for a negative or NaN tau."""
+    if not tau >= 0:
+        raise ValueError(f"tau must be non-negative, got {tau}")
+    return math.exp(-tau), -math.expm1(-tau)
+
+
 def zero_order_dynamics(tau: float, squared_entropy_weights: bool = True):
     """Two-level (excited/ground) entanglement measures at time tau.
 
@@ -478,10 +485,7 @@ def zero_order_dynamics(tau: float, squared_entropy_weights: bool = True):
     ValueError
         For negative or NaN tau.
     """
-    if not tau >= 0:
-        raise ValueError(f"tau must be non-negative, got {tau}")
-    le = math.exp(-tau)
-    lg = -math.expm1(-tau)
+    le, lg = _decay_weights(tau)
 
     def ent(w):  # 0.0 - x, not -x, so that a pure state gets +0.0
         return 0.0 - sum(x * math.log2(x) for x in w if x > 0.0)
@@ -514,10 +518,7 @@ def full_dynamics(tau: float, spectrum: SchmidtResult):
     ValueError
         For negative or NaN tau.
     """
-    if not tau >= 0:
-        raise ValueError(f"tau must be non-negative, got {tau}")
-    le = math.exp(-tau)
-    lg = -math.expm1(-tau)
+    le, lg = _decay_weights(tau)
     if lg == 0.0:
         return 1.0, 0.0, np.array([1.0])
     lam = np.concatenate(([le], lg * spectrum.lambdas))

@@ -11,9 +11,10 @@ decompose FILE         Schmidt-decompose a matrix read from a text file
 
 Each subcommand is one entry of ``SUBCOMMANDS``; the parser and the runner
 are both built from that table, so a subcommand accepts exactly the flags
-its model reads.  Each flag has one type, in ``FLAG_TYPES``: a --config
-value is turned into that flag's text (a JSON list joined by commas) and
-parsed by the same function, and SCHMIDT_LAB_DEFAULT_N is parsed as --n.
+its model reads.  Each flag has one type and help text, in ``FLAGS``: a
+--config value is turned into that flag's text (a JSON list joined by
+commas) and parsed by the same function, and SCHMIDT_LAB_DEFAULT_N is
+parsed as --n.
 
 Value precedence for every parameter: explicit flag > figure preset >
 config file (--config, flat JSON keyed by flag names with underscores;
@@ -32,7 +33,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -101,18 +102,17 @@ FIG_PRESETS = {
 class ModelRun:
     """What one model computed, before the runner adds the shared parts.
 
-    The runner appends n, the sampling ``grid`` (if any), trunc and, for a
-    subcommand that writes modes, gauge to ``params``; ``blocks`` go
-    between params and results.  ``tables`` maps an output format to
+    The runner appends n, the base mesh (``_Resolver.mesh``, if the model
+    took one), trunc and, for a subcommand that writes modes, gauge to
+    ``params``.  ``sections`` are the summary blocks that follow params
+    (validity, asymptotics, results, grid_convergence), in the order they
+    are written.  ``tables`` maps an output format to
     {file name: (header, rows)}.
     """
 
     params: dict
-    results: dict
+    sections: dict
     tables: dict
-    blocks: dict = field(default_factory=dict)
-    convergence: dict | None = None
-    grid: Grid | None = None
 
 
 # --gauge is taken only by the subcommands that write modes.
@@ -175,7 +175,7 @@ def _flag(key: str) -> str:
 def _parse(key: str, text: str, source: str):
     """Parse text as the flag of ``key`` does; an error names ``source``."""
     try:
-        return FLAG_TYPES.get(key, float)(text)
+        return FLAGS.get(key, (float, None))[0](text)
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ValueError(f"{source}: {exc}")
 
@@ -189,11 +189,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name, cmd in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=cmd.help)
         for key in cmd.flags:
-            text = FLAG_HELP.get(key)
+            kind, text = FLAGS.get(key, (float, None))
             if key == "n":
                 text = f"{text} (default {cmd.default_n})"
             flag = key if key == "file" else _flag(key)
-            p.add_argument(flag, type=FLAG_TYPES.get(key, float), help=text)
+            p.add_argument(flag, type=kind, help=text)
         for fig in cmd.figs:
             preset = " ".join(f"{k}={v:g}" for k, v in FIG_PRESETS[fig].items())
             p.add_argument(f"--{fig}", action="store_true", help=preset)
@@ -231,9 +231,10 @@ def _read_config(path: Path, flags: tuple) -> dict:
 class _Resolver:
     """One resolved run request; precedence flag > preset > config > default.
 
-    ``n`` is None for a subcommand without --n (decompose); ``window`` is
-    the --window mesh, None when the model picks its own.  A model reads
-    its own parameters with ``get`` and ``require``.
+    ``n`` is None for a subcommand without --n (decompose).  A model reads
+    its own parameters with ``get`` and ``require``, and its base mesh
+    with ``mesh``; ``grid`` is that mesh once taken, else the --window
+    mesh or None.
     """
 
     def __init__(self, cmd: Subcommand, args):
@@ -251,7 +252,7 @@ class _Resolver:
             raise ValueError(f"n must be at least 2, got {n}")
         self.n = n
         window = self.get("window")
-        self.window = None if window is None else make_grid(*window, n)
+        self.grid = None if window is None else make_grid(*window, n)
         defaults = DecompositionOptions()
         self.opts = DecompositionOptions(
             truncation_threshold=self.get("trunc", defaults.truncation_threshold),
@@ -271,6 +272,12 @@ class _Resolver:
         if v is None:
             raise ValueError(f"missing required parameter {_flag(key)}")
         return v
+
+    def mesh(self, auto: Callable, *args) -> Grid:
+        """The run's base mesh: --window, else ``auto(*args, n)``; recorded as params.window."""
+        if self.grid is None:
+            self.grid = auto(*args, self.n)
+        return self.grid
 
 
 def _convergence_deltas(base: SchmidtResult, big: SchmidtResult, **extra) -> dict:
@@ -340,21 +347,22 @@ def _spdc_constants(req: _Resolver):
     return req.require("sigma"), req.get("d_o", DEFAULT_D_O), req.get("d_e", DEFAULT_D_E)
 
 
-# Model functions.  Each samples its base grid first; the window probe is
-# its model's library function (coord_capture_drift, momentum_probe,
-# spdc_probe), called after the base decomposition.  The models look the
-# sampling, decomposition, probe, coherence and dynamics functions up in
-# this module's globals at call time, and momentum_probe looks its own up
-# in atom_photon's, because bench/tracing.py wraps them there.  The tracer
-# tells a sampled probe by its grid differing from the first one sampled,
-# and counts coord_capture_drift, which samples nothing, by its name.
-# Sweep points, whose modes are never read, pass modes=False.
+# Model functions.  A model that takes --window gets its base mesh from
+# req.mesh and samples it first; its window probe is its model's library
+# function (coord_capture_drift, momentum_probe, spdc_probe), called after
+# the base decomposition.  The models look the sampling, decomposition,
+# probe, coherence and dynamics functions up in this module's globals at
+# call time, and momentum_probe looks its own up in atom_photon's, because
+# bench/tracing.py wraps them there.  The tracer tells a sampled probe by
+# its grid differing from the first one sampled, and counts
+# coord_capture_drift, which samples nothing, by its name.  Sweep points,
+# whose modes are never read, pass modes=False.
 
 
 def _coord(req: _Resolver) -> ModelRun:
     """Decompose the coordinate-space amplitude; emit spectrum, modes, overlaps."""
     params = AtomPhotonParams(req.require("xi0"), req.require("eta"), req.require("tau"))
-    grid = req.window or coord_grid(params, req.n)
+    grid = req.mesh(coord_grid, params)
     result = schmidt_decompose(coord_matrix(params, grid), req.opts)
     big = coord_capture_drift(params, grid, req.opts)
     p_nodes = grid.p_nodes()
@@ -369,13 +377,14 @@ def _coord(req: _Resolver) -> ModelRun:
     }
     return ModelRun(
         params={"xi0": params.xi0, "eta": params.eta, "tau": params.tau},
-        grid=grid,
-        blocks={"validity": asdict(validity_check(params))},
-        results={
-            **_result_payload(result),
-            "laguerre_overlaps": [{"k": k, "overlap_modulus": v} for k, v in overlaps],
+        sections={
+            "validity": asdict(validity_check(params)),
+            "results": {
+                **_result_payload(result),
+                "laguerre_overlaps": [{"k": k, "overlap_modulus": v} for k, v in overlaps],
+            },
+            "grid_convergence": _convergence_deltas(result, big),
         },
-        convergence=_convergence_deltas(result, big),
         tables=_mode_tables(result, modes),
     )
 
@@ -385,7 +394,7 @@ def _momentum(req: _Resolver) -> ModelRun:
     # The momentum amplitude is the long-time limit, so tau plays no part.
     params = AtomPhotonParams(req.require("xi0"), req.require("eta"), tau=1.0)
     k_inf, s_inf = asymptotics(params.eta)  # refuses eta >= 1 before sampling
-    grid = req.window or momentum_grid(req.n)
+    grid = req.mesh(momentum_grid)
     result = schmidt_decompose(momentum_matrix(params, grid), req.opts)
     big = momentum_probe(params, grid, req.opts)
     nu = grid.p_nodes()
@@ -398,13 +407,12 @@ def _momentum(req: _Resolver) -> ModelRun:
     }
     return ModelRun(
         params={"xi0": params.xi0, "eta": params.eta},
-        grid=grid,
-        blocks={
+        sections={
             "validity": asdict(validity_check(params)),
             "asymptotics": {"K_inf": k_inf, "S_inf": s_inf},
+            "results": _result_payload(result),
+            "grid_convergence": _convergence_deltas(result, big),
         },
-        results=_result_payload(result),
-        convergence=_convergence_deltas(result, big),
         tables=_mode_tables(result, modes),
     )
 
@@ -458,13 +466,15 @@ def _dynamics(req: _Resolver) -> ModelRun:
         rows.append((tau, k0, s0, k, s, k - k0, s - s0))
     return ModelRun(
         params={"xi0": xi0, "eta": eta, "tau_values": taus},
-        blocks={"validity": asdict(validity_check(params))},
-        results={
-            "rows": len(rows),
-            "max_abs_K_minus_K0": max(abs(r[5]) for r in rows),
-            "max_abs_S_minus_S0": max(abs(r[6]) for r in rows),
+        sections={
+            "validity": asdict(validity_check(params)),
+            "results": {
+                "rows": len(rows),
+                "max_abs_K_minus_K0": max(abs(r[5]) for r in rows),
+                "max_abs_S_minus_S0": max(abs(r[6]) for r in rows),
+            },
+            "grid_convergence": {"endpoint_lambda_drift": drift, "tau_invariance_drift": invariance},
         },
-        convergence={"endpoint_lambda_drift": drift, "tau_invariance_drift": invariance},
         tables={"csv-sweep": {"sweep.csv": (header, rows)}},
     )
 
@@ -472,7 +482,7 @@ def _dynamics(req: _Resolver) -> ModelRun:
 def _spdc(req: _Resolver) -> ModelRun:
     """Decompose the biphoton amplitude; emit F, rho, mixture and modes."""
     params = spdc_params(req.require("L"), *_spdc_constants(req))
-    grid = req.window or spdc_grid(params, req.n)
+    grid = req.mesh(spdc_grid, params)
     check_shared_axis(grid)
     A = spdc_matrix(params, grid)
     result = schmidt_decompose(A, req.opts)
@@ -487,18 +497,19 @@ def _spdc(req: _Resolver) -> ModelRun:
     }
     return ModelRun(
         params={**asdict(params), "X_o": params.X_o, "X_e": params.X_e},
-        grid=grid,
-        results={
-            **_result_payload(result),
-            "F": complex(report.F),
-            "weight_plus": report.weight_plus,
-            "weight_minus": report.weight_minus,
-            "purity": checks.purity,
-            "rho": [[complex(v) for v in row] for row in rho.rho],
-            "rho_basis": list(rho.basis),
-            "messages": list(report.messages),
+        sections={
+            "results": {
+                **_result_payload(result),
+                "F": complex(report.F),
+                "weight_plus": report.weight_plus,
+                "weight_minus": report.weight_minus,
+                "purity": checks.purity,
+                "rho": [[complex(v) for v in row] for row in rho.rho],
+                "rho_basis": list(rho.basis),
+                "messages": list(report.messages),
+            },
+            "grid_convergence": _convergence_deltas(result, big, dF=d_f),
         },
-        convergence=_convergence_deltas(result, big, dF=d_f),
         tables=_mode_tables(result, modes),
     )
 
@@ -513,7 +524,7 @@ def _spdc_length_sweep(req: _Resolver) -> ModelRun:
     Ls = _sweep_values(req, "L")
     sigma, d_o, d_e = _spdc_constants(req)
     points = [spdc_params(L, sigma, d_o, d_e) for L in Ls]
-    grid = req.window or spdc_grid(points[0], req.n)
+    grid = req.mesh(spdc_grid, points[0])
     check_shared_axis(grid)
     check_resolution(max(points, key=lambda params: params.L), grid)
     rows = []
@@ -524,7 +535,7 @@ def _spdc_length_sweep(req: _Resolver) -> ModelRun:
         rows.append((params.L, params.X_o, params.X_e, F.real, result.schmidt_number, result.entropy))
     return ModelRun(
         params={"L_values": Ls, "sigma": sigma, "d_o": d_o, "d_e": d_e},
-        results={"rows": len(rows), "F_first": rows[0][3], "F_last": rows[-1][3]},
+        sections={"results": {"rows": len(rows), "F_first": rows[0][3], "F_last": rows[-1][3]}},
         tables={"csv-sweep": {"sweep.csv": (("L", "X_o", "X_e", "F", "K", "S"), rows)}},
     )
 
@@ -550,38 +561,29 @@ def _decompose(req: _Resolver) -> ModelRun:
     }
     return ModelRun(
         params={"file": req.args.file, "n": n},
-        results=_result_payload(result),
+        sections={"results": _result_payload(result)},
         tables=_mode_tables(result, modes),
     )
 
 
-# Flags take floats unless listed here; key "d_o" is the flag --d-o.
-FLAG_TYPES = {
-    "n": int,
-    "window": _parse_window,
-    "gauge": str,
-    "out": str,
-    "format": _parse_formats,
-    "tau_steps": int,
-    "L_steps": int,
-    "tau_list": _parse_floats,
-    "L_list": _parse_floats,
-    "file": str,
-}
-FLAG_HELP = {
-    "n": "nodes per axis",
-    "window": "p_min,p_max,q_min,q_max overriding the automatic sampling window",
-    "trunc": "relative weight truncation threshold",
-    "gauge": f"mode phase convention: {', '.join(GAUGES)}",
-    "out": "output directory (default: out)",
-    "format": f"comma-separated subset of: {', '.join(FORMATS)}",
-    "L": "crystal length (mm)",
-    "sigma": "pump bandwidth (1/ps)",
-    "d_o": "ordinary-ray group delay (ps/mm)",
-    "d_e": "extraordinary-ray group delay (ps/mm)",
-    "tau_list": "comma-separated tau values (overrides the range)",
-    "L_list": "comma-separated lengths (overrides the range)",
-    "file": "whitespace-separated matrix file",
+# key: (type, help).  A flag not listed takes a float and has no help
+# text; key "d_o" is the flag --d-o.
+FLAGS = {
+    "n": (int, "nodes per axis"),
+    "window": (_parse_window, "p_min,p_max,q_min,q_max overriding the automatic sampling window"),
+    "trunc": (float, "relative weight truncation threshold"),
+    "gauge": (str, f"mode phase convention: {', '.join(GAUGES)}"),
+    "out": (str, "output directory (default: out)"),
+    "format": (_parse_formats, f"comma-separated subset of: {', '.join(FORMATS)}"),
+    "L": (float, "crystal length (mm)"),
+    "sigma": (float, "pump bandwidth (1/ps)"),
+    "d_o": (float, "ordinary-ray group delay (ps/mm)"),
+    "d_e": (float, "extraordinary-ray group delay (ps/mm)"),
+    "tau_steps": (int, None),
+    "L_steps": (int, None),
+    "tau_list": (_parse_floats, "comma-separated tau values (overrides the range)"),
+    "L_list": (_parse_floats, "comma-separated lengths (overrides the range)"),
+    "file": (str, "whitespace-separated matrix file"),
 }
 
 SUBCOMMANDS = {
@@ -645,20 +647,12 @@ def run(args) -> dict:
     params = dict(out.params)
     if req.n is not None:
         params["n"] = req.n
-    if out.grid is not None:
-        params["window"] = asdict(out.grid)
+    if req.grid is not None:
+        params["window"] = asdict(req.grid)
     params["trunc"] = req.opts.truncation_threshold
     if "gauge" in cmd.flags:
         params["gauge"] = req.opts.gauge
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": args.command,
-        "params": params,
-        **out.blocks,
-        "results": out.results,
-    }
-    if out.convergence is not None:
-        payload["grid_convergence"] = out.convergence
+    payload = {"schema": SCHEMA_VERSION, "command": args.command, "params": params, **out.sections}
     req.out_dir.mkdir(parents=True, exist_ok=True)
     if "json-summary" in req.formats:
         write_json(req.out_dir / "summary.json", payload)

@@ -18,17 +18,15 @@ class MatrixParseError(ValueError):
     ----------
     message : str
         Description of the problem.
-    line : int, optional
-        1-based line number of the offending token.
-    column : int, optional
-        1-based token index within the line.
+    line, column : int, optional
+        1-based line number and token index within the line of the
+        offending token; given together (a bad token) or not at all (a
+        problem with the whole matrix).
     """
 
     def __init__(self, message, line=None, column=None):
         self.line = line
         self.column = column
-        if line is not None and column is not None:
+        if line is not None:
             message = f"line {line}, column {column}: {message}"
-        elif line is not None:
-            message = f"line {line}: {message}"
         super().__init__(message)

@@ -149,7 +149,7 @@ def test_decompose_tiny_or_huge_entries_like_the_unit_scale_matrix(tmp_path, sca
     assert scaled["K"] == pytest.approx(unit["K"], rel=0, abs=1e-14)
 
 
-def test_exit_code_parse_failures(tmp_path):
+def test_exit_code_parse_failures(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 2\n3 oops\n")
     assert main(["decompose", str(bad), "--out", str(tmp_path / "o")]) == 4
@@ -159,6 +159,13 @@ def test_exit_code_parse_failures(tmp_path):
     assert main(["decompose", str(nonsquare), "--out", str(tmp_path / "o2")]) == 4
 
     assert main(["decompose", str(tmp_path / "missing.txt"), "--out", str(tmp_path / "o3")]) == 4
+
+    zeros = tmp_path / "zeros.txt"
+    zeros.write_text("0 0\n0 0j\n")
+    assert main(["decompose", str(zeros), "--out", str(tmp_path / "o4")]) == 4
+    assert "cannot normalize an all-zero amplitude matrix" in capsys.readouterr().err
+    for name in ("o", "o2", "o3", "o4"):
+        assert not (tmp_path / name).exists()
 
 
 def test_exit_code_convergence(tmp_path, capsys):
@@ -180,7 +187,7 @@ def test_exit_code_convergence(tmp_path, capsys):
     assert "n >=" in capsys.readouterr().err
 
 
-def test_exit_code_config_errors(tmp_path):
+def test_exit_code_config_errors(tmp_path, capsys):
     # missing required parameter
     assert main(["spdc", "--sigma", "10", "--out", str(tmp_path / "a")]) == 2
     # conflicting figure presets
@@ -206,10 +213,41 @@ def test_exit_code_config_errors(tmp_path):
         )
         == 2
     )
-    # argparse rejects unknown flags with SystemExit(2)
-    with pytest.raises(SystemExit) as exc:
-        main(["spdc", "--no-such-flag"])
-    assert exc.value.code == 2
+    # a config file that is missing, is not JSON, or holds a JSON list; a
+    # mesh of fewer than two nodes; an empty or a reversed sweep range
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json\n")
+    json_list = tmp_path / "list.json"
+    json_list.write_text("[1, 2]\n")
+    spdc_argv = ["spdc", "--L", "0.5", "--sigma", "10", "--n", "64"]
+    dyn_argv = ["atom-photon-dynamics", "--xi0", "100", "--eta", "0.03", "--n", "64"]
+    cases = [
+        ([*spdc_argv, "--config", str(tmp_path / "missing.json")], "cannot read config file"),
+        ([*spdc_argv, "--config", str(bad_json)], "cannot read config file"),
+        ([*spdc_argv, "--config", str(json_list)], "must hold a JSON object"),
+        (["spdc", "--L", "0.5", "--sigma", "10", "--n", "1"], "n must be at least 2, got 1"),
+        ([*dyn_argv, "--tau-start", "0.1", "--tau-stop", "10", "--tau-steps", "0"],
+         "--tau-steps must be at least 1"),
+        (["spdc-length-sweep", "--sigma", "10", "--L-start", "0.5", "--L-stop", "1", "--L-steps", "0"],
+         "--L-steps must be at least 1"),
+        ([*dyn_argv, "--tau-start", "5", "--tau-stop", "1", "--tau-steps", "3"],
+         "--tau-stop must be >= --tau-start"),
+    ]
+    capsys.readouterr()
+    for i, (argv, message) in enumerate(cases):
+        assert main([*argv, "--out", str(tmp_path / f"d{i}")]) == 2
+        assert message in capsys.readouterr().err
+    # argparse rejects unknown flags, a non-numeric list entry and a
+    # window of other than four numbers with SystemExit(2)
+    for name, argv in (
+        ("i", ["spdc", "--no-such-flag"]),
+        ("j", ["atom-photon-dynamics", "--fig2", "--tau-list", "1,x"]),
+        ("k", ["spdc", "--fig5", "--window=-30,30,-30"]),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / name)])
+        assert exc.value.code == 2
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["bad.json", "cfg.json", "list.json"]
 
 
 def test_fig_preset_tables():
@@ -649,7 +687,8 @@ OUTPUT_SCHEMA = {
         ["--L-list", "0.5", "--sigma", "10", "--n", "64"],
         {"summary.json", "sweep.csv"},
         ["schema", "command", "params", "results"],
-        ["L_values", "sigma", "d_o", "d_e", "n", "trunc"],
+        # the sweep samples one mesh, so it records it like the other models
+        ["L_values", "sigma", "d_o", "d_e", "n", "window", "trunc"],
     ),
     "decompose": (
         ["eye.txt"],

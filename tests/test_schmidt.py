@@ -353,6 +353,12 @@ def test_values_only_result_refuses_mode_operations():
         reconstruct(res, A.grid)
 
 
+def test_reconstruct_refuses_a_grid_of_another_n():
+    res = schmidt_decompose(_wrap(np.eye(3)))
+    with pytest.raises(ValueError, match="grid has n=4 but modes have length 3"):
+        reconstruct(res, make_grid(0.0, 3.0, 0.0, 3.0, 4))
+
+
 # Both routes must agree to this absolute tolerance on every weight and measure.
 ROUTE_ATOL = 1e-12
 
@@ -430,9 +436,18 @@ def _counting_residual():
         (lambda: _coord(400, eta=0.5), DecompositionOptions(), "randomized", (32, 25, 2)),
         (lambda: _spdc_fig4(512), DecompositionOptions(), "centrosymmetric", None),
         (lambda: _coord(400), DecompositionOptions(truncation_threshold=0.0), "dense", None),
+        # At 1e-30 the cutoff trunc sigma_1^2 lies at or below the residual's
+        # rounding floor n eps^2 ||A||_F^2: the first sketch is given up
+        # before its certificate check, and the dense route keeps rank 12.
+        # At 1e-28 the cutoff clears the floor.
+        (lambda: _coord(400), DecompositionOptions(truncation_threshold=1e-30), "dense", None),
+        (lambda: _coord(400), DecompositionOptions(truncation_threshold=1e-28), "randomized", (16, 11, 1)),
         (lambda: _wrap(_random_matrix(np.random.default_rng(3), 300)), DecompositionOptions(), "dense", None),
     ],
-    ids=["fig1-coord-n400", "coord-eta0.5-n400", "spdc-fig4-n512", "trunc-0", "complex-gaussian-300"],
+    ids=[
+        "fig1-coord-n400", "coord-eta0.5-n400", "spdc-fig4-n512", "trunc-0",
+        "trunc-1e-30-floor", "trunc-1e-28", "complex-gaussian-300",
+    ],
 )
 def test_route_taken_by_each_input(make, opts, route, sketch):
     A = make()

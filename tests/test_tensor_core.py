@@ -168,6 +168,26 @@ def test_normalize_leaves_its_argument_untouched():
         assert not A.normalized and N.entries is not entries
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.complex64])
+def test_normalize_scales_single_precision_entries_in_double(dtype):
+    # Scaled in single precision, the squared sum would miss 1 by about 6e-8,
+    # past NORM_ATOL, so the unit-norm check would refuse most of these.
+    # Scaled in double, each gives the bits of its float64/complex128 copy.
+    double = np.result_type(dtype, np.float64)
+    rng = np.random.default_rng(5)
+    mats = [rng.standard_normal((50, 50)) for _ in range(10)]
+    if dtype is np.complex64:
+        mats = [m + 1j * rng.standard_normal((50, 50)) for m in mats]
+        mats.append(np.array([[1.0, 0.5j], [0.25, 1.0]]))
+    for m in mats:
+        g = make_grid(0.0, 1.0, 0.0, 1.0, m.shape[0])
+        single = m.astype(dtype)
+        got = normalize(AmplitudeMatrix(grid=g, entries=single)).entries
+        want = normalize(AmplitudeMatrix(grid=g, entries=single.astype(double))).entries
+        assert got.dtype == want.dtype == double
+        assert got.tobytes() == want.tobytes()
+
+
 def test_sample_amplitude_rejects_an_all_zero_amplitude():
     g = make_grid(0.0, 1.0, 0.0, 1.0, 3)
     with pytest.raises(ValueError, match="all-zero"):
