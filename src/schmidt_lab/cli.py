@@ -33,6 +33,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
@@ -42,9 +43,12 @@ import numpy as np
 from .atom_photon import (
     CAPTURE_TOL,
     DEFAULT_N as ATOM_DEFAULT_N,
+    TAU_ADVISORY,
+    TAU_APPLICABILITY_WARN,
     AtomPhotonParams,
     asymptotics,
     coord_capture_drift,
+    coord_chirped_spectrum,
     coord_grid,
     coord_matrix,
     coord_spectrum,
@@ -426,8 +430,10 @@ def _dynamics(req: _Resolver) -> ModelRun:
     emission leaves the photonic Schmidt weights unchanged, so every row
     is built from one spectrum: the thin T = 0 factor on the largest tau's
     window, capture-checked by ``coord_capture_drift``.  The
-    tau-invariance is checked too, against the one sampled n x n
-    decomposition of the run, at the smallest positive tau.
+    tau-invariance is checked too, against the chirped factor at the
+    smallest positive tau (``coord_chirped_spectrum``), so no n x n matrix
+    is sampled or decomposed.  Below tau = 3 that check raises the
+    long-time advisory of ``coord_amplitude``.
     """
     xi0, eta = req.require("xi0"), req.require("eta")
     taus = _sweep_values(req, "tau")
@@ -449,14 +455,16 @@ def _dynamics(req: _Resolver) -> ModelRun:
             "COORD_SIGMA_MARGIN) cuts off the amplitude, and no n restores it"
         )
     first = AtomPhotonParams(xi0, eta, min(positive))
-    sampled = schmidt_decompose(coord_matrix(first, coord_grid(first, req.n)), req.opts, modes=False)
-    invariance = spectrum_drift(spectrum, sampled)
+    if first.tau < TAU_APPLICABILITY_WARN:
+        warnings.warn(TAU_ADVISORY)
+    invariance = spectrum_drift(spectrum, coord_chirped_spectrum(first, req.n, req.opts))
     if invariance >= CAPTURE_TOL:
         raise ConvergenceError(
-            f"tau-invariance check failed: the photonic Schmidt weights sampled at "
-            f"tau={first.tau:g} and those of the T = 0 factor at tau={params.tau:g} "
+            f"tau-invariance check failed: the photonic Schmidt weights of the chirped "
+            f"factor at tau={first.tau:g} and those of the T = 0 factor at tau={params.tau:g} "
             f"differ by {invariance:.3e} >= {CAPTURE_TOL:.1e}, though free evolution "
-            "cannot change them; raise n"
+            "cannot change them; the chirped factor's q rule (atom_photon.THIN_Q_SPACING, "
+            "CHIRP_PAIR_SPAN) does not resolve the chirp"
         )
 
     header = ("tau", "K0", "S0", "K", "S", "K_minus_K0", "S_minus_S0")

@@ -102,9 +102,11 @@ class SchmidtResult:
     route
         "dense" (LAPACK SVD of the whole matrix), "randomized" (SVD of a
         certified sketch), "centrosymmetric" (SVDs of the two parity
-        blocks of the centrosymmetric part, values only) or "thin-factor"
+        blocks of the centrosymmetric part, values only), "thin-factor"
         (SVD of the real T = 0 coordinate factor of
-        ``atom_photon.coord_thin_spectrum``, values only).
+        ``atom_photon.coord_thin_spectrum``, values only) or
+        "chirped-factor" (SVD of the complex coordinate factor at tau of
+        ``atom_photon.coord_chirped_spectrum``, values only).
     sketch_width
         Columns of the accepted sketch; None on the other routes.
     residual_mass

@@ -9,6 +9,7 @@ import schmidt_lab.atom_photon as atom_photon
 import schmidt_lab.cli as cli
 from schmidt_lab.atom_photon import (
     CAPTURE_TOL,
+    CHIRP_PAIR_SPAN,
     COORD_PROBE_FACTOR,
     COORD_SIGMA_MARGIN,
     THIN_Q_SPACING,
@@ -16,6 +17,7 @@ from schmidt_lab.atom_photon import (
     asymptotics,
     coord_amplitude,
     coord_capture_drift,
+    coord_chirped_spectrum,
     coord_grid,
     coord_matrix,
     coord_spectrum,
@@ -481,6 +483,90 @@ def test_thin_factor_refuses_a_rank_that_fills_its_q_nodes():
     opts = DecompositionOptions(truncation_threshold=0.0)
     with pytest.raises(ConvergenceError, match="kept all 28 of its q-node weights"):
         coord_spectrum(FIG_PARAMS, 400, opts)
+    with pytest.raises(ConvergenceError, match="kept all 28 of its q-node weights"):
+        coord_chirped_spectrum(AtomPhotonParams(100.0, 0.03, 0.1), 400, opts)
+
+
+# (xi0, eta, tau, n); T runs from 0.009 (fig2's check) to 4000, and at
+# (10, 2, 0.1, 400) the chirped factor has more q nodes (452) than n.
+CHIRPED_CASES = [
+    (100.0, 0.03, 0.1, 400),
+    (100.0, 0.03, 10.0, 64),
+    (100.0, 0.3, 0.5, 64),
+    (100.0, 0.5, 10.0, 201),
+    (1000.0, 0.5, 9.0, 400),
+    (100.0, 1.0, 10.0, 400),
+    (10.0, 2.0, 0.1, 400),
+    (100.0, 2.0, 10.0, 201),
+    (100.0, 2.0, 10.0, 400),
+]
+
+
+@pytest.mark.filterwarnings("ignore:coordinate amplitude is a long-time approximation")
+@pytest.mark.parametrize("xi0,eta,tau,n", CHIRPED_CASES)
+def test_chirped_factor_matches_the_sampled_route(xi0, eta, tau, n):
+    params = AtomPhotonParams(xi0, eta, tau)
+    chirped = coord_chirped_spectrum(params, n)
+    ref = _sampled_spectrum(params, n)
+    assert chirped.route == "chirped-factor" and chirped.modes_p is None
+    assert chirped.rank == ref.rank
+    np.testing.assert_allclose(chirped.lambdas, ref.lambdas, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "xi0,eta,tau", [(100.0, 0.03, 0.1), (100.0, 0.5, 10.0), (10.0, 2.0, 0.1), (100.0, 2.0, 10.0)]
+)
+@pytest.mark.parametrize("dp", [5.0, CHIRP_PAIR_SPAN, 40.0])
+def test_chirped_factor_takes_the_fewest_q_nodes_its_spacing_rule_allows(xi0, eta, tau, dp):
+    grid = coord_grid(AtomPhotonParams(xi0, eta, tau), 400)
+    T = tau * eta**2 * xi0
+    q = atom_photon._chirped_q_nodes(grid, eta, T, dp)
+    w = math.sqrt(1.0 + T**2) / eta
+    width = grid.p_max - grid.p_min + 2.0 * COORD_SIGMA_MARGIN * w
+    assert q[0] == pytest.approx(-grid.p_max - COORD_SIGMA_MARGIN * w, rel=1e-15)
+    assert q[-1] == pytest.approx(q[0] + width, rel=1e-14)
+    im_c = eta**2 * T / (2.0 * (1.0 + T**2))
+    h = math.pi / (2.0 * math.pi * eta / math.sqrt(1.0 + T**2) + 2.0 * im_c * dp)
+    assert width / (q.size - 1) <= h < width / (q.size - 2)
+
+
+@pytest.mark.filterwarnings("ignore:coordinate amplitude is a long-time approximation")
+def test_chirped_factor_with_a_wider_q_spacing_is_measurably_worse(monkeypatch):
+    # fig2's check: at eta h_q = 0.7 the trapezoid rule's aliasing error shows.
+    params = AtomPhotonParams(100.0, 0.03, 0.1)
+    ref = _sampled_spectrum(params, 400)
+    assert np.max(np.abs(coord_chirped_spectrum(params, 400).lambdas - ref.lambdas)) < 1e-17
+    monkeypatch.setattr(atom_photon, "THIN_Q_SPACING", 0.7)
+    coarse = coord_chirped_spectrum(params, 400)
+    assert coarse.rank == ref.rank
+    assert np.max(np.abs(coarse.lambdas - ref.lambdas)) > 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:coordinate amplitude is a long-time approximation")
+def test_chirped_factor_needs_its_pair_span_at_a_large_chirp(monkeypatch):
+    # At eta = 2, T = 4000 a rule exact only for rows 12 / eta = 6 apart
+    # aliases rows about 18 apart, whose front factors still weigh 1e-8.
+    params = AtomPhotonParams(100.0, 2.0, 10.0)
+    ref = _sampled_spectrum(params, 201)
+    monkeypatch.setattr(atom_photon, "CHIRP_PAIR_SPAN", 6.0)
+    short = coord_chirped_spectrum(params, 201)
+    assert short.rank < ref.rank
+    assert np.max(np.abs(short.lambdas - ref.lambdas[: short.rank])) > 1e-9
+
+
+def test_chirped_factor_is_exact_in_q_where_the_sampled_mesh_is_not():
+    # At n = 64 the sampled q mesh is too coarse for this chirp (T = 4):
+    # its weights are 8.6e-5 off, with rank 38 against 49.  The chirped
+    # factor shares only the p nodes and agrees with the T = 0 factor.
+    params = AtomPhotonParams(10.0, 2.0, 0.1)
+    chirped = coord_chirped_spectrum(params, 64)
+    thin = coord_spectrum(params, 64)
+    assert chirped.rank == thin.rank == 49
+    np.testing.assert_allclose(chirped.lambdas, thin.lambdas, rtol=0, atol=1e-15)
+    with pytest.warns(UserWarning, match="only qualitative"):
+        sampled = _sampled_spectrum(params, 64)
+    assert sampled.rank == 38
+    assert np.max(np.abs(sampled.lambdas - thin.lambdas[:38])) > 1e-5
 
 
 def test_coord_spectrum_does_not_depend_on_xi0():
