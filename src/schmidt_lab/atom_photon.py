@@ -36,7 +36,6 @@ from .schmidt import (
 from .tensor_core import AmplitudeMatrix, Grid, grown_grid, make_grid, sample_amplitude
 
 TAU_APPLICABILITY_WARN = 3.0
-TAU_ADVISORY = "coordinate amplitude is a long-time approximation, only qualitative below tau = 3"
 DEFAULT_N = 400
 # The automatic windows of coord_grid and momentum_grid.
 COORD_DECAY_SPAN = 40.0
@@ -53,8 +52,8 @@ CAPTURE_TOL = 1e-6
 # of 1/eta.  Its q-sum of a Gaussian is then a trapezoid rule whose aliasing
 # error, about 2 exp(-pi^2 / (eta h_q)^2) = 1.4e-17, is below rounding.
 THIN_Q_SPACING = 0.5
-# Largest p distance, in decay lengths, over which the chirped factor's q
-# rule is exact (``coord_chirped_spectrum``).  Its first alias falls on rows
+# Largest p distance, in decay lengths, over which the q mesh of
+# ``coord_chirped_grid`` resolves the chirp.  Its first alias falls on rows
 # at least twice as far apart, whose front factors weigh
 # exp(-2 CHIRP_PAIR_SPAN) = 4e-18 or less.
 CHIRP_PAIR_SPAN = 20.0
@@ -120,13 +119,15 @@ def coord_amplitude(params: AtomPhotonParams, p, q):
     tables (``_factored_gaussian``) when their derived error bound is at
     most FACTORED_ERR_MAX; every other call keeps the direct form, one
     complex exp per entry.  Warns (without rejecting) below tau = 3
-    where the long-time form is only qualitative; a dynamics sweep that
-    reaches below tau = 3 raises the same TAU_ADVISORY.  The message does
-    not name tau, so the default warning filter prints it once per call
-    site.
+    where the long-time form is only qualitative; dynamics sweeps rely on
+    this leniency.  The message does not name tau, so the default warning
+    filter prints it once per call site.
     """
     if params.tau < TAU_APPLICABILITY_WARN:
-        warnings.warn(TAU_ADVISORY, stacklevel=2)
+        warnings.warn(
+            "coordinate amplitude is a long-time approximation, only qualitative below tau = 3",
+            stacklevel=2,
+        )
     p, q = _as_finite_arrays(p, q)
     scalar = p.ndim == 0 and q.ndim == 0
     # The light-front factor depends on p alone, so on open mesh vectors it
@@ -303,9 +304,9 @@ def coord_thin_spectrum(
     the same p nodes, with route "thin-factor" and the truncation rule of
     ``schmidt_decompose``.  xi0 is never read, and tau only places the
     light front, so the weights do not depend on tau and no tau < 3
-    advisory is raised.  ``coord_chirped_spectrum`` is the same factor with
-    the chirp kept, and the dynamics sweep's tau-invariance check compares
-    the two.
+    advisory is raised.  ``coord_chirped_spectrum`` samples the same
+    amplitude with the chirp kept, and the dynamics sweep's tau-invariance
+    check compares the two.
 
     Raises
     ------
@@ -315,53 +316,11 @@ def coord_thin_spectrum(
         least m rows).
     """
     q = _thin_q_nodes(grid, params.eta, margin)
-    return _factor_spectrum(params, grid, q, -(params.eta**2) / 2.0, opts, "thin-factor")
-
-
-def coord_chirped_spectrum(
-    params: AtomPhotonParams,
-    n: int = DEFAULT_N,
-    opts: DecompositionOptions = DecompositionOptions(),
-) -> SchmidtResult:
-    """Values-only decomposition of the coordinate amplitude at tau, chirp kept.
-
-    The factor of ``coord_thin_spectrum`` at T = tau eta^2 xi0, on the p
-    nodes of ``coord_grid(params, n)`` and m uniform q nodes over the
-    chirped window [-p_max - COORD_SIGMA_MARGIN w, -p_min + COORD_SIGMA_MARGIN w],
-    w = sqrt(1 + T^2) / eta:
-
-        F_ij = f(p_i) exp(c (p_i + q_j)^2),   c = -eta^2 / (2 (1 + i T)).
-
-    The q-sum of two rows Dp apart is a trapezoid rule for a Gaussian of
-    width w times a phase of frequency 2 |Im c| Dp, exact to rounding once
-    h_q <= pi / (pi eta / (THIN_Q_SPACING sqrt(1 + T^2)) + 2 |Im c| Dp),
-    which at T = 0 is the thin factor's rule.  Dp is the window's p span,
-    at most CHIRP_PAIR_SPAN, and m is the fewest nodes the rule allows, so
-    the weights match the sampled n x n amplitude on the same p nodes;
-    where m reaches n the factor is only wider.  Route "chirped-factor";
-    no tau < 3 advisory is raised.
-
-    Raises
-    ------
-    ConvergenceError
-        If the kept rank reaches m, as ``coord_thin_spectrum`` does.
-    """
-    grid = coord_grid(params, n)
-    T = params.tau * params.eta**2 * params.xi0
-    q = _chirped_q_nodes(grid, params.eta, T, min(grid.p_max - grid.p_min, CHIRP_PAIR_SPAN))
-    c = -(params.eta**2) / (2.0 * (1.0 + 1j * T))
-    return _factor_spectrum(params, grid, q, c, opts, "chirped-factor")
-
-
-def _factor_spectrum(
-    params: AtomPhotonParams, grid: Grid, q: np.ndarray, c: complex, opts: DecompositionOptions, route: str
-) -> SchmidtResult:
-    """Values-only weights of f(p_i) exp(c (p_i + q_j)^2) on the p nodes of ``grid`` up to the light front."""
     p = grid.p_nodes()
     p = p[p <= params.tau]
     front = np.exp(-(params.tau - p) / 2.0)
-    F = front[:, None] * np.exp(c * np.square(p[:, None] + q))
-    result = spectrum_result(np.linalg.svd(F, compute_uv=False), opts, route)
+    F = front[:, None] * np.exp(-(params.eta**2) / 2.0 * np.square(p[:, None] + q))
+    result = spectrum_result(np.linalg.svd(F, compute_uv=False), opts, "thin-factor")
     m = q.size
     if result.rank >= m:
         raise ConvergenceError(
@@ -378,17 +337,59 @@ def _thin_q_nodes(grid: Grid, eta: float, margin: float) -> np.ndarray:
     return np.linspace(q_lo, q_hi, math.ceil((q_hi - q_lo) * eta / THIN_Q_SPACING) + 1)
 
 
-def _chirped_q_nodes(grid: Grid, eta: float, T: float, dp: float) -> np.ndarray:
-    """The m q nodes of ``coord_chirped_spectrum``: the fewest its rule allows at chirp T for rows dp apart."""
-    r = math.sqrt(1.0 + T * T)
-    q_lo, q_hi = -grid.p_max - COORD_SIGMA_MARGIN * r / eta, -grid.p_min + COORD_SIGMA_MARGIN * r / eta
+def coord_chirped_grid(params: AtomPhotonParams, n: int = DEFAULT_N) -> Grid:
+    """The window of ``coord_grid(params, n)`` with the fewest q nodes that resolve the chirp.
+
+    At T = tau eta^2 xi0 the amplitude is f(p) exp(c (p + q)^2) with
+    c = -eta^2 / (2 (1 + i T)).  The q-sum of two of its rows Dp apart is
+    a trapezoid rule for a Gaussian of width sqrt(1 + T^2) / eta times a
+    phase of frequency 2 |Im c| Dp, exact to rounding once
+
+        h_q <= pi / (pi eta / (THIN_Q_SPACING sqrt(1 + T^2)) + 2 |Im c| Dp),
+
+    which at T = 0 is the rule of ``coord_thin_spectrum``.  With
+    Dp = CHIRP_PAIR_SPAN the grid has the fewest q nodes, nq, that allow
+    it; nq exceeds n where the chirp is stronger than n nodes resolve.
+    """
+    grid = coord_grid(params, n)
+    eta, T = params.eta, params.tau * params.eta**2 * params.xi0
     # 2 |Im c| = eta^2 T / (1 + T^2).
-    h = math.pi / (math.pi * eta / (THIN_Q_SPACING * r) + eta**2 * T * dp / (1.0 + T * T))
-    return np.linspace(q_lo, q_hi, math.ceil((q_hi - q_lo) / h) + 1)
+    band = math.pi * eta / (THIN_Q_SPACING * math.sqrt(1.0 + T * T))
+    h = math.pi / (band + eta**2 * T * CHIRP_PAIR_SPAN / (1.0 + T * T))
+    nq = math.ceil((grid.q_max - grid.q_min) / h) + 1
+    return make_grid(grid.p_min, grid.p_max, grid.q_min, grid.q_max, n, nq)
 
 
-# momentum_probe calls momentum_matrix and schmidt_decompose through this
-# module's globals, where bench/tracing.py wraps them and tells the probe by
+def coord_chirped_spectrum(
+    params: AtomPhotonParams,
+    n: int = DEFAULT_N,
+    opts: DecompositionOptions = DecompositionOptions(),
+) -> SchmidtResult:
+    """Values-only decomposition of the coordinate amplitude sampled on ``coord_chirped_grid``.
+
+    The chirp is kept, so the weights match the sampled n x n amplitude
+    on the same p nodes wherever its q mesh resolves the chirp, from an
+    n x nq matrix.
+
+    Raises
+    ------
+    ConvergenceError
+        If the kept rank reaches nq, where the q nodes could cut a weight
+        above the cutoff.
+    """
+    grid = coord_chirped_grid(params, n)
+    result = schmidt_decompose(coord_matrix(params, grid), opts, modes=False)
+    if result.rank >= grid.nq:
+        raise ConvergenceError(
+            f"the chirped amplitude at tau={params.tau:g} kept all {grid.nq} of its q-node "
+            "weights, so it cannot show that none above the cutoff is lost; raise the "
+            "truncation threshold (--trunc)"
+        )
+    return result
+
+
+# momentum_probe (like coord_chirped_spectrum above) calls its sampler and
+# schmidt_decompose through this module's globals, where bench/tracing.py wraps them and tells the probe by
 # its grid.  The coordinate probe samples nothing, so the tracer counts it by
 # its name, coord_capture_drift, as the CLI calls it.
 

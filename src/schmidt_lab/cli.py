@@ -33,7 +33,6 @@ import json
 import os
 import sys
 import time
-import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
@@ -43,8 +42,6 @@ import numpy as np
 from .atom_photon import (
     CAPTURE_TOL,
     DEFAULT_N as ATOM_DEFAULT_N,
-    TAU_ADVISORY,
-    TAU_APPLICABILITY_WARN,
     AtomPhotonParams,
     asymptotics,
     coord_capture_drift,
@@ -430,10 +427,11 @@ def _dynamics(req: _Resolver) -> ModelRun:
     emission leaves the photonic Schmidt weights unchanged, so every row
     is built from one spectrum: the thin T = 0 factor on the largest tau's
     window, capture-checked by ``coord_capture_drift``.  The
-    tau-invariance is checked too, against the chirped factor at the
-    smallest positive tau (``coord_chirped_spectrum``), so no n x n matrix
-    is sampled or decomposed.  Below tau = 3 that check raises the
-    long-time advisory of ``coord_amplitude``.
+    tau-invariance is checked too, against the one sampled decomposition
+    of the run, at the smallest positive tau: an n x nq sample whose nq
+    q nodes are the fewest that resolve the chirp there
+    (``coord_chirped_spectrum``), so no n x n matrix is sampled unless the
+    chirp needs nq >= n.
     """
     xi0, eta = req.require("xi0"), req.require("eta")
     taus = _sweep_values(req, "tau")
@@ -455,16 +453,14 @@ def _dynamics(req: _Resolver) -> ModelRun:
             "COORD_SIGMA_MARGIN) cuts off the amplitude, and no n restores it"
         )
     first = AtomPhotonParams(xi0, eta, min(positive))
-    if first.tau < TAU_APPLICABILITY_WARN:
-        warnings.warn(TAU_ADVISORY)
     invariance = spectrum_drift(spectrum, coord_chirped_spectrum(first, req.n, req.opts))
     if invariance >= CAPTURE_TOL:
         raise ConvergenceError(
-            f"tau-invariance check failed: the photonic Schmidt weights of the chirped "
-            f"factor at tau={first.tau:g} and those of the T = 0 factor at tau={params.tau:g} "
+            f"tau-invariance check failed: the photonic Schmidt weights sampled at "
+            f"tau={first.tau:g} and those of the T = 0 factor at tau={params.tau:g} "
             f"differ by {invariance:.3e} >= {CAPTURE_TOL:.1e}, though free evolution "
-            "cannot change them; the chirped factor's q rule (atom_photon.THIN_Q_SPACING, "
-            "CHIRP_PAIR_SPAN) does not resolve the chirp"
+            "cannot change them; the q mesh of atom_photon.coord_chirped_grid "
+            "(THIN_Q_SPACING, CHIRP_PAIR_SPAN) does not resolve the chirp"
         )
 
     header = ("tau", "K0", "S0", "K", "S", "K_minus_K0", "S_minus_S0")
@@ -656,7 +652,8 @@ def run(args) -> dict:
     if req.n is not None:
         params["n"] = req.n
     if req.grid is not None:
-        params["window"] = asdict(req.grid)
+        # A CLI mesh is n x n, so its nq, which repeats n, is left out.
+        params["window"] = {k: v for k, v in asdict(req.grid).items() if k != "nq"}
     params["trunc"] = req.opts.truncation_threshold
     if "gauge" in cmd.flags:
         params["gauge"] = req.opts.gauge

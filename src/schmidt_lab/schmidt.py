@@ -92,8 +92,9 @@ class SchmidtResult:
     lambdas
         Kept weights, non-increasing, renormalized to sum to 1.
     modes_p, modes_q
-        Arrays of shape (rank, n); row k holds the k-th discrete mode in
-        the p and q variable respectively, each with unit Euclidean norm.
+        Arrays of shape (rank, n) and (rank, nq); row k holds the k-th
+        discrete mode in the p and q variable respectively, each with unit
+        Euclidean norm.
         Both are None when the result was decomposed with ``modes=False``.
     reconstruction_error
         Relative Frobenius error committed by the truncation, i.e. the
@@ -102,11 +103,9 @@ class SchmidtResult:
     route
         "dense" (LAPACK SVD of the whole matrix), "randomized" (SVD of a
         certified sketch), "centrosymmetric" (SVDs of the two parity
-        blocks of the centrosymmetric part, values only), "thin-factor"
+        blocks of the centrosymmetric part, values only) or "thin-factor"
         (SVD of the real T = 0 coordinate factor of
-        ``atom_photon.coord_thin_spectrum``, values only) or
-        "chirped-factor" (SVD of the complex coordinate factor at tau of
-        ``atom_photon.coord_chirped_spectrum``, values only).
+        ``atom_photon.coord_thin_spectrum``, values only).
     sketch_width
         Columns of the accepted sketch; None on the other routes.
     residual_mass
@@ -220,20 +219,20 @@ def _certified_sketch(M: np.ndarray, trunc: float, total: float):
     and residual = ||M - Q B||_F^2 <= trunc * s[0]^2, or None when
     the dense route must run: a sketch already shows
     sigma_w^2 / sigma_1^2 > sqrt(trunc), the cutoff is at or below the
-    residual's rounding floor n eps^2 ||M||_F^2, or the width would pass
-    n / 4.  Each width draws one sketch and checks it once; a failed
-    check doubles the width.  The residual is computed explicitly, one
+    residual's rounding floor max(n, nq) eps^2 ||M||_F^2 (M is n x nq), or
+    the width would pass min(n, nq) / 4.  Each width draws one sketch and
+    checks it once; a failed check doubles the width.  The residual is computed explicitly, one
     block of rows at a time (``_residual``).
     """
-    n = M.shape[0]
+    n, nq = M.shape
     width = SKETCH_WIDTH
     cplx = np.iscomplexobj(M)
-    floor = n * EPS**2 * total
+    floor = max(n, nq) * EPS**2 * total
     rng = np.random.default_rng(SKETCH_SEED)
-    while width <= n / 4:
-        omega = rng.standard_normal((n, width))
+    while width <= min(n, nq) / 4:
+        omega = rng.standard_normal((nq, width))
         if cplx:
-            omega = omega + 1j * rng.standard_normal((n, width))
+            omega = omega + 1j * rng.standard_normal((nq, width))
         Q, R = np.linalg.qr(M @ omega)
         r = np.linalg.svd(R, compute_uv=False)
         if r[-1] ** 2 > np.sqrt(trunc) * r[0] ** 2:
@@ -312,8 +311,8 @@ def schmidt_decompose(
     ||A||_F^2, and the weight outside the sketch joins the discarded mass.
     A values-only call reuses the singular values the certificate computed;
     a call with modes takes them from the SVD of B with vectors.
-    Otherwise, with ``modes=False``, a matrix whose centrosymmetric part
-    captures it (see ``_centrosymmetric_split``) takes the
+    Otherwise, with ``modes=False``, a square matrix whose centrosymmetric
+    part captures it (see ``_centrosymmetric_split``) takes the
     centrosymmetric route, normalized and certified the same way.  Every
     other matrix takes the dense route.
 
@@ -335,7 +334,9 @@ def schmidt_decompose(
     total = float(np.vdot(M, M).real)
     trunc = opts.truncation_threshold
     sketch = _certified_sketch(M, trunc, total)
-    split = None if sketch is not None or modes else _centrosymmetric_split(M, trunc, total)
+    split = None
+    if sketch is None and not modes and M.shape[0] == M.shape[1]:
+        split = _centrosymmetric_split(M, trunc, total)
     width = residual_mass = None
     if sketch is not None:
         route = "randomized"

@@ -1,7 +1,8 @@
 """Uniform two-variable grids and sampled amplitude matrices.
 
-A two-particle amplitude psi(p, q) is discretized on a uniform n x n mesh
-into a matrix A with A[j1, j2] = psi(p_j1, q_j2), real (float64) for a
+A two-particle amplitude psi(p, q) is discretized on a uniform n x nq mesh
+(nq = n unless a grid says otherwise) into a matrix A with
+A[j1, j2] = psi(p_j1, q_j2), real (float64) for a
 real amplitude and complex otherwise.  Everything
 downstream (Schmidt decomposition, entanglement measures, coherence) works
 on these matrices, so the conventions are fixed here once: row index runs
@@ -26,8 +27,9 @@ _NORM_MIN = math.sqrt(np.finfo(float).tiny)
 class Grid:
     """Uniform rectangular mesh for a two-variable amplitude.
 
-    Both axes carry ``n`` nodes including the endpoints, so the spacings
-    are ``(p_max - p_min) / (n - 1)`` and ``(q_max - q_min) / (n - 1)``.
+    The p axis carries ``n`` nodes and the q axis ``nq`` (``n`` when not
+    given), endpoints included, so the spacings are
+    ``(p_max - p_min) / (n - 1)`` and ``(q_max - q_min) / (nq - 1)``.
     """
 
     p_min: float
@@ -35,6 +37,11 @@ class Grid:
     q_min: float
     q_max: float
     n: int
+    nq: int | None = None
+
+    def __post_init__(self):
+        if self.nq is None:
+            object.__setattr__(self, "nq", self.n)
 
     @property
     def dp(self) -> float:
@@ -42,7 +49,7 @@ class Grid:
 
     @property
     def dq(self) -> float:
-        return (self.q_max - self.q_min) / (self.n - 1)
+        return (self.q_max - self.q_min) / (self.nq - 1)
 
     def p_nodes(self) -> np.ndarray:
         """Node positions along the first (row) axis."""
@@ -50,16 +57,19 @@ class Grid:
 
     def q_nodes(self) -> np.ndarray:
         """Node positions along the second (column) axis."""
-        return np.linspace(self.q_min, self.q_max, self.n)
+        return np.linspace(self.q_min, self.q_max, self.nq)
 
 
-def make_grid(p_min: float, p_max: float, q_min: float, q_max: float, n: int) -> Grid:
-    """Validate window bounds and node count, returning a Grid.
+def make_grid(
+    p_min: float, p_max: float, q_min: float, q_max: float, n: int, nq: int | None = None
+) -> Grid:
+    """Validate window bounds and node counts, returning a Grid.
 
     Raises
     ------
     ValueError
-        If any bound is non-finite, a window is empty or reversed, or n < 2.
+        If any bound is non-finite, a window is empty or reversed, or n or
+        nq is below 2.
     """
     bounds = (p_min, p_max, q_min, q_max)
     if not all(np.isfinite(b) for b in bounds):
@@ -69,9 +79,12 @@ def make_grid(p_min: float, p_max: float, q_min: float, q_max: float, n: int) ->
     if not q_min < q_max:
         raise ValueError(f"need q_min < q_max, got [{q_min}, {q_max}]")
     n = int(n)
+    nq = n if nq is None else int(nq)
     if n < 2:
         raise ValueError(f"need at least 2 nodes per axis, got n={n}")
-    return Grid(float(p_min), float(p_max), float(q_min), float(q_max), n)
+    if nq < 2:
+        raise ValueError(f"need at least 2 nodes per axis, got nq={nq}")
+    return Grid(float(p_min), float(p_max), float(q_min), float(q_max), n, nq)
 
 
 def grown_grid(grid: Grid, factor: float) -> Grid:
@@ -81,10 +94,14 @@ def grown_grid(grid: Grid, factor: float) -> Grid:
     of that axis's spacing, so the result has n + 2 s nodes at the spacing
     of ``grid``, and node j of ``grid`` is its node j + s, to rounding.
     This is the window the convergence probe of a run compares against.
+    A grid with nq != n grows each axis by its own count of steps.
     """
     s = math.ceil((factor - 1.0) * (grid.n - 1) / 2.0)
-    dp, dq = s * grid.dp, s * grid.dq
-    return make_grid(grid.p_min - dp, grid.p_max + dp, grid.q_min - dq, grid.q_max + dq, grid.n + 2 * s)
+    sq = math.ceil((factor - 1.0) * (grid.nq - 1) / 2.0)
+    dp, dq = s * grid.dp, sq * grid.dq
+    return make_grid(
+        grid.p_min - dp, grid.p_max + dp, grid.q_min - dq, grid.q_max + dq, grid.n + 2 * s, grid.nq + 2 * sq
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,9 +125,9 @@ class AmplitudeMatrix:
 
     def __post_init__(self):
         e = self.entries
-        if e.shape != (self.grid.n, self.grid.n):
+        if e.shape != (self.grid.n, self.grid.nq):
             raise ValueError(
-                f"entries shape {e.shape} does not match grid n={self.grid.n}"
+                f"entries shape {e.shape} does not match grid n={self.grid.n}, nq={self.grid.nq}"
             )
         if self.normalized:
             total = float(np.vdot(e, e).real)
@@ -135,8 +152,8 @@ def sample_amplitude(f: Callable, grid: Grid) -> AmplitudeMatrix:
 
     ``f`` must be vectorized: it is called once with the open mesh
     vectors, a column of p nodes of shape (n, 1) and a row of q nodes of
-    shape (1, n), and must return an (n, n) array, or an (n, 1) or (1, n)
-    one that depends on a single variable and is broadcast.  A real result
+    shape (1, nq), and must return an (n, nq) array, or an (n, 1) or
+    (1, nq) one that depends on a single variable and is broadcast.  A real result
     is kept in float64, a complex one in complex128.  The returned array
     belongs to this call (``f`` must not keep it), so it is scaled to unit
     norm in place; the entries are scanned for a non-finite value only
@@ -150,18 +167,18 @@ def sample_amplitude(f: Callable, grid: Grid) -> AmplitudeMatrix:
         names the first offending node by index and coordinates), or if
         every sampled value is zero.
     """
-    n = grid.n
+    n, nq = grid.n, grid.nq
     try:
         vals = np.asarray(f(grid.p_nodes()[:, None], grid.q_nodes()[None, :]))
-        if vals.shape in ((n, 1), (1, n)):
-            vals = np.broadcast_to(vals, (n, n))
+        if vals.shape in ((n, 1), (1, nq)):
+            vals = np.broadcast_to(vals, (n, nq))
         vals = vals.astype(
             complex if np.iscomplexobj(vals) else float, copy=not vals.flags.writeable
         )
     except TypeError as exc:
         raise ValueError(f"amplitude function must accept numpy arrays: {exc}") from exc
-    if vals.shape != (n, n):
-        raise ValueError(f"amplitude function returned shape {vals.shape}, expected {(n, n)}")
+    if vals.shape != (n, nq):
+        raise ValueError(f"amplitude function returned shape {vals.shape}, expected {(n, nq)}")
     return _unit_norm(grid, vals, out=vals)
 
 

@@ -17,6 +17,7 @@ from schmidt_lab.atom_photon import (
     asymptotics,
     coord_amplitude,
     coord_capture_drift,
+    coord_chirped_grid,
     coord_chirped_spectrum,
     coord_grid,
     coord_matrix,
@@ -479,6 +480,7 @@ def test_thin_factor_with_a_wider_q_spacing_is_measurably_worse(monkeypatch):
     assert np.max(np.abs(coarse.lambdas - ref.lambdas[:24])) > 1e-10
 
 
+@pytest.mark.filterwarnings("ignore:coordinate amplitude is a long-time approximation")
 def test_thin_factor_refuses_a_rank_that_fills_its_q_nodes():
     opts = DecompositionOptions(truncation_threshold=0.0)
     with pytest.raises(ConvergenceError, match="kept all 28 of its q-node weights"):
@@ -488,7 +490,7 @@ def test_thin_factor_refuses_a_rank_that_fills_its_q_nodes():
 
 
 # (xi0, eta, tau, n); T runs from 0.009 (fig2's check) to 4000, and at
-# (10, 2, 0.1, 400) the chirped factor has more q nodes (452) than n.
+# (10, 2, 0.1, 400) the chirped grid has more q nodes (452) than n.
 CHIRPED_CASES = [
     (100.0, 0.03, 0.1, 400),
     (100.0, 0.03, 10.0, 64),
@@ -504,11 +506,11 @@ CHIRPED_CASES = [
 
 @pytest.mark.filterwarnings("ignore:coordinate amplitude is a long-time approximation")
 @pytest.mark.parametrize("xi0,eta,tau,n", CHIRPED_CASES)
-def test_chirped_factor_matches_the_sampled_route(xi0, eta, tau, n):
+def test_chirped_grid_matches_the_square_sampled_route(xi0, eta, tau, n):
     params = AtomPhotonParams(xi0, eta, tau)
     chirped = coord_chirped_spectrum(params, n)
     ref = _sampled_spectrum(params, n)
-    assert chirped.route == "chirped-factor" and chirped.modes_p is None
+    assert chirped.modes_p is None
     assert chirped.rank == ref.rank
     np.testing.assert_allclose(chirped.lambdas, ref.lambdas, rtol=0, atol=1e-14)
 
@@ -517,21 +519,24 @@ def test_chirped_factor_matches_the_sampled_route(xi0, eta, tau, n):
     "xi0,eta,tau", [(100.0, 0.03, 0.1), (100.0, 0.5, 10.0), (10.0, 2.0, 0.1), (100.0, 2.0, 10.0)]
 )
 @pytest.mark.parametrize("dp", [5.0, CHIRP_PAIR_SPAN, 40.0])
-def test_chirped_factor_takes_the_fewest_q_nodes_its_spacing_rule_allows(xi0, eta, tau, dp):
-    grid = coord_grid(AtomPhotonParams(xi0, eta, tau), 400)
+def test_chirped_grid_takes_the_fewest_q_nodes_its_spacing_rule_allows(monkeypatch, xi0, eta, tau, dp):
+    params = AtomPhotonParams(xi0, eta, tau)
+    monkeypatch.setattr(atom_photon, "CHIRP_PAIR_SPAN", dp)
+    grid, base = coord_chirped_grid(params, 400), coord_grid(params, 400)
+    assert (grid.p_min, grid.p_max, grid.q_min, grid.q_max, grid.n) == (
+        base.p_min, base.p_max, base.q_min, base.q_max, base.n
+    )
     T = tau * eta**2 * xi0
-    q = atom_photon._chirped_q_nodes(grid, eta, T, dp)
     w = math.sqrt(1.0 + T**2) / eta
     width = grid.p_max - grid.p_min + 2.0 * COORD_SIGMA_MARGIN * w
-    assert q[0] == pytest.approx(-grid.p_max - COORD_SIGMA_MARGIN * w, rel=1e-15)
-    assert q[-1] == pytest.approx(q[0] + width, rel=1e-14)
+    assert grid.q_max - grid.q_min == pytest.approx(width, rel=1e-14)
     im_c = eta**2 * T / (2.0 * (1.0 + T**2))
     h = math.pi / (2.0 * math.pi * eta / math.sqrt(1.0 + T**2) + 2.0 * im_c * dp)
-    assert width / (q.size - 1) <= h < width / (q.size - 2)
+    assert width / (grid.nq - 1) <= h < width / (grid.nq - 2)
 
 
 @pytest.mark.filterwarnings("ignore:coordinate amplitude is a long-time approximation")
-def test_chirped_factor_with_a_wider_q_spacing_is_measurably_worse(monkeypatch):
+def test_chirped_grid_with_a_wider_q_spacing_is_measurably_worse(monkeypatch):
     # fig2's check: at eta h_q = 0.7 the trapezoid rule's aliasing error shows.
     params = AtomPhotonParams(100.0, 0.03, 0.1)
     ref = _sampled_spectrum(params, 400)
@@ -543,7 +548,7 @@ def test_chirped_factor_with_a_wider_q_spacing_is_measurably_worse(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:coordinate amplitude is a long-time approximation")
-def test_chirped_factor_needs_its_pair_span_at_a_large_chirp(monkeypatch):
+def test_chirped_grid_needs_its_pair_span_at_a_large_chirp(monkeypatch):
     # At eta = 2, T = 4000 a rule exact only for rows 12 / eta = 6 apart
     # aliases rows about 18 apart, whose front factors still weigh 1e-8.
     params = AtomPhotonParams(100.0, 2.0, 10.0)
@@ -554,13 +559,16 @@ def test_chirped_factor_needs_its_pair_span_at_a_large_chirp(monkeypatch):
     assert np.max(np.abs(short.lambdas - ref.lambdas[: short.rank])) > 1e-9
 
 
-def test_chirped_factor_is_exact_in_q_where_the_sampled_mesh_is_not():
-    # At n = 64 the sampled q mesh is too coarse for this chirp (T = 4):
+def test_chirped_grid_is_exact_in_q_where_the_square_mesh_is_not():
+    # At n = 64 the square q mesh is too coarse for this chirp (T = 4):
     # its weights are 8.6e-5 off, with rank 38 against 49.  The chirped
-    # factor shares only the p nodes and agrees with the T = 0 factor.
+    # grid has the same 64 p nodes and more q nodes, and agrees with the
+    # T = 0 factor.
     params = AtomPhotonParams(10.0, 2.0, 0.1)
-    chirped = coord_chirped_spectrum(params, 64)
+    with pytest.warns(UserWarning, match="only qualitative"):
+        chirped = coord_chirped_spectrum(params, 64)
     thin = coord_spectrum(params, 64)
+    assert coord_chirped_grid(params, 64).nq > 64
     assert chirped.rank == thin.rank == 49
     np.testing.assert_allclose(chirped.lambdas, thin.lambdas, rtol=0, atol=1e-15)
     with pytest.warns(UserWarning, match="only qualitative"):

@@ -856,43 +856,42 @@ def test_dynamics_capture_verdict_does_not_depend_on_the_parity_of_n(tmp_path, n
     assert _summary(tmp_path)["grid_convergence"]["endpoint_lambda_drift"] <= 1e-15
 
 
-def _record_dynamics_work(monkeypatch):
-    """Record each call to the sampler, the decomposition and the chirped factor, with its tau."""
-    calls = []
-
-    def recording(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append((name, getattr(args[0], "tau", None)))
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for name in ("coord_matrix", "schmidt_decompose", "coord_chirped_spectrum"):
-        for mod in (cli, atom_photon):
-            monkeypatch.setattr(mod, name, recording(name, getattr(mod, name)))
-    return calls
-
-
 @pytest.mark.parametrize("count", [2, 5, 34])
 def test_dynamics_decomposes_once_whatever_the_tau_count(tmp_path, monkeypatch, count):
-    # The spectrum and its capture probe are thin T = 0 factors, and the
-    # one other decomposition, the tau-invariance check at the smallest
-    # positive tau, is the chirped factor: no n x n matrix is sampled or
-    # decomposed.
-    calls = _record_dynamics_work(monkeypatch)
+    # The spectrum and its capture probe are thin factors; the one sampled
+    # decomposition is the tau-invariance check at the smallest positive tau,
+    # on 64 p nodes and the 28 q nodes that resolve its chirp.
+    calls = []
+    decompose = atom_photon.schmidt_decompose
+
+    def counting(A, opts=schmidt.DecompositionOptions(), modes=True):
+        calls.append((A.entries.shape, modes))
+        return decompose(A, opts, modes)
+
+    for mod in (cli, atom_photon):
+        monkeypatch.setattr(mod, "schmidt_decompose", counting)
     taus = ",".join(repr(float(t)) for t in np.linspace(3.0, 10.0, count))
     argv = [*DYNAMICS, "--eta", "0.03", "--n", "64", "--tau-list", taus]
     assert main([*argv, "--out", str(tmp_path)]) == 0
-    assert calls == [("coord_chirped_spectrum", 3.0)]
+    assert calls == [((64, 28), False)]
 
 
 def test_dynamics_with_one_positive_tau_decomposes_once(tmp_path, monkeypatch):
-    # The smallest positive tau is the largest: the check compares the thin
-    # spectrum with the chirped factor at that same tau.
-    calls = _record_dynamics_work(monkeypatch)
+    # The smallest positive tau is the largest: the sampled check compares
+    # the thin spectrum with the sampled amplitude at that same tau, whose
+    # chirp (T = 0.45) needs 29 q nodes.
+    calls = []
+    decompose = atom_photon.schmidt_decompose
+
+    def counting(A, opts=schmidt.DecompositionOptions(), modes=True):
+        calls.append((A.entries.shape, modes))
+        return decompose(A, opts, modes)
+
+    for mod in (cli, atom_photon):
+        monkeypatch.setattr(mod, "schmidt_decompose", counting)
     argv = [*DYNAMICS, "--eta", "0.03", "--n", "64", "--tau-list", "0,5"]
     assert main([*argv, "--out", str(tmp_path)]) == 0
-    assert calls == [("coord_chirped_spectrum", 5.0)]
+    assert calls == [((64, 29), False)]
     assert _summary(tmp_path)["grid_convergence"]["tau_invariance_drift"] < 1e-15
 
 
@@ -907,16 +906,15 @@ def test_dynamics_warns_only_when_a_tau_is_below_3(tmp_path):
 
 
 def test_dynamics_tau_invariance_failure_exits_3(tmp_path, monkeypatch, capsys):
-    # A chirped factor whose Gaussian is about 5% narrower in p + q has other
-    # Schmidt weights, which free evolution cannot give it.
-    factor_spectrum = atom_photon._factor_spectrum
+    # A non-local phase on the smallest-tau amplitude changes its Schmidt
+    # weights, which free evolution cannot do.
+    amplitude = atom_photon.coord_amplitude
 
-    def perturbed(params, grid, q, c, opts, route):
-        if route == "chirped-factor":
-            c = 1.1 * c
-        return factor_spectrum(params, grid, q, c, opts, route)
+    def perturbed(params, p, q):
+        vals = amplitude(params, p, q)
+        return vals * np.exp(1e-3j * p * q) if params.tau == 3.5 else vals
 
-    monkeypatch.setattr(atom_photon, "_factor_spectrum", perturbed)
+    monkeypatch.setattr(atom_photon, "coord_amplitude", perturbed)
     argv = [*DYNAMICS, "--eta", "0.03", "--n", "64", "--tau-list", "3.5,6,10"]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 3
     assert "tau-invariance" in capsys.readouterr().err
@@ -943,11 +941,19 @@ def test_dynamics_zero_tau_row_and_invalid_taus(tmp_path):
 def test_dynamics_without_a_positive_tau_exits_2_before_sampling(
     tmp_path, monkeypatch, capsys, taus, message
 ):
-    calls = _record_dynamics_work(monkeypatch)
+    sampled = []
+    sample = atom_photon.coord_matrix
+
+    def recording(params, grid):
+        sampled.append(params.tau)
+        return sample(params, grid)
+
+    for mod in (cli, atom_photon):
+        monkeypatch.setattr(mod, "coord_matrix", recording)
     argv = [*DYNAMICS, "--eta", "0.03", "--n", "48", f"--tau-list={taus}"]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
-    assert calls == []
+    assert sampled == []
     assert not (tmp_path / "out").exists()
 
 
@@ -1084,11 +1090,12 @@ def test_empty_format_selection_exits_2(tmp_path, capsys):
 ROUTE_ATOL = 1e-12
 
 
-# The dynamics sweep decomposes no sampled matrix; its factors are checked
-# against the sampled route in test_atom_photon.py.
 @pytest.mark.parametrize(
     "argv",
-    [["spdc-length-sweep", "--L-list", "0.25,1,2,4", "--sigma", "10", "--n", "272"]],
+    [
+        ["spdc-length-sweep", "--L-list", "0.25,1,2,4", "--sigma", "10", "--n", "272"],
+        ["atom-photon-dynamics", "--xi0", "100", "--eta", "0.03", "--tau-list", "4,7,10", "--n", "96"],
+    ],
 )
 def test_sweep_values_only_route_matches_full_route(tmp_path, monkeypatch, argv):
     requested = []
@@ -1098,9 +1105,10 @@ def test_sweep_values_only_route_matches_full_route(tmp_path, monkeypatch, argv)
         return schmidt.schmidt_decompose(A, opts)
 
     assert main(argv + ["--out", str(tmp_path / "values")]) == 0
-    monkeypatch.setattr(cli, "schmidt_decompose", full_route)
+    for mod in (cli, atom_photon):
+        monkeypatch.setattr(mod, "schmidt_decompose", full_route)
     assert main(argv + ["--out", str(tmp_path / "full")]) == 0
-    # Every sweep point reads weights only.
+    # Every sweep point and the dynamics tau-invariance check read weights only.
     assert requested and not any(requested)
     header, values = _read_csv(tmp_path / "values" / "sweep.csv")
     _, full = _read_csv(tmp_path / "full" / "sweep.csv")

@@ -552,6 +552,36 @@ def test_randomized_route_matches_dense_route(case):
     np.testing.assert_allclose(vals.lambdas, rnd.lambdas, rtol=0, atol=ROUTE_ATOL)
 
 
+@pytest.mark.parametrize("shape", [(200, 90), (90, 200)])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_rectangular_matrix_matches_the_dense_route(shape, complex_):
+    # An n x nq amplitude of rank 6 takes the randomized route with and
+    # without modes; a full-rank one the dense route, never the square-only
+    # centrosymmetric split.
+    rng = np.random.default_rng(5)
+    n, nq = shape
+
+    def basis(k):
+        M = rng.standard_normal((k, 6))
+        return np.linalg.qr(M + 1j * rng.standard_normal((k, 6)) if complex_ else M)[0]
+
+    g = make_grid(0.0, 1.0, 0.0, 1.0, n, nq)
+    A = normalize(AmplitudeMatrix(grid=g, entries=(basis(n) * 0.5 ** np.arange(6)) @ basis(nq).conj().T))
+    for modes in (True, False):
+        rnd, ref = schmidt_decompose(A, modes=modes), _dense(A, modes=modes)
+        assert (rnd.route, rnd.rank, ref.rank) == ("randomized", 6, 6)
+        np.testing.assert_allclose(rnd.lambdas, ref.lambdas, rtol=0, atol=ROUTE_ATOL)
+    full = schmidt_decompose(A)
+    assert (full.modes_p.shape, full.modes_q.shape) == ((6, n), (6, nq))
+    np.testing.assert_allclose(reconstruct(full, g).entries, A.entries, rtol=0, atol=1e-13)
+    M = rng.standard_normal(shape)
+    B = normalize(AmplitudeMatrix(grid=g, entries=M + M[::-1, ::-1]))
+    vals = schmidt_decompose(B, modes=False)
+    assert vals.route == "dense"
+    s = np.linalg.svd(B.entries, compute_uv=False)
+    np.testing.assert_allclose(vals.lambdas, s**2 / np.sum(s**2), rtol=0, atol=1e-15)
+
+
 def test_k_and_s_invariant_on_the_randomized_route():
     # transpose, global phase and diagonal (local) unitaries on both sides
     rng = np.random.default_rng(23)

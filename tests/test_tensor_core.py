@@ -33,6 +33,22 @@ def test_make_grid_rejects_bad_windows():
         make_grid(0.0, np.nan, 0.0, 1.0, 4)
 
 
+def test_grid_may_carry_its_own_q_node_count():
+    g = make_grid(0.0, 1.0, -2.0, 2.0, 5, 3)
+    assert (g.n, g.nq, g.dq) == (5, 3, 2.0)
+    np.testing.assert_allclose(g.q_nodes(), [-2.0, 0.0, 2.0])
+    assert make_grid(0.0, 1.0, -2.0, 2.0, 5) == make_grid(0.0, 1.0, -2.0, 2.0, 5, 5)
+    with pytest.raises(ValueError, match="got nq=1"):
+        make_grid(0.0, 1.0, 0.0, 1.0, 4, 1)
+    A = sample_amplitude(lambda p, q: np.exp(-((p + q) ** 2)), g)
+    assert A.entries.shape == (5, 3)
+    with pytest.raises(ValueError, match=r"shape \(5, 5\) does not match grid n=5, nq=3"):
+        AmplitudeMatrix(grid=g, entries=np.ones((5, 5)))
+    big = grown_grid(make_grid(0.0, 1.0, -2.0, 2.0, 5, 9), 2.0)
+    assert (big.n, big.nq) == (9, 17)
+    assert (big.dp, big.dq) == pytest.approx((0.25, 0.5), rel=1e-15)
+
+
 def assert_nests(big, grid):
     """``big`` keeps the spacing of ``grid`` and its nodes contain the nodes of ``grid``.
 
@@ -333,7 +349,7 @@ def test_amplitude_matrix_names_non_finite_node(dtype, value, normalized):
 
 
 def test_amplitude_matrix_rejects_non_square_and_non_finite_entries():
-    # The square and finite checks a matrix gets before it can reach
+    # The shape and finite checks a matrix gets before it can reach
     # schmidt_decompose, which trusts its AmplitudeMatrix argument.
     g = make_grid(0.0, 1.0, 0.0, 1.0, 2)
     with pytest.raises(ValueError, match=r"shape \(2, 3\) does not match grid n=2"):
