@@ -367,9 +367,11 @@ def coord_chirped_spectrum(
 ) -> SchmidtResult:
     """Values-only decomposition of the coordinate amplitude sampled on ``coord_chirped_grid``.
 
-    The chirp is kept, so the weights match the sampled n x n amplitude
-    on the same p nodes wherever its q mesh resolves the chirp, from an
-    n x nq matrix.
+    The amplitude is sampled with ``coord_matrix``, chirp kept, and
+    decomposed by ``schmidt_decompose``.  Its weights are those of the
+    n x n sample on the same p nodes wherever that sample's q mesh
+    resolves the chirp, from n x nq entries: fewer unless the chirp needs
+    nq >= n.
 
     Raises
     ------
@@ -388,10 +390,11 @@ def coord_chirped_spectrum(
     return result
 
 
-# momentum_probe (like coord_chirped_spectrum above) calls its sampler and
-# schmidt_decompose through this module's globals, where bench/tracing.py wraps them and tells the probe by
-# its grid.  The coordinate probe samples nothing, so the tracer counts it by
-# its name, coord_capture_drift, as the CLI calls it.
+# momentum_probe, like coord_chirped_spectrum above, calls its sampler and
+# schmidt_decompose through this module's globals, where bench/tracing.py
+# wraps them and tells the probe by its grid.  The coordinate probe samples
+# nothing, so the tracer counts it by its name, coord_capture_drift, as the
+# CLI calls it.
 
 
 def momentum_probe(params: AtomPhotonParams, grid: Grid, opts: DecompositionOptions) -> SchmidtResult:

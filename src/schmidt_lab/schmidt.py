@@ -221,8 +221,8 @@ def _certified_sketch(M: np.ndarray, trunc: float, total: float):
     sigma_w^2 / sigma_1^2 > sqrt(trunc), the cutoff is at or below the
     residual's rounding floor max(n, nq) eps^2 ||M||_F^2 (M is n x nq), or
     the width would pass min(n, nq) / 4.  Each width draws one sketch and
-    checks it once; a failed check doubles the width.  The residual is computed explicitly, one
-    block of rows at a time (``_residual``).
+    checks it once; a failed check doubles the width.  The residual is
+    computed explicitly, one block of rows at a time (``_residual``).
     """
     n, nq = M.shape
     width = SKETCH_WIDTH

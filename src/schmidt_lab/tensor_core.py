@@ -127,7 +127,8 @@ class AmplitudeMatrix:
         e = self.entries
         if e.shape != (self.grid.n, self.grid.nq):
             raise ValueError(
-                f"entries shape {e.shape} does not match grid n={self.grid.n}, nq={self.grid.nq}"
+                f"entries shape {e.shape} does not match grid "
+                f"n={self.grid.n}, nq={self.grid.nq}"
             )
         if self.normalized:
             total = float(np.vdot(e, e).real)
@@ -153,8 +154,8 @@ def sample_amplitude(f: Callable, grid: Grid) -> AmplitudeMatrix:
     ``f`` must be vectorized: it is called once with the open mesh
     vectors, a column of p nodes of shape (n, 1) and a row of q nodes of
     shape (1, nq), and must return an (n, nq) array, or an (n, 1) or
-    (1, nq) one that depends on a single variable and is broadcast.  A real result
-    is kept in float64, a complex one in complex128.  The returned array
+    (1, nq) one that depends on a single variable and is broadcast.  A
+    real result is kept in float64, a complex one in complex128.  The returned array
     belongs to this call (``f`` must not keep it), so it is scaled to unit
     norm in place; the entries are scanned for a non-finite value only
     when that norm is not finite or its square underflows.
