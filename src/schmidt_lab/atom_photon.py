@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConvergenceError
 from .schmidt import (
-    EPS,
     DecompositionOptions,
     SchmidtResult,
     entanglement_entropy,
@@ -65,6 +64,7 @@ PHASE_BLOCK = 32
 ROW_BLOCK = 64
 FACTORED_ERR_MAX = 2e-14
 FACTORED_TABLE_MIN = 1e-150
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -257,12 +257,97 @@ def momentum_grid(n: int = DEFAULT_N) -> Grid:
 
 def coord_matrix(params: AtomPhotonParams, grid: Grid) -> AmplitudeMatrix:
     """Sample the coordinate amplitude on a grid, normalized."""
-    return sample_amplitude(lambda p, q: coord_amplitude(params, p, q), grid)
+    return _sample(coord_amplitude, params, grid)
 
 
 def momentum_matrix(params: AtomPhotonParams, grid: Grid) -> AmplitudeMatrix:
     """Sample the momentum amplitude on a grid, normalized."""
-    return sample_amplitude(lambda nu, pi: momentum_amplitude(params, nu, pi), grid)
+    return _sample(momentum_amplitude, params, grid)
+
+
+def _sample(amplitude, params: AtomPhotonParams, grid: Grid) -> AmplitudeMatrix:
+    # One call site for every sample, so the tau < 3 advisory prints once.
+    return sample_amplitude(lambda p, q: amplitude(params, p, q), grid)
+
+
+def _rank_below(result: SchmidtResult, nq: int, mesh: str) -> SchmidtResult:
+    """``result``; ConvergenceError, naming ``mesh``, if its rank reached its ``nq`` q nodes.
+
+    Such a thin mesh could then cut a weight above the cutoff (``--trunc 0``
+    keeps every weight once it has at least nq rows).
+    """
+    if result.rank >= nq:
+        raise ConvergenceError(
+            f"{mesh} kept all {nq} of its q-node weights, so it cannot show that none "
+            "above the cutoff is lost; raise the truncation threshold (--trunc)"
+        )
+    return result
+
+
+def _thin_decomposition(amplitude, params, A: AmplitudeMatrix, thin: Grid, opts, mesh: str):
+    """Schmidt weights and modes of the sample ``A`` from its sample on ``thin``.
+
+    ``thin`` has the p nodes and q window of ``A.grid``, and q nodes whose
+    sums of the amplitude are exact to rounding, so the Gram matrix A A^H
+    is the same on both meshes up to a scale.  The dense SVD of the sample
+    on ``thin`` gives the weights and the p-modes u_k, and the q-modes are
+    v_k = conj(u_k) @ A / ||conj(u_k) @ A||, consistent with the gauged u_k.
+    Where ``thin`` has as many q nodes as ``A``, ``A`` takes the dense route.
+    Raises ConvergenceError (``_rank_below``) if the rank reaches thin.nq.
+    """
+    if thin.nq >= A.grid.nq:
+        return schmidt_decompose(A, opts)
+    result = _rank_below(schmidt_decompose(_sample(amplitude, params, thin), opts), thin.nq, mesh)
+    v = result.modes_p.conj() @ A.entries
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v += 0.0  # no -0 part in a written mode, as in the gauge
+    return replace(result, modes_q=v)
+
+
+def coord_decomposition(params: AtomPhotonParams, A: AmplitudeMatrix, opts=DecompositionOptions()):
+    """``_thin_decomposition`` of ``A = coord_matrix(params, grid)`` on ``coord_chirped_grid``.
+
+    Only on the automatic window: a ``--window`` q range may cut the
+    amplitude, so ``A`` on such a grid takes the dense route.
+    """
+    n = A.grid.n
+    thin = coord_chirped_grid(params, n) if A.grid == coord_grid(params, n) else A.grid
+    return _thin_decomposition(
+        coord_amplitude, params, A, thin, opts, f"the chirped amplitude at tau={params.tau:g}"
+    )
+
+
+def momentum_thin_grid(params: AtomPhotonParams, grid: Grid) -> Grid:
+    """The window of ``grid`` with the fewest pi nodes whose sums are exact to rounding.
+
+    The Gram sum over pi of two rows is a trapezoid rule for the Gaussian
+    exp(-pi^2) times two Lorentzians with poles d = 1/(2 eta) off the real
+    axis.  On the line Im pi = a the Gaussian grows by exp(a^2), so the
+    rule's error is about exp(a^2 - 2 pi a / h_pi) at a = min(d, pi / h_pi)
+    (Trefethen and Weideman, SIAM Rev. 56, 385 (2014)).  With
+    g = pi / THIN_Q_SPACING that is at most exp(-g^2) = 7e-18 once
+
+        h_pi <= THIN_Q_SPACING              if d >= g,
+        h_pi <= 2 pi d / (d^2 + g^2)        otherwise,
+
+    and the grid has the fewest pi nodes that allow it (25 at ``--fig3``).
+    ``grid`` itself is returned when it is not ``momentum_grid(n)`` (a
+    ``--window`` may cut the Gaussian) or when the rule needs n nodes or more.
+    """
+    d, g = 0.5 / params.eta, math.pi / THIN_Q_SPACING
+    h = THIN_Q_SPACING if d >= g else 2.0 * math.pi * d / (d * d + g * g)
+    nq = math.ceil((grid.q_max - grid.q_min) / h) + 1
+    if grid != momentum_grid(grid.n) or nq >= grid.nq:
+        return grid
+    return make_grid(grid.p_min, grid.p_max, grid.q_min, grid.q_max, grid.n, nq)
+
+
+def momentum_decomposition(params: AtomPhotonParams, A: AmplitudeMatrix, opts=DecompositionOptions()):
+    """``_thin_decomposition`` of ``A = momentum_matrix(params, grid)`` on ``momentum_thin_grid``."""
+    thin = momentum_thin_grid(params, A.grid)
+    return _thin_decomposition(
+        momentum_amplitude, params, A, thin, opts, "the momentum amplitude's thin pi mesh"
+    )
 
 
 def coord_spectrum(
@@ -321,14 +406,7 @@ def coord_thin_spectrum(
     front = np.exp(-(params.tau - p) / 2.0)
     F = front[:, None] * np.exp(-(params.eta**2) / 2.0 * np.square(p[:, None] + q))
     result = spectrum_result(np.linalg.svd(F, compute_uv=False), opts, "thin-factor")
-    m = q.size
-    if result.rank >= m:
-        raise ConvergenceError(
-            f"the thin factor at tau={params.tau:g} kept all {m} of its q-node weights, "
-            "so it cannot show that none above the cutoff is lost; raise the "
-            "truncation threshold (--trunc)"
-        )
-    return result
+    return _rank_below(result, q.size, f"the thin factor at tau={params.tau:g}")
 
 
 def _thin_q_nodes(grid: Grid, eta: float, margin: float) -> np.ndarray:
@@ -381,30 +459,31 @@ def coord_chirped_spectrum(
     """
     grid = coord_chirped_grid(params, n)
     result = schmidt_decompose(coord_matrix(params, grid), opts, modes=False)
-    if result.rank >= grid.nq:
-        raise ConvergenceError(
-            f"the chirped amplitude at tau={params.tau:g} kept all {grid.nq} of its q-node "
-            "weights, so it cannot show that none above the cutoff is lost; raise the "
-            "truncation threshold (--trunc)"
-        )
-    return result
+    return _rank_below(result, grid.nq, f"the chirped amplitude at tau={params.tau:g}")
 
 
-# momentum_probe, like coord_chirped_spectrum above, calls its sampler and
-# schmidt_decompose through this module's globals, where bench/tracing.py
-# wraps them and tells the probe by its grid.  The coordinate probe samples
-# nothing, so the tracer counts it by its name, coord_capture_drift, as the
-# CLI calls it.
+# momentum_probe and coord_chirped_spectrum call their sampler, and they and
+# the thin bases call schmidt_decompose, through this module's globals,
+# where bench/tracing.py wraps them and tells the probe by its grid.  The
+# bases take their thin samples with the unwrapped _sample, so the tracer
+# sees no probe there.  The coordinate probe samples nothing, so the
+# tracer counts it by its name, coord_capture_drift, as the CLI calls it.
 
 
 def momentum_probe(params: AtomPhotonParams, grid: Grid, opts: DecompositionOptions) -> SchmidtResult:
     """Values-only decomposition on the window probe of ``grid``.
 
-    The probe window is ``grown_grid(grid, MOMENTUM_PROBE_FACTOR)``: the
-    mesh spacing of ``grid``, and nodes that contain its nodes.
+    The probe window is ``grown_grid(momentum_thin_grid(params, grid),
+    MOMENTUM_PROBE_FACTOR)``: the spacing of the base weights' sample, and
+    nodes that contain its nodes.  A thin probe mesh has the rank check of
+    ``_rank_below``.
     """
-    big_grid = grown_grid(grid, MOMENTUM_PROBE_FACTOR)
-    return schmidt_decompose(momentum_matrix(params, big_grid), opts, modes=False)
+    thin = momentum_thin_grid(params, grid)
+    big_grid = grown_grid(thin, MOMENTUM_PROBE_FACTOR)
+    result = schmidt_decompose(momentum_matrix(params, big_grid), opts, modes=False)
+    if thin == grid:
+        return result
+    return _rank_below(result, big_grid.nq, "the momentum probe's thin pi mesh")
 
 
 def coord_capture_drift(

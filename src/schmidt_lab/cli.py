@@ -46,11 +46,13 @@ from .atom_photon import (
     asymptotics,
     coord_capture_drift,
     coord_chirped_spectrum,
+    coord_decomposition,
     coord_grid,
     coord_matrix,
     coord_spectrum,
     full_dynamics,
     laguerre_mode,
+    momentum_decomposition,
     momentum_grid,
     momentum_matrix,
     momentum_probe,
@@ -353,18 +355,19 @@ def _spdc_constants(req: _Resolver):
 # function (coord_capture_drift, momentum_probe, spdc_probe), called after
 # the base decomposition.  The models look the sampling, decomposition,
 # probe, coherence and dynamics functions up in this module's globals at
-# call time, and momentum_probe looks its own up in atom_photon's, because
-# bench/tracing.py wraps them there.  The tracer tells a sampled probe by
-# its grid differing from the first one sampled, and counts
-# coord_capture_drift, which samples nothing, by its name.  Sweep points,
-# whose modes are never read, pass modes=False.
+# call time, and the atom-photon bases and momentum_probe look theirs up in
+# atom_photon's, because bench/tracing.py wraps them there.  A base's thin
+# sample is not wrapped, so the tracer counts the n x n sample here and one
+# decomposition.  It tells a sampled probe by its grid differing from the
+# first one sampled, and counts coord_capture_drift, which samples nothing,
+# by its name.  Sweep points, whose modes are never read, pass modes=False.
 
 
 def _coord(req: _Resolver) -> ModelRun:
     """Decompose the coordinate-space amplitude; emit spectrum, modes, overlaps."""
     params = AtomPhotonParams(req.require("xi0"), req.require("eta"), req.require("tau"))
     grid = req.mesh(coord_grid, params)
-    result = schmidt_decompose(coord_matrix(params, grid), req.opts)
+    result = coord_decomposition(params, coord_matrix(params, grid), req.opts)
     big = coord_capture_drift(params, grid, req.opts)
     p_nodes = grid.p_nodes()
     overlaps = [
@@ -396,7 +399,7 @@ def _momentum(req: _Resolver) -> ModelRun:
     params = AtomPhotonParams(req.require("xi0"), req.require("eta"), tau=1.0)
     k_inf, s_inf = asymptotics(params.eta)  # refuses eta >= 1 before sampling
     grid = req.mesh(momentum_grid)
-    result = schmidt_decompose(momentum_matrix(params, grid), req.opts)
+    result = momentum_decomposition(params, momentum_matrix(params, grid), req.opts)
     big = momentum_probe(params, grid, req.opts)
     nu = grid.p_nodes()
     pi = grid.q_nodes()

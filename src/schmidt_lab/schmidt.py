@@ -14,20 +14,13 @@ arithmetic otherwise; the kept modes are complex either way.  A caller
 that reads only the weights passes ``modes=False``, which computes the
 singular values alone.
 
-A matrix of low rank at the truncation cutoff is factored through a
-randomized range finder (Halko, Martinsson and Tropp, SIAM Rev. 53, 217
-(2011)): a seeded Gaussian sketch and the SVD of the small projection
-B = Q^H A.  The sketch is accepted only when the explicitly computed
-residual ||A - Q B||_F^2 is at most the cutoff
-``truncation_threshold * sigma_1^2``, so no weight it leaves out could
-have been kept.
-
 A values-only decomposition of a centrosymmetric matrix (A = J A J, with
 J the reversal of row or column order) splits into an even-parity and an
 odd-parity block of half the size (Cantoni and Butler, Linear Algebra
-Appl. 13, 275 (1976)).  The split is accepted on the same terms: the
-anti-centrosymmetric part it leaves out must lie below the cutoff.
-Otherwise the dense LAPACK SVD runs, unchanged.
+Appl. 13, 275 (1976)).  The split is accepted only when the
+anti-centrosymmetric part it leaves out lies below the truncation cutoff
+``truncation_threshold * sigma_1^2``, so no weight it leaves out could
+have been kept.  Every other decomposition is one dense LAPACK SVD.
 """
 
 from __future__ import annotations
@@ -41,12 +34,8 @@ from .tensor_core import AmplitudeMatrix, Grid
 GAUGES = ("largest-real-positive", "none")
 WEIGHT_SUM_ATOL = 1e-10
 SPECTRUM_DRIFT_MODES = 32
-# Randomized route: first sketch width, and the seed of the generator each
-# call creates (so calls on different threads share no state).
-SKETCH_WIDTH = 16
-SKETCH_SEED = 0
-EPS = float(np.finfo(float).eps)
-# Rows per block of the passes that stop early or must not allocate n x n.
+# Rows per block of the imaginary-part scan, which stops at the first block
+# that has one.
 ROW_BLOCK = 64
 # Relative margin within which mode components count as tied in the gauge:
 # mirror components of the leading SPDC modes differ by rounding (at most
@@ -101,18 +90,14 @@ class SchmidtResult:
         square root of the discarded weight mass (0.0 when nothing was
         dropped).
     route
-        "dense" (LAPACK SVD of the whole matrix), "randomized" (SVD of a
-        certified sketch), "centrosymmetric" (SVDs of the two parity
-        blocks of the centrosymmetric part, values only) or "thin-factor"
-        (SVD of the real T = 0 coordinate factor of
+        "dense" (LAPACK SVD of the whole matrix), "centrosymmetric" (SVDs
+        of the two parity blocks of the centrosymmetric part, values only)
+        or "thin-factor" (SVD of the real T = 0 coordinate factor of
         ``atom_photon.coord_thin_spectrum``, values only).
-    sketch_width
-        Columns of the accepted sketch; None on the other routes.
     residual_mass
         The certified weight outside the factored part, as a share of
-        ||A||_F^2: ||A - Q B||_F^2 on the randomized route, ||A_a||_F^2
-        with A_a = (A - J A J) / 2 on the centrosymmetric route; None on
-        the dense route.
+        ||A||_F^2: ||A_a||_F^2 with A_a = (A - J A J) / 2 on the
+        centrosymmetric route; None on the other routes.
     """
 
     lambdas: np.ndarray
@@ -123,7 +108,6 @@ class SchmidtResult:
     entropy: float
     reconstruction_error: float
     route: str = "dense"
-    sketch_width: int | None = None
     residual_mass: float | None = None
 
 
@@ -180,13 +164,6 @@ def _apply_gauge(u: np.ndarray, v: np.ndarray) -> None:
     v += 0.0
 
 
-def _svd(X: np.ndarray, modes: bool):
-    """``(U, s, Vh)`` of ``X`` with thin factors, or ``(None, s, None)``."""
-    if modes:
-        return np.linalg.svd(X, full_matrices=False)
-    return None, np.linalg.svd(X, compute_uv=False), None
-
-
 def _has_imag(e: np.ndarray) -> bool:
     """Whether any imaginary part of ``e`` is nonzero.
 
@@ -197,56 +174,6 @@ def _has_imag(e: np.ndarray) -> bool:
         return False
     im = e.imag
     return any(im[i : i + ROW_BLOCK].any() for i in range(0, im.shape[0], ROW_BLOCK))
-
-
-def _residual(M: np.ndarray, Q: np.ndarray, B: np.ndarray) -> float:
-    """||M - Q B||_F^2, summed over blocks of rows: no n x n temporary."""
-    residual = 0.0
-    for i in range(0, M.shape[0], ROW_BLOCK):
-        d = Q[i : i + ROW_BLOCK] @ B
-        d -= M[i : i + ROW_BLOCK]
-        residual += float(np.vdot(d, d).real)
-    return residual
-
-
-def _certified_sketch(M: np.ndarray, trunc: float, total: float):
-    """A sketch Q (orthonormal columns) that captures ``M`` up to the cutoff.
-
-    ``M`` is real or complex, and the sketch is complex only when ``M`` is;
-    ``total`` is ||M||_F^2.
-    Returns ``(Q, B, s, residual)`` with B = Q^H M, s the singular
-    values of B (computed values only, for the cut)
-    and residual = ||M - Q B||_F^2 <= trunc * s[0]^2, or None when
-    the dense route must run: a sketch already shows
-    sigma_w^2 / sigma_1^2 > sqrt(trunc), the cutoff is at or below the
-    residual's rounding floor max(n, nq) eps^2 ||M||_F^2 (M is n x nq), or
-    the width would pass min(n, nq) / 4.  Each width draws one sketch and
-    checks it once; a failed check doubles the width.  The residual is
-    computed explicitly, one block of rows at a time (``_residual``).
-    """
-    n, nq = M.shape
-    width = SKETCH_WIDTH
-    cplx = np.iscomplexobj(M)
-    floor = max(n, nq) * EPS**2 * total
-    rng = np.random.default_rng(SKETCH_SEED)
-    while width <= min(n, nq) / 4:
-        omega = rng.standard_normal((nq, width))
-        if cplx:
-            omega = omega + 1j * rng.standard_normal((nq, width))
-        Q, R = np.linalg.qr(M @ omega)
-        r = np.linalg.svd(R, compute_uv=False)
-        if r[-1] ** 2 > np.sqrt(trunc) * r[0] ** 2:
-            return None
-        B = Q.conj().T @ M
-        s = np.linalg.svd(B, compute_uv=False)
-        cut = trunc * s[0] ** 2
-        if cut <= floor:
-            return None
-        residual = _residual(M, Q, B)
-        if residual <= cut:
-            return Q, B, s, residual
-        width *= 2
-    return None
 
 
 def _centrosymmetric_split(M: np.ndarray, trunc: float, total: float):
@@ -306,19 +233,13 @@ def schmidt_decompose(
     ``modes_p``/``modes_q`` are None.  Either way the SVD runs in real
     arithmetic when every imaginary part is zero.
 
-    A matrix whose certified sketch exists (see ``_certified_sketch``)
-    takes the randomized route; its weights are normalized by the exact
-    ||A||_F^2, and the weight outside the sketch joins the discarded mass.
-    A values-only call reuses the singular values the certificate computed;
-    a call with modes takes them from the SVD of B with vectors.
-    Otherwise, with ``modes=False``, a square matrix whose centrosymmetric
-    part captures it (see ``_centrosymmetric_split``) takes the
-    centrosymmetric route, normalized and certified the same way.  Every
-    other matrix takes the dense route.
-
-    ||A||_F^2 is taken once, by ``np.vdot`` over the matrix decomposed, and
-    shared by both certified routes.  The real-or-complex test stops at the
-    first block of ``ROW_BLOCK`` rows with a nonzero imaginary part.
+    With ``modes=False``, a square matrix whose centrosymmetric part
+    captures it (see ``_centrosymmetric_split``) takes the centrosymmetric
+    route; its weights are normalized by the exact ||A||_F^2, one
+    ``np.vdot``, and the certified weight outside the part joins the
+    discarded mass.  Every other matrix takes the dense route.  The
+    real-or-complex test stops at the first block of ``ROW_BLOCK`` rows
+    with a nonzero imaginary part.
 
     Raises
     ------
@@ -331,29 +252,17 @@ def schmidt_decompose(
     # One decision of real or complex arithmetic for every route; a real
     # array never allocates its zero imaginary part.
     M = e if _has_imag(e) else np.ascontiguousarray(e.real)
-    total = float(np.vdot(M, M).real)
-    trunc = opts.truncation_threshold
-    sketch = _certified_sketch(M, trunc, total)
     split = None
-    if sketch is None and not modes and M.shape[0] == M.shape[1]:
-        split = _centrosymmetric_split(M, trunc, total)
-    width = residual_mass = None
-    if sketch is not None:
-        route = "randomized"
-        Q, B, s, residual = sketch
-        width, residual_mass = Q.shape[1], residual / total
-        if modes:
-            U, s, Vh = _svd(B, True)
-            U = Q @ U
-    elif split is not None:
-        route = "centrosymmetric"
-        s, residual = split
-        residual_mass = residual / total
-    else:
-        route = "dense"
-        U, s, Vh = _svd(M, modes)
-        total = None
-    return spectrum_result(s, opts, route, total, (U, Vh) if modes else None, width, residual_mass)
+    if not modes and M.shape[0] == M.shape[1]:
+        total = float(np.vdot(M, M).real)
+        split = _centrosymmetric_split(M, opts.truncation_threshold, total)
+    if split is None and modes:
+        U, s, Vh = np.linalg.svd(M, full_matrices=False)
+        return spectrum_result(s, opts, "dense", factors=(U, Vh))
+    if split is None:
+        return spectrum_result(np.linalg.svd(M, compute_uv=False), opts, "dense")
+    s, residual = split
+    return spectrum_result(s, opts, "centrosymmetric", total, residual_mass=residual / total)
 
 
 def spectrum_result(
@@ -362,7 +271,6 @@ def spectrum_result(
     route: str = "dense",
     total: float | None = None,
     factors=None,
-    sketch_width: int | None = None,
     residual_mass: float | None = None,
 ) -> SchmidtResult:
     """The decomposition given by the singular values ``s`` (non-increasing) of a factor.
@@ -404,7 +312,6 @@ def spectrum_result(
         entropy=entanglement_entropy(lam),
         reconstruction_error=float(np.sqrt(max(discarded, 0.0))),
         route=route,
-        sketch_width=sketch_width,
         residual_mass=residual_mass,
     )
 

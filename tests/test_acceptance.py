@@ -14,11 +14,13 @@ from oracles import schmidt_weights
 from schmidt_lab.atom_photon import (
     AtomPhotonParams,
     asymptotics,
+    coord_decomposition,
     coord_grid,
     coord_matrix,
     coord_spectrum,
     full_dynamics,
     laguerre_mode,
+    momentum_decomposition,
     momentum_grid,
     momentum_matrix,
     momentum_probe,
@@ -91,7 +93,7 @@ def test_criterion_3_coordinate_modes_match_closed_form():
     failures = []
     params = AtomPhotonParams(xi0=100.0, eta=0.03, tau=10.0)
     grid = coord_grid(params, 800)
-    res = schmidt_decompose(coord_matrix(params, grid))
+    res = coord_decomposition(params, coord_matrix(params, grid))
     p = grid.p_nodes()
     for k in range(3):
         ref = laguerre_mode(k, params.tau, p)
@@ -104,16 +106,15 @@ def test_criterion_3_coordinate_modes_match_closed_form():
 def test_criterion_4_momentum_measures_near_analytic_limits():
     failures = []
     params = AtomPhotonParams(xi0=100.0, eta=0.03, tau=10.0)
-    res = schmidt_decompose(momentum_matrix(params, momentum_grid(800)))
+    grid, opts = momentum_grid(800), DecompositionOptions()
+    res = momentum_decomposition(params, momentum_matrix(params, grid), opts)
     k_inf, s_inf = asymptotics(params.eta)
     k_excess = res.schmidt_number - 1.0
     if not abs(k_excess - (k_inf - 1.0)) <= 0.1 * (k_inf - 1.0):
         failures.append(f"K-1={k_excess:.3e} not within 10% of {k_inf - 1.0:.3e}")
     if not abs(res.entropy - s_inf) <= 0.2 * s_inf:
         failures.append(f"S={res.entropy:.4e} not within 20% of {s_inf:.4e}")
-    grid, opts = momentum_grid(800), DecompositionOptions()
-    base = schmidt_decompose(momentum_matrix(params, grid), opts, modes=False)
-    drift = spectrum_drift(base, momentum_probe(params, grid, opts))
+    drift = spectrum_drift(res, momentum_probe(params, grid, opts))
     if not drift < 1e-6:
         failures.append(f"window-doubling spectrum drift {drift:.2e} >= 1e-6")
     _criterion(4, "momentum measures approach the analytic limits", failures)

@@ -19,6 +19,7 @@ from schmidt_lab.atom_photon import (
     coord_capture_drift,
     coord_chirped_grid,
     coord_chirped_spectrum,
+    coord_decomposition,
     coord_grid,
     coord_matrix,
     coord_spectrum,
@@ -26,9 +27,11 @@ from schmidt_lab.atom_photon import (
     full_dynamics,
     laguerre_mode,
     momentum_amplitude,
+    momentum_decomposition,
     momentum_grid,
     momentum_matrix,
     momentum_probe,
+    momentum_thin_grid,
     validity_check,
     xi0_estimate,
     zero_order_dynamics,
@@ -487,6 +490,8 @@ def test_thin_factor_refuses_a_rank_that_fills_its_q_nodes():
         coord_spectrum(FIG_PARAMS, 400, opts)
     with pytest.raises(ConvergenceError, match="kept all 28 of its q-node weights"):
         coord_chirped_spectrum(AtomPhotonParams(100.0, 0.03, 0.1), 400, opts)
+    with pytest.raises(ConvergenceError, match="the momentum probe's thin pi mesh kept all 49"):
+        momentum_probe(FIG_PARAMS, momentum_grid(400), opts)
 
 
 # (xi0, eta, tau, n); T runs from 0.009 (fig2's check) to 4000, and at
@@ -575,6 +580,117 @@ def test_chirped_grid_is_exact_in_q_where_the_square_mesh_is_not():
         sampled = _sampled_spectrum(params, 64)
     assert sampled.rank == 38
     assert np.max(np.abs(sampled.lambdas - thin.lambdas[:38])) > 1e-5
+
+
+def _read_modes(path):
+    """The complex modes of a modes_*.csv file, one per row."""
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    return (table[:, 1::2] + 1j * table[:, 2::2]).T
+
+
+# Written modes lie within MODE_ATOL / gap of a dense SVD, gap the distance
+# of sigma_k / sigma_1 to its nearest neighbour (or to zero).  Measured:
+# error x gap at most 4.3e-16 over these cases (modes 1-5).
+MODE_ATOL = 1e-13
+
+
+@pytest.mark.parametrize(
+    "argv, sample",
+    [
+        (["atom-photon-coord", "--fig1"], lambda: coord_matrix(FIG_PARAMS, coord_grid(FIG_PARAMS, 800))),
+        (["atom-photon-momentum", "--fig3"], lambda: momentum_matrix(FIG_PARAMS, momentum_grid(400))),
+        (
+            ["atom-photon-momentum", "--xi0", "100", "--eta", "0.3", "--n", "400"],
+            lambda: momentum_matrix(AtomPhotonParams(100.0, 0.3, 1.0), momentum_grid(400)),
+        ),
+        (
+            ["atom-photon-coord", "--xi0", "100", "--eta", "0.5", "--tau", "10", "--n", "400"],
+            lambda: (lambda p: coord_matrix(p, coord_grid(p, 400)))(AtomPhotonParams(100.0, 0.5, 10.0)),
+        ),
+    ],
+    ids=["fig1", "fig3", "momentum-eta0.3-n400", "coord-eta0.5-n400"],
+)
+def test_written_modes_match_a_dense_svd(tmp_path, argv, sample):
+    # The weights and the p-modes come from a thin sample, the q-modes from
+    # the n x n one; every written mode and weight is checked against the
+    # SVD of the n x n sample, each mode up to a phase that its q-mode
+    # takes back, so that each rank-1 term matches.
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    U, s, Vh = np.linalg.svd(sample().entries)
+    lam = s**2 / np.sum(s**2)
+    lam = lam[lam >= 1e-14 * lam[0]]
+    lam /= lam.sum()
+    got = np.loadtxt(tmp_path / "spectrum.csv", delimiter=",", skiprows=1)[:, 1]
+    assert got.size == lam.size
+    np.testing.assert_allclose(got, lam, rtol=0, atol=1e-14)
+    names = ("modes_p.csv", "modes_q.csv") if "coord" in argv[0] else ("modes_nu.csv", "modes_pi.csv")
+    u, v = (_read_modes(tmp_path / name) for name in names)
+    sig = np.sqrt(lam / lam[0])
+    for k in range(u.shape[0]):
+        gap = min([sig[k], *np.abs(sig[k] - np.delete(sig, k))])
+        phase = np.vdot(U[:, k], u[k])
+        phase /= abs(phase)
+        assert np.max(np.abs(u[k] - phase * U[:, k])) <= MODE_ATOL / gap
+        assert np.max(np.abs(v[k] - np.conj(phase) * Vh[k])) <= MODE_ATOL / gap
+
+
+def _momentum_spacing(eta):
+    """The largest pi spacing the rule of ``momentum_thin_grid`` allows."""
+    d, g = 0.5 / eta, math.pi / THIN_Q_SPACING
+    return THIN_Q_SPACING if d >= g else 2.0 * math.pi * d / (d * d + g * g)
+
+
+@pytest.mark.parametrize("eta", [0.03, 0.07, 0.1, 0.2, 0.3, 0.5, 0.9])
+@pytest.mark.parametrize("n", [128, 400, 800])
+def test_momentum_thin_grid_takes_the_fewest_pi_nodes_its_rule_allows(eta, n):
+    params = AtomPhotonParams(100.0, eta, 1.0)
+    base = momentum_grid(n)
+    thin = momentum_thin_grid(params, base)
+    if thin is base:
+        # the rule needs at least n nodes: the base mesh is kept
+        assert 12.0 / (n - 1) > _momentum_spacing(eta)
+        return
+    assert (thin.p_min, thin.p_max, thin.q_min, thin.q_max, thin.n) == (-60.0, 60.0, -6.0, 6.0, n)
+    assert thin.dq <= _momentum_spacing(eta) < 12.0 / (thin.nq - 2)
+    if eta == 0.03:
+        assert thin.nq == 25  # --fig3
+
+
+@pytest.mark.parametrize("eta, h, worse", [(0.3, 0.5, 1e-9), (0.1, 0.6, 1e-13), (0.9, 0.13, 1e-14)])
+def test_momentum_thin_grid_with_a_wider_pi_spacing_is_measurably_worse(eta, h, worse):
+    # Where the poles lie nearer than the Gaussian's saddle, the Gaussian's
+    # spacing 0.5 alone is not enough: eta = 0.3 at h = 0.5 is 5.8e-9 off.
+    # Spacings 1.3 and 1.5 times the rule's are 8.2e-13 and 3.6e-14 off at
+    # eta = 0.1 and 0.9 (and h = 0.09 / eta is 1.7e-13 off at eta = 0.2).
+    params = AtomPhotonParams(100.0, eta, 1.0)
+    base = momentum_grid(400)
+    s = np.linalg.svd(momentum_matrix(params, base).entries, compute_uv=False)
+    ref = s**2 / np.sum(s**2)
+
+    def error(grid):
+        w = np.linalg.svd(momentum_matrix(params, grid).entries, compute_uv=False) ** 2
+        return np.max(np.abs(w / w.sum() - ref[: w.size])[: np.count_nonzero(ref >= 1e-14 * ref[0])])
+
+    assert h > _momentum_spacing(eta)
+    assert error(momentum_thin_grid(params, base)) <= 1e-15
+    coarse = make_grid(-60.0, 60.0, -6.0, 6.0, 400, math.ceil(12.0 / h) + 1)
+    assert error(coarse) > worse
+
+
+def test_thin_bases_keep_the_dense_route_off_their_automatic_window():
+    # A --window mesh, or one that the rule fills with n or more q nodes,
+    # decomposes the n x n sample itself.
+    cases = [
+        (coord_decomposition, coord_matrix, FIG_PARAMS, make_grid(-30.0, 10.0, -200.0, 60.0, 64)),
+        (momentum_decomposition, momentum_matrix, FIG_PARAMS, make_grid(-60.0, 60.0, -6.0, 6.5, 64)),
+        (momentum_decomposition, momentum_matrix, FIG_PARAMS, momentum_grid(24)),
+    ]
+    for decompose, sample, params, grid in cases:
+        A = sample(params, grid)
+        res, ref = decompose(params, A), schmidt_decompose(A)
+        for attr in ("lambdas", "modes_p", "modes_q"):
+            assert np.array_equal(getattr(res, attr), getattr(ref, attr))
+    assert momentum_thin_grid(FIG_PARAMS, momentum_grid(24)).nq == 24
 
 
 def test_coord_spectrum_does_not_depend_on_xi0():

@@ -497,6 +497,11 @@ def test_every_probe_keeps_the_base_spacing_and_contains_its_nodes(tmp_path, mon
     argv = [*argv[:-1], str(n), *([f"--window={flag}"] if window else [])]
     assert main([*argv, "--out", str(tmp_path)]) == 0
     base = Grid(**_summary(tmp_path)["params"]["window"])
+    if model == "momentum":
+        # The probe grows the mesh the base weights come from: on the
+        # automatic window, its thin pi mesh.
+        base = atom_photon.momentum_thin_grid(AtomPhotonParams(100.0, 0.03, 1.0), base)
+        assert (base.nq < n) != window
     (probe,) = grids
     assert probe.n == n + 2 * steps(n)
     assert_nests(probe, base)
@@ -521,15 +526,17 @@ def test_grid_convergence_comes_from_the_model_probe(tmp_path, argv):
         A = spdc.spdc_matrix(params, grid)
         big, big_F = spdc.spdc_probe(params, grid, opts)
         extra["dF"] = big_F.real - coherence(A).real
+        base = schmidt.schmidt_decompose(A, opts)
     elif argv is MOMENTUM_N64:
         params = AtomPhotonParams(100.0, 0.03, 1.0)
         A = atom_photon.momentum_matrix(params, grid)
+        base = atom_photon.momentum_decomposition(params, A, opts)
         big = atom_photon.momentum_probe(params, grid, opts)
     else:
         params = AtomPhotonParams(100.0, 0.03, 10.0)
         A = atom_photon.coord_matrix(params, grid)
+        base = atom_photon.coord_decomposition(params, A, opts)
         big = atom_photon.coord_capture_drift(params, grid, opts)
-    base = schmidt.schmidt_decompose(A, opts)
     assert summary["grid_convergence"] == {
         "lambda_drift": spectrum_drift(base, big),
         "dK": big.schmidt_number - base.schmidt_number,
@@ -571,10 +578,21 @@ def test_fig1_coordinate_probe_drifts_by_rounding_only(tmp_path):
 
 
 def test_coord_trunc_0_exits_3_from_the_thin_probe(tmp_path, capsys):
-    # Every thin weight is kept, so the probe's q nodes could cut one.
+    # Every thin weight is kept, so the q nodes of the base's chirped
+    # sample, and of the probe's thin factor, could cut one.
     assert main([*COORD_N64, "--trunc", "0", "--out", str(tmp_path / "out")]) == 3
     assert "raise the truncation threshold (--trunc)" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_momentum_trunc_0_exits_3_from_the_thin_pi_mesh(tmp_path, capsys):
+    # --fig3 takes its weights from 25 pi nodes, and --trunc 0 keeps all 25.
+    out = tmp_path / "out"
+    assert main(["atom-photon-momentum", "--fig3", "--trunc", "0", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "the momentum amplitude's thin pi mesh kept all 25 of its q-node weights" in err
+    assert "raise the truncation threshold (--trunc)" in err
+    assert not out.exists()
 
 
 def test_mode_tables_hold_each_cell_as_one_complex_scalar_gives_it(tmp_path):
