@@ -590,40 +590,44 @@ def _read_modes(path):
 
 # Written modes lie within MODE_ATOL / gap of a dense SVD, gap the distance
 # of sigma_k / sigma_1 to its nearest neighbour (or to zero).  Measured:
-# error x gap at most 4.3e-16 over these cases (modes 1-5).
+# error x gap at most 4.3e-16 over these cases.
 MODE_ATOL = 1e-13
 
 
 @pytest.mark.parametrize(
-    "argv, sample",
+    "argv, params, n",
     [
-        (["atom-photon-coord", "--fig1"], lambda: coord_matrix(FIG_PARAMS, coord_grid(FIG_PARAMS, 800))),
-        (["atom-photon-momentum", "--fig3"], lambda: momentum_matrix(FIG_PARAMS, momentum_grid(400))),
+        (["atom-photon-coord", "--fig1"], FIG_PARAMS, 800),
+        (["atom-photon-momentum", "--fig3"], FIG_PARAMS, 400),
         (
             ["atom-photon-momentum", "--xi0", "100", "--eta", "0.3", "--n", "400"],
-            lambda: momentum_matrix(AtomPhotonParams(100.0, 0.3, 1.0), momentum_grid(400)),
+            AtomPhotonParams(100.0, 0.3, 1.0),
+            400,
         ),
         (
             ["atom-photon-coord", "--xi0", "100", "--eta", "0.5", "--tau", "10", "--n", "400"],
-            lambda: (lambda p: coord_matrix(p, coord_grid(p, 400)))(AtomPhotonParams(100.0, 0.5, 10.0)),
+            AtomPhotonParams(100.0, 0.5, 10.0),
+            400,
         ),
     ],
     ids=["fig1", "fig3", "momentum-eta0.3-n400", "coord-eta0.5-n400"],
 )
-def test_written_modes_match_a_dense_svd(tmp_path, argv, sample):
+def test_written_modes_match_a_dense_svd(tmp_path, argv, params, n):
     # The weights and the p-modes come from a thin sample, the q-modes from
     # the n x n one; every written mode and weight is checked against the
     # SVD of the n x n sample, each mode up to a phase that its q-mode
     # takes back, so that each rank-1 term matches.
     assert cli.main([*argv, "--out", str(tmp_path)]) == 0
-    U, s, Vh = np.linalg.svd(sample().entries)
+    coord = argv[0] == "atom-photon-coord"
+    A = coord_matrix(params, coord_grid(params, n)) if coord else momentum_matrix(params, momentum_grid(n))
+    U, s, Vh = np.linalg.svd(A.entries)
     lam = s**2 / np.sum(s**2)
     lam = lam[lam >= 1e-14 * lam[0]]
     lam /= lam.sum()
     got = np.loadtxt(tmp_path / "spectrum.csv", delimiter=",", skiprows=1)[:, 1]
     assert got.size == lam.size
     np.testing.assert_allclose(got, lam, rtol=0, atol=1e-14)
-    names = ("modes_p.csv", "modes_q.csv") if "coord" in argv[0] else ("modes_nu.csv", "modes_pi.csv")
+    names = ("modes_p.csv", "modes_q.csv") if coord else ("modes_nu.csv", "modes_pi.csv")
     u, v = (_read_modes(tmp_path / name) for name in names)
     sig = np.sqrt(lam / lam[0])
     for k in range(u.shape[0]):
