@@ -30,7 +30,6 @@ from .schmidt import (
     entanglement_entropy,
     schmidt_decompose,
     schmidt_number,
-    spectrum_result,
 )
 from .tensor_core import AmplitudeMatrix, Grid, grown_grid, make_grid, sample_amplitude
 
@@ -47,15 +46,10 @@ MOMENTUM_PI_MAX = 6.0
 COORD_PROBE_FACTOR = 1.5
 MOMENTUM_PROBE_FACTOR = 2.0
 CAPTURE_TOL = 1e-6
-# Largest q spacing of the thin factor (``coord_thin_spectrum``), in units
+# Largest q spacing of the thin T = 0 factor (``coord_thin_grid``), in units
 # of 1/eta.  Its q-sum of a Gaussian is then a trapezoid rule whose aliasing
 # error, about 2 exp(-pi^2 / (eta h_q)^2) = 1.4e-17, is below rounding.
 THIN_Q_SPACING = 0.5
-# Largest p distance, in decay lengths, over which the q mesh of
-# ``coord_chirped_grid`` resolves the chirp.  Its first alias falls on rows
-# at least twice as far apart, whose front factors weigh
-# exp(-2 CHIRP_PAIR_SPAN) = 4e-18 or less.
-CHIRP_PAIR_SPAN = 20.0
 VALIDITY_STRICTNESS = 3.0
 # Factored coordinate Gaussian (``_factored_gaussian``): column block width,
 # rows per assembly block, the cutoff on its table error bound relative to
@@ -119,15 +113,9 @@ def coord_amplitude(params: AtomPhotonParams, p, q):
     tables (``_factored_gaussian``) when their derived error bound is at
     most FACTORED_ERR_MAX; every other call keeps the direct form, one
     complex exp per entry.  Warns (without rejecting) below tau = 3
-    where the long-time form is only qualitative; dynamics sweeps rely on
-    this leniency.  The message does not name tau, so the default warning
-    filter prints it once per call site.
+    where the long-time form is only qualitative (``long_time_advisory``).
     """
-    if params.tau < TAU_APPLICABILITY_WARN:
-        warnings.warn(
-            "coordinate amplitude is a long-time approximation, only qualitative below tau = 3",
-            stacklevel=2,
-        )
+    long_time_advisory(params.tau)
     p, q = _as_finite_arrays(p, q)
     scalar = p.ndim == 0 and q.ndim == 0
     # The light-front factor depends on p alone, so on open mesh vectors it
@@ -148,6 +136,36 @@ def coord_amplitude(params: AtomPhotonParams, p, q):
     np.multiply(front, vals, out=vals)
     np.copyto(vals, 0.0, where=~inside)
     return complex(vals) if scalar else vals
+
+
+def long_time_advisory(tau: float) -> None:
+    """Warn that the long-time form is only qualitative, if tau < TAU_APPLICABILITY_WARN.
+
+    The warning points at the line that calls this function, and its
+    message does not name tau, so the default warning filter prints it
+    once per process from each such line.  ``coord_amplitude`` calls it,
+    and so does the dynamics sweep, once, for its smallest positive tau.
+    """
+    if tau < TAU_APPLICABILITY_WARN:
+        warnings.warn(
+            "coordinate amplitude is a long-time approximation, only qualitative below tau = 3",
+            stacklevel=2,
+        )
+
+
+def _coord_t0_amplitude(params: AtomPhotonParams, p, q):
+    """The coordinate amplitude at T = 0 behind the light front, real.
+
+    exp(-(tau - p)/2) exp(-eta^2 (p + q)^2 / 2) for p <= tau: the factors
+    of ``coord_amplitude`` with the chirp left out.  xi0 is never read, and
+    no tau < 3 advisory is raised.
+    """
+    # Built in place on one buffer, as the Gaussian of coord_amplitude is.
+    vals = np.square(p + q)
+    vals *= -(params.eta**2) / 2.0
+    np.exp(vals, out=vals)
+    vals *= np.exp(-(params.tau - p) / 2.0)
+    return vals
 
 
 def _factored_gaussian(front, p, q, c):
@@ -266,7 +284,6 @@ def momentum_matrix(params: AtomPhotonParams, grid: Grid) -> AmplitudeMatrix:
 
 
 def _sample(amplitude, params: AtomPhotonParams, grid: Grid) -> AmplitudeMatrix:
-    # One call site for every sample, so the tau < 3 advisory prints once.
     return sample_amplitude(lambda p, q: amplitude(params, p, q), grid)
 
 
@@ -285,15 +302,15 @@ def _rank_below(result: SchmidtResult, nq: int, mesh: str) -> SchmidtResult:
 
 
 def _thin_decomposition(amplitude, params, A: AmplitudeMatrix, thin: Grid, opts, mesh: str):
-    """Schmidt weights and modes of the sample ``A`` from its sample on ``thin``.
+    """Schmidt weights and modes of the sample ``A`` from ``amplitude`` sampled on ``thin``.
 
-    ``thin`` has the p nodes and q window of ``A.grid``, and q nodes whose
-    sums of the amplitude are exact to rounding, so the Gram matrix A A^H
-    is the same on both meshes up to a scale.  The dense SVD of the sample
-    on ``thin`` gives the weights and the p-modes u_k, and the q-modes are
-    v_k = conj(u_k) @ A / ||conj(u_k) @ A||, consistent with the gauged u_k.
-    Where ``thin`` has as many q nodes as ``A``, ``A`` takes the dense route.
-    Raises ConvergenceError (``_rank_below``) if the rank reaches thin.nq.
+    ``thin`` has the p nodes of ``A.grid`` and q nodes whose sums of
+    ``amplitude`` are exact to rounding, so the Gram matrix over q of that
+    sample is A A^H up to a scale.  Its dense SVD gives the weights and the
+    p-modes u_k, and the q-modes are v_k = conj(u_k) @ A / ||conj(u_k) @ A||,
+    consistent with the gauged u_k.  Where ``thin`` has as many q nodes as
+    ``A``, ``A`` takes the dense route.  Raises ConvergenceError
+    (``_rank_below``) if the rank reaches thin.nq.
     """
     if thin.nq >= A.grid.nq:
         return schmidt_decompose(A, opts)
@@ -305,15 +322,17 @@ def _thin_decomposition(amplitude, params, A: AmplitudeMatrix, thin: Grid, opts,
 
 
 def coord_decomposition(params: AtomPhotonParams, A: AmplitudeMatrix, opts=DecompositionOptions()):
-    """``_thin_decomposition`` of ``A = coord_matrix(params, grid)`` on ``coord_chirped_grid``.
+    """``_thin_decomposition`` of ``A = coord_matrix(params, grid)`` from the real T = 0 factor.
 
-    Only on the automatic window: a ``--window`` q range may cut the
-    amplitude, so ``A`` on such a grid takes the dense route.
+    The weights and p-modes come from ``_coord_t0_amplitude`` on
+    ``coord_thin_grid(params, grid, COORD_SIGMA_MARGIN)``, the q-modes from
+    ``A``.  Only on the automatic window: a ``--window`` q range may cut
+    the amplitude, so ``A`` on such a grid takes the dense route.
     """
-    n = A.grid.n
-    thin = coord_chirped_grid(params, n) if A.grid == coord_grid(params, n) else A.grid
+    auto = A.grid == coord_grid(params, A.grid.n)
+    thin = coord_thin_grid(params, A.grid, COORD_SIGMA_MARGIN) if auto else A.grid
     return _thin_decomposition(
-        coord_amplitude, params, A, thin, opts, f"the chirped amplitude at tau={params.tau:g}"
+        _coord_t0_amplitude, params, A, thin, opts, f"the thin factor at tau={params.tau:g}"
     )
 
 
@@ -357,11 +376,33 @@ def coord_spectrum(
 ) -> SchmidtResult:
     """Schmidt weights of the coordinate amplitude on the p nodes of ``coord_grid(params, n)``.
 
-    Values only, from the thin real factor of ``coord_thin_spectrum`` at
+    Values only, from the real T = 0 factor of ``coord_thin_spectrum`` at
     the automatic margin COORD_SIGMA_MARGIN; no n x n matrix is sampled or
     decomposed.  ``coord_capture_drift`` is its window probe.
     """
     return coord_thin_spectrum(params, coord_grid(params, n), COORD_SIGMA_MARGIN, opts)
+
+
+def coord_thin_grid(params: AtomPhotonParams, grid: Grid, margin: float) -> Grid:
+    """The mesh of the real T = 0 factor on the p nodes of ``grid``.
+
+    The chirp T = tau eta^2 xi0 is the free spreading of the atom's packet,
+    a unitary on q alone, so the Gram matrix over q of the amplitude, and
+    with it the Schmidt weights and p-modes, is that of the T = 0 amplitude
+    (``_coord_t0_amplitude``).  The mesh has the p nodes of ``grid`` up to
+    the light front p = tau (past it the amplitude is 0) and m uniform q
+    nodes over the T = 0 window [-p_max - margin / eta, -p_min + margin / eta]
+    of width W.  The q-sum is then a trapezoid rule for a Gaussian, exact
+    to rounding once h_q <= THIN_Q_SPACING / eta (Trefethen and Weideman,
+    SIAM Rev. 56, 385 (2014)); m = ceil(W eta / THIN_Q_SPACING) + 1 is the
+    smallest count that allows it (28 at ``--fig1``).
+    """
+    eta = params.eta
+    q_lo, q_hi = -grid.p_max - margin / eta, -grid.p_min + margin / eta
+    m = math.ceil((q_hi - q_lo) * eta / THIN_Q_SPACING) + 1
+    p = grid.p_nodes()
+    k = int(np.count_nonzero(p <= params.tau))
+    return make_grid(grid.p_min, p[k - 1], q_lo, q_hi, k, m)
 
 
 def coord_thin_spectrum(
@@ -370,104 +411,34 @@ def coord_thin_spectrum(
     margin: float,
     opts: DecompositionOptions = DecompositionOptions(),
 ) -> SchmidtResult:
-    """Values-only decomposition of the coordinate amplitude from a thin real factor.
+    """Values-only decomposition of the real T = 0 factor on ``coord_thin_grid(params, grid, margin)``.
 
-    The chirp T = tau eta^2 xi0 is the free spreading of the atom's packet,
-    a unitary on q alone, so the Schmidt weights are those of the T = 0
-    amplitude.  On the p nodes of ``grid`` up to the light front p = tau
-    (past it the amplitude is 0) and m uniform q nodes over the T = 0
-    window [-p_max - margin / eta, -p_min + margin / eta] of width W, that
-    is the real factor
-
-        F_ij = f(p_i) exp(-eta^2 (p_i + q_j)^2 / 2),
-
-    f the light-front factor of ``coord_amplitude``.  Its q-sum is a
-    trapezoid rule for a Gaussian, exact to rounding once
-    h_q <= THIN_Q_SPACING / eta (Trefethen and Weideman, SIAM Rev. 56, 385
-    (2014)); m = ceil(W eta / THIN_Q_SPACING) + 1 is the smallest count
-    that allows it.  The weights then match the sampled n x n amplitude on
-    the same p nodes, with route "thin-factor" and the truncation rule of
-    ``schmidt_decompose``.  xi0 is never read, and tau only places the
-    light front, so the weights do not depend on tau and no tau < 3
-    advisory is raised.  ``coord_chirped_spectrum`` samples the same
-    amplitude with the chirp kept, and the dynamics sweep's tau-invariance
-    check compares the two.
+    The factor is sampled with ``_coord_t0_amplitude`` and decomposed by
+    ``schmidt_decompose``.  Its weights are those of the sampled n x n
+    amplitude on the same p nodes wherever that sample's q mesh resolves
+    the chirp.  xi0 is never read, and tau only places the light front, so
+    the weights do not depend on tau and no tau < 3 advisory is raised.
 
     Raises
     ------
     ConvergenceError
-        If the kept rank reaches m, where the q nodes could cut a weight
-        above the cutoff (``truncation_threshold = 0`` does once F has at
-        least m rows).
+        If the kept rank reaches the m q nodes of the mesh, where they could
+        cut a weight above the cutoff (``truncation_threshold = 0`` does
+        once the mesh has at least m p nodes).
     """
-    q = _thin_q_nodes(grid, params.eta, margin)
-    p = grid.p_nodes()
-    p = p[p <= params.tau]
-    front = np.exp(-(params.tau - p) / 2.0)
-    F = front[:, None] * np.exp(-(params.eta**2) / 2.0 * np.square(p[:, None] + q))
-    result = spectrum_result(np.linalg.svd(F, compute_uv=False), opts, "thin-factor")
-    return _rank_below(result, q.size, f"the thin factor at tau={params.tau:g}")
+    thin = coord_thin_grid(params, grid, margin)
+    result = schmidt_decompose(_sample(_coord_t0_amplitude, params, thin), opts, modes=False)
+    return _rank_below(result, thin.nq, f"the thin factor at tau={params.tau:g}")
 
 
-def _thin_q_nodes(grid: Grid, eta: float, margin: float) -> np.ndarray:
-    """The m q nodes of ``coord_thin_spectrum``: the fewest with h_q <= THIN_Q_SPACING / eta."""
-    q_lo, q_hi = -grid.p_max - margin / eta, -grid.p_min + margin / eta
-    return np.linspace(q_lo, q_hi, math.ceil((q_hi - q_lo) * eta / THIN_Q_SPACING) + 1)
-
-
-def coord_chirped_grid(params: AtomPhotonParams, n: int = DEFAULT_N) -> Grid:
-    """The window of ``coord_grid(params, n)`` with the fewest q nodes that resolve the chirp.
-
-    At T = tau eta^2 xi0 the amplitude is f(p) exp(c (p + q)^2) with
-    c = -eta^2 / (2 (1 + i T)).  The q-sum of two of its rows Dp apart is
-    a trapezoid rule for a Gaussian of width sqrt(1 + T^2) / eta times a
-    phase of frequency 2 |Im c| Dp, exact to rounding once
-
-        h_q <= pi / (pi eta / (THIN_Q_SPACING sqrt(1 + T^2)) + 2 |Im c| Dp),
-
-    which at T = 0 is the rule of ``coord_thin_spectrum``.  With
-    Dp = CHIRP_PAIR_SPAN the grid has the fewest q nodes, nq, that allow
-    it; nq exceeds n where the chirp is stronger than n nodes resolve.
-    """
-    grid = coord_grid(params, n)
-    eta, T = params.eta, params.tau * params.eta**2 * params.xi0
-    # 2 |Im c| = eta^2 T / (1 + T^2).
-    band = math.pi * eta / (THIN_Q_SPACING * math.sqrt(1.0 + T * T))
-    h = math.pi / (band + eta**2 * T * CHIRP_PAIR_SPAN / (1.0 + T * T))
-    nq = math.ceil((grid.q_max - grid.q_min) / h) + 1
-    return make_grid(grid.p_min, grid.p_max, grid.q_min, grid.q_max, n, nq)
-
-
-def coord_chirped_spectrum(
-    params: AtomPhotonParams,
-    n: int = DEFAULT_N,
-    opts: DecompositionOptions = DecompositionOptions(),
-) -> SchmidtResult:
-    """Values-only decomposition of the coordinate amplitude sampled on ``coord_chirped_grid``.
-
-    The amplitude is sampled with ``coord_matrix``, chirp kept, and
-    decomposed by ``schmidt_decompose``.  Its weights are those of the
-    n x n sample on the same p nodes wherever that sample's q mesh
-    resolves the chirp, from n x nq entries: fewer unless the chirp needs
-    nq >= n.
-
-    Raises
-    ------
-    ConvergenceError
-        If the kept rank reaches nq, where the q nodes could cut a weight
-        above the cutoff.
-    """
-    grid = coord_chirped_grid(params, n)
-    result = schmidt_decompose(coord_matrix(params, grid), opts, modes=False)
-    return _rank_below(result, grid.nq, f"the chirped amplitude at tau={params.tau:g}")
-
-
-# momentum_probe and coord_chirped_spectrum call their sampler, and they and
-# the thin bases call schmidt_decompose, through this module's globals,
-# where bench/tracing.py wraps them and tells the probe by its grid.  The
-# bases take their thin samples with the unwrapped _sample, so the tracer
-# sees no probe there.  The coordinate probe samples nothing, so the
-# tracer counts it by its name, coord_capture_drift, as the CLI calls it.
+# momentum_probe calls its sampler, and it, the thin bases and
+# coord_thin_spectrum call schmidt_decompose, through this module's
+# globals, where bench/tracing.py wraps them and tells the probe by its
+# grid.  The thin samples are taken with the unwrapped _sample, so the
+# tracer sees no probe there, and every real T = 0 decomposition is a
+# decompose span.  The coordinate probe samples through no wrapped
+# function, so the tracer counts it by its name, coord_capture_drift, as
+# the CLI calls it; its T = 0 decomposition is a decompose span inside it.
 
 
 def momentum_probe(params: AtomPhotonParams, grid: Grid, opts: DecompositionOptions) -> SchmidtResult:
@@ -493,12 +464,12 @@ def coord_capture_drift(
 ) -> SchmidtResult:
     """Values-only decomposition on the window probe of ``grid``.
 
-    The coordinate model's one window probe: the thin factor
+    The coordinate model's one window probe: the real T = 0 factor
     (``coord_thin_spectrum``) on the p nodes of ``grid`` grown by
     2 COORD_PROBE_FACTOR - 1, at the q margin
     COORD_PROBE_FACTOR * COORD_SIGMA_MARGIN.  The light front p = tau is
     the automatic window's edge, so the decay span behind it grows by
-    COORD_PROBE_FACTOR, and the thin factor drops the nodes past it.  No n x n
+    COORD_PROBE_FACTOR, and ``coord_thin_grid`` drops the nodes past it.  No n x n
     matrix is sampled or decomposed.  The probe is exact in q, so against
     a sampled base the drift also carries the base's q-window and q-mesh
     error.  The dynamics sweep's capture drift, which names the function,
@@ -641,7 +612,7 @@ def full_dynamics(tau: float, spectrum: SchmidtResult):
     The excited state survives with weight exp(-tau); the emitted-photon
     branch carries weight 1 - exp(-tau) spread over the Schmidt weights
     mu_k of ``spectrum``, a decomposition of the coordinate amplitude
-    (``coord_spectrum``, from the thin T = 0 factor, or a sampled
+    (``coord_spectrum``, from the real T = 0 factor, or a sampled
     ``schmidt_decompose``).  The composite spectrum
     {exp(-tau)} U {(1 - exp(-tau)) mu_k} sums to 1 by construction, and K
     and S follow from it.  When the amplitude is effectively rank-1

@@ -34,9 +34,6 @@ from .tensor_core import AmplitudeMatrix, Grid
 GAUGES = ("largest-real-positive", "none")
 WEIGHT_SUM_ATOL = 1e-10
 SPECTRUM_DRIFT_MODES = 32
-# Rows per block of the imaginary-part scan, which stops at the first block
-# that has one.
-ROW_BLOCK = 64
 # Relative margin within which mode components count as tied in the gauge:
 # mirror components of the leading SPDC modes differ by rounding (at most
 # 1.3e-14 measured), the top two components of an atom-photon mode by
@@ -91,9 +88,7 @@ class SchmidtResult:
         dropped).
     route
         "dense" (LAPACK SVD of the whole matrix), "centrosymmetric" (SVDs
-        of the two parity blocks of the centrosymmetric part, values only)
-        or "thin-factor" (SVD of the real T = 0 coordinate factor of
-        ``atom_photon.coord_thin_spectrum``, values only).
+        of the two parity blocks of the centrosymmetric part, values only).
     residual_mass
         The certified weight outside the factored part, as a share of
         ||A||_F^2: ||A_a||_F^2 with A_a = (A - J A J) / 2 on the
@@ -165,15 +160,8 @@ def _apply_gauge(u: np.ndarray, v: np.ndarray) -> None:
 
 
 def _has_imag(e: np.ndarray) -> bool:
-    """Whether any imaginary part of ``e`` is nonzero.
-
-    The scan runs over blocks of ``ROW_BLOCK`` rows and stops at the first
-    block that has one, so a complex amplitude is told after one block.
-    """
-    if not np.iscomplexobj(e):
-        return False
-    im = e.imag
-    return any(im[i : i + ROW_BLOCK].any() for i in range(0, im.shape[0], ROW_BLOCK))
+    """Whether any imaginary part of ``e`` is nonzero."""
+    return bool(np.iscomplexobj(e) and e.imag.any())
 
 
 def _centrosymmetric_split(M: np.ndarray, trunc: float, total: float):
@@ -237,9 +225,7 @@ def schmidt_decompose(
     captures it (see ``_centrosymmetric_split``) takes the centrosymmetric
     route; its weights are normalized by the exact ||A||_F^2, one
     ``np.vdot``, and the certified weight outside the part joins the
-    discarded mass.  Every other matrix takes the dense route.  The
-    real-or-complex test stops at the first block of ``ROW_BLOCK`` rows
-    with a nonzero imaginary part.
+    discarded mass.  Every other matrix takes the dense route.
 
     Raises
     ------

@@ -9,7 +9,6 @@ import schmidt_lab.atom_photon as atom_photon
 import schmidt_lab.cli as cli
 from schmidt_lab.atom_photon import (
     CAPTURE_TOL,
-    CHIRP_PAIR_SPAN,
     COORD_PROBE_FACTOR,
     COORD_SIGMA_MARGIN,
     THIN_Q_SPACING,
@@ -17,12 +16,11 @@ from schmidt_lab.atom_photon import (
     asymptotics,
     coord_amplitude,
     coord_capture_drift,
-    coord_chirped_grid,
-    coord_chirped_spectrum,
     coord_decomposition,
     coord_grid,
     coord_matrix,
     coord_spectrum,
+    coord_thin_grid,
     eta_opt,
     full_dynamics,
     laguerre_mode,
@@ -416,19 +414,30 @@ def test_full_dynamics_approaches_asymptotic_k():
 
 
 def test_coord_capture_drift_reuses_base_decomposition(monkeypatch):
-    # The probe is a thin factor on the grown window: no n x n matrix is
-    # sampled or decomposed, and the base spectrum it checks is the thin
-    # one the sweep's rows are built from.
-    def sampled(*args, **kwargs):
-        raise AssertionError("the coordinate probe samples and decomposes no n x n matrix")
+    # The probe is the real T = 0 factor on the grown window: no n x n
+    # matrix is sampled or decomposed, and the base spectrum it checks is
+    # the thin one the sweep's rows are built from.  Each decomposes one
+    # real sample: 400 p nodes by 28 q nodes, and the probe's 600 p nodes
+    # up to the light front by 42 q nodes.
+    decompose = atom_photon.schmidt_decompose
+    taken = []
 
-    for name in ("schmidt_decompose", "coord_matrix"):
-        monkeypatch.setattr(atom_photon, name, sampled)
+    def recording(A, opts=DecompositionOptions(), modes=True):
+        taken.append((A.entries.shape, A.entries.dtype, modes))
+        return decompose(A, opts, modes)
+
+    def sampled(*args, **kwargs):
+        raise AssertionError("the coordinate probe samples no n x n matrix")
+
+    monkeypatch.setattr(atom_photon, "schmidt_decompose", recording)
+    monkeypatch.setattr(atom_photon, "coord_matrix", sampled)
     for tau in (5.0, 10.0):
         params = AtomPhotonParams(100.0, 0.03, tau)
+        taken.clear()
         base = coord_spectrum(params)
         probe = coord_capture_drift(params, coord_grid(params, atom_photon.DEFAULT_N))
-        assert base.route == probe.route == "thin-factor"
+        assert taken == [((400, 28), np.float64, False), ((600, 42), np.float64, False)]
+        assert base.route == probe.route == "dense"
         assert spectrum_drift(base, probe) <= 1e-15
 
 
@@ -437,7 +446,8 @@ def _sampled_spectrum(params, n):
     return schmidt_decompose(coord_matrix(params, coord_grid(params, n)), modes=False)
 
 
-# (xi0, eta, tau, n); T = tau eta^2 xi0 runs from 0.009 to 2250.
+# (xi0, eta, tau, n); T = tau eta^2 xi0 runs from 0.009 to 4000.  The last
+# four are strong chirps, T = 4 to 4000, that the n x n mesh resolves.
 THIN_CASES = [
     (100.0, 0.03, 10.0, 400),
     (100.0, 0.03, 10.0, 800),
@@ -447,6 +457,10 @@ THIN_CASES = [
     (100.0, 0.5, 10.0, 400),
     (1000.0, 0.3, 9.0, 400),
     (1000.0, 0.5, 9.0, 400),
+    (10.0, 2.0, 0.1, 400),
+    (100.0, 2.0, 10.0, 400),
+    (100.0, 1.0, 10.0, 400),
+    (100.0, 2.0, 10.0, 201),
 ]
 
 
@@ -456,7 +470,7 @@ def test_thin_factor_matches_the_sampled_route(xi0, eta, tau, n):
     params = AtomPhotonParams(xi0, eta, tau)
     thin = coord_spectrum(params, n)
     ref = _sampled_spectrum(params, n)
-    assert thin.route == "thin-factor" and thin.modes_p is None
+    assert thin.route == "dense" and thin.modes_p is None
     assert thin.rank == ref.rank
     np.testing.assert_allclose(thin.lambdas, ref.lambdas, rtol=0, atol=1e-14)
 
@@ -464,12 +478,20 @@ def test_thin_factor_matches_the_sampled_route(xi0, eta, tau, n):
 @pytest.mark.parametrize("eta", [0.03, 0.3, 0.5])
 @pytest.mark.parametrize("margin", [COORD_SIGMA_MARGIN, COORD_PROBE_FACTOR * COORD_SIGMA_MARGIN])
 def test_thin_factor_takes_the_fewest_q_nodes_its_spacing_bound_allows(eta, margin):
-    grid = coord_grid(AtomPhotonParams(100.0, eta, 10.0), 400)
-    q = atom_photon._thin_q_nodes(grid, eta, margin)
+    params = AtomPhotonParams(100.0, eta, 10.0)
+    grid = coord_grid(params, 400)
+    thin = coord_thin_grid(params, grid, margin)
+    assert (thin.p_min, thin.p_max, thin.n) == (grid.p_min, grid.p_max, grid.n)
     width = grid.p_max - grid.p_min + 2.0 * margin / eta
-    assert q[0] == -grid.p_max - margin / eta and q[-1] == pytest.approx(q[0] + width)
+    assert thin.q_min == -grid.p_max - margin / eta
+    assert thin.q_max - thin.q_min == pytest.approx(width)
     h = THIN_Q_SPACING / eta
-    assert width / (q.size - 1) <= h < width / (q.size - 2)
+    assert width / (thin.nq - 1) <= h < width / (thin.nq - 2)
+    # The probe's grown window keeps its nodes up to the light front only.
+    big = grown_grid(grid, 2.0 * COORD_PROBE_FACTOR - 1.0)
+    probe = coord_thin_grid(params, big, margin)
+    np.testing.assert_allclose(probe.p_nodes(), big.p_nodes()[: probe.n], rtol=0, atol=1e-13)
+    assert probe.p_max <= 10.0 < big.p_nodes()[probe.n]
 
 
 def test_thin_factor_with_a_wider_q_spacing_is_measurably_worse(monkeypatch):
@@ -477,7 +499,7 @@ def test_thin_factor_with_a_wider_q_spacing_is_measurably_worse(monkeypatch):
     params = AtomPhotonParams(100.0, 0.5, 10.0)
     ref = _sampled_spectrum(params, 400)
     monkeypatch.setattr(atom_photon, "THIN_Q_SPACING", 0.7)
-    assert atom_photon._thin_q_nodes(coord_grid(params, 400), 0.5, COORD_SIGMA_MARGIN).size == 47
+    assert coord_thin_grid(params, coord_grid(params, 400), COORD_SIGMA_MARGIN).nq == 47
     coarse = coord_spectrum(params, 400)
     assert (coarse.rank, ref.rank) == (24, 25)
     assert np.max(np.abs(coarse.lambdas - ref.lambdas[:24])) > 1e-10
@@ -488,94 +510,27 @@ def test_thin_factor_refuses_a_rank_that_fills_its_q_nodes():
     opts = DecompositionOptions(truncation_threshold=0.0)
     with pytest.raises(ConvergenceError, match="kept all 28 of its q-node weights"):
         coord_spectrum(FIG_PARAMS, 400, opts)
-    with pytest.raises(ConvergenceError, match="kept all 28 of its q-node weights"):
-        coord_chirped_spectrum(AtomPhotonParams(100.0, 0.03, 0.1), 400, opts)
+    A = coord_matrix(FIG_PARAMS, coord_grid(FIG_PARAMS, 400))
+    with pytest.raises(ConvergenceError, match="the thin factor at tau=10 kept all 28"):
+        coord_decomposition(FIG_PARAMS, A, opts)
     with pytest.raises(ConvergenceError, match="the momentum probe's thin pi mesh kept all 49"):
         momentum_probe(FIG_PARAMS, momentum_grid(400), opts)
 
 
-# (xi0, eta, tau, n); T runs from 0.009 (fig2's check) to 4000, and at
-# (10, 2, 0.1, 400) the chirped grid has more q nodes (452) than n.
-CHIRPED_CASES = [
-    (100.0, 0.03, 0.1, 400),
-    (100.0, 0.03, 10.0, 64),
-    (100.0, 0.3, 0.5, 64),
-    (100.0, 0.5, 10.0, 201),
-    (1000.0, 0.5, 9.0, 400),
-    (100.0, 1.0, 10.0, 400),
-    (10.0, 2.0, 0.1, 400),
-    (100.0, 2.0, 10.0, 201),
-    (100.0, 2.0, 10.0, 400),
-]
-
-
-@pytest.mark.filterwarnings("ignore:coordinate amplitude is a long-time approximation")
-@pytest.mark.parametrize("xi0,eta,tau,n", CHIRPED_CASES)
-def test_chirped_grid_matches_the_square_sampled_route(xi0, eta, tau, n):
-    params = AtomPhotonParams(xi0, eta, tau)
-    chirped = coord_chirped_spectrum(params, n)
-    ref = _sampled_spectrum(params, n)
-    assert chirped.modes_p is None
-    assert chirped.rank == ref.rank
-    np.testing.assert_allclose(chirped.lambdas, ref.lambdas, rtol=0, atol=1e-14)
-
-
-@pytest.mark.parametrize(
-    "xi0,eta,tau", [(100.0, 0.03, 0.1), (100.0, 0.5, 10.0), (10.0, 2.0, 0.1), (100.0, 2.0, 10.0)]
-)
-@pytest.mark.parametrize("dp", [5.0, CHIRP_PAIR_SPAN, 40.0])
-def test_chirped_grid_takes_the_fewest_q_nodes_its_spacing_rule_allows(monkeypatch, xi0, eta, tau, dp):
-    params = AtomPhotonParams(xi0, eta, tau)
-    monkeypatch.setattr(atom_photon, "CHIRP_PAIR_SPAN", dp)
-    grid, base = coord_chirped_grid(params, 400), coord_grid(params, 400)
-    assert (grid.p_min, grid.p_max, grid.q_min, grid.q_max, grid.n) == (
-        base.p_min, base.p_max, base.q_min, base.q_max, base.n
-    )
-    T = tau * eta**2 * xi0
-    w = math.sqrt(1.0 + T**2) / eta
-    width = grid.p_max - grid.p_min + 2.0 * COORD_SIGMA_MARGIN * w
-    assert grid.q_max - grid.q_min == pytest.approx(width, rel=1e-14)
-    im_c = eta**2 * T / (2.0 * (1.0 + T**2))
-    h = math.pi / (2.0 * math.pi * eta / math.sqrt(1.0 + T**2) + 2.0 * im_c * dp)
-    assert width / (grid.nq - 1) <= h < width / (grid.nq - 2)
-
-
-@pytest.mark.filterwarnings("ignore:coordinate amplitude is a long-time approximation")
-def test_chirped_grid_with_a_wider_q_spacing_is_measurably_worse(monkeypatch):
-    # fig2's check: at eta h_q = 0.7 the trapezoid rule's aliasing error shows.
-    params = AtomPhotonParams(100.0, 0.03, 0.1)
-    ref = _sampled_spectrum(params, 400)
-    assert np.max(np.abs(coord_chirped_spectrum(params, 400).lambdas - ref.lambdas)) < 1e-17
-    monkeypatch.setattr(atom_photon, "THIN_Q_SPACING", 0.7)
-    coarse = coord_chirped_spectrum(params, 400)
-    assert coarse.rank == ref.rank
-    assert np.max(np.abs(coarse.lambdas - ref.lambdas)) > 1e-12
-
-
-@pytest.mark.filterwarnings("ignore:coordinate amplitude is a long-time approximation")
-def test_chirped_grid_needs_its_pair_span_at_a_large_chirp(monkeypatch):
-    # At eta = 2, T = 4000 a rule exact only for rows 12 / eta = 6 apart
-    # aliases rows about 18 apart, whose front factors still weigh 1e-8.
-    params = AtomPhotonParams(100.0, 2.0, 10.0)
-    ref = _sampled_spectrum(params, 201)
-    monkeypatch.setattr(atom_photon, "CHIRP_PAIR_SPAN", 6.0)
-    short = coord_chirped_spectrum(params, 201)
-    assert short.rank < ref.rank
-    assert np.max(np.abs(short.lambdas - ref.lambdas[: short.rank])) > 1e-9
-
-
 def test_chirped_grid_is_exact_in_q_where_the_square_mesh_is_not():
     # At n = 64 the square q mesh is too coarse for this chirp (T = 4):
-    # its weights are 8.6e-5 off, with rank 38 against 49.  The chirped
-    # grid has the same 64 p nodes and more q nodes, and agrees with the
-    # T = 0 factor.
+    # its weights are 8.6e-5 off, with rank 38 against 49.  The real T = 0
+    # factor on the same 64 p nodes is exact in q: it agrees with the
+    # amplitude sampled on those p nodes and 512 q nodes over the same
+    # window, which resolve the chirp.
     params = AtomPhotonParams(10.0, 2.0, 0.1)
-    with pytest.warns(UserWarning, match="only qualitative"):
-        chirped = coord_chirped_spectrum(params, 64)
     thin = coord_spectrum(params, 64)
-    assert coord_chirped_grid(params, 64).nq > 64
-    assert chirped.rank == thin.rank == 49
-    np.testing.assert_allclose(chirped.lambdas, thin.lambdas, rtol=0, atol=1e-15)
+    grid = coord_grid(params, 64)
+    fine = make_grid(grid.p_min, grid.p_max, grid.q_min, grid.q_max, 64, 512)
+    with pytest.warns(UserWarning, match="only qualitative"):
+        resolved = schmidt_decompose(coord_matrix(params, fine), modes=False)
+    assert resolved.rank == thin.rank == 49
+    np.testing.assert_allclose(resolved.lambdas, thin.lambdas, rtol=0, atol=1e-15)
     with pytest.warns(UserWarning, match="only qualitative"):
         sampled = _sampled_spectrum(params, 64)
     assert sampled.rank == 38

@@ -578,8 +578,8 @@ def test_fig1_coordinate_probe_drifts_by_rounding_only(tmp_path):
 
 
 def test_coord_trunc_0_exits_3_from_the_thin_probe(tmp_path, capsys):
-    # Every thin weight is kept, so the q nodes of the base's chirped
-    # sample, and of the probe's thin factor, could cut one.
+    # Every thin weight is kept, so the q nodes of the base's and of the
+    # probe's real T = 0 samples could cut one.
     assert main([*COORD_N64, "--trunc", "0", "--out", str(tmp_path / "out")]) == 3
     assert "raise the truncation threshold (--trunc)" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -831,8 +831,7 @@ def test_dynamics_rows_match_the_per_tau_route(tmp_path, n, eta):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     assert tuple(float(r[0]) for r in rows) == DYNAMICS_TAUS
     convergence = _summary(tmp_path)["grid_convergence"]
-    assert list(convergence) == ["endpoint_lambda_drift", "tau_invariance_drift"]
-    assert convergence["tau_invariance_drift"] < 1e-15
+    assert list(convergence) == ["endpoint_lambda_drift"]
 
 
 def test_dynamics_exits_3_where_the_per_tau_route_fails_its_capture_check(tmp_path, monkeypatch, capsys):
@@ -874,69 +873,58 @@ def test_dynamics_capture_verdict_does_not_depend_on_the_parity_of_n(tmp_path, n
     assert _summary(tmp_path)["grid_convergence"]["endpoint_lambda_drift"] <= 1e-15
 
 
-@pytest.mark.parametrize("count", [2, 5, 34])
-def test_dynamics_decomposes_once_whatever_the_tau_count(tmp_path, monkeypatch, count):
-    # The spectrum and its capture probe are thin factors; the one sampled
-    # decomposition is the tau-invariance check at the smallest positive tau,
-    # on 64 p nodes and the 28 q nodes that resolve its chirp.
+def _dynamics_decompositions(tmp_path, monkeypatch, taus):
+    """(shape, dtype, modes) of each decomposition of a dynamics run at n = 64."""
     calls = []
     decompose = atom_photon.schmidt_decompose
 
     def counting(A, opts=schmidt.DecompositionOptions(), modes=True):
-        calls.append((A.entries.shape, modes))
+        calls.append((A.entries.shape, A.entries.dtype, modes))
         return decompose(A, opts, modes)
+
+    def sampled(*args, **kwargs):
+        raise AssertionError("a dynamics run samples no n x n matrix")
 
     for mod in (cli, atom_photon):
         monkeypatch.setattr(mod, "schmidt_decompose", counting)
-    taus = ",".join(repr(float(t)) for t in np.linspace(3.0, 10.0, count))
+        monkeypatch.setattr(mod, "coord_matrix", sampled)
     argv = [*DYNAMICS, "--eta", "0.03", "--n", "64", "--tau-list", taus]
     assert main([*argv, "--out", str(tmp_path)]) == 0
-    assert calls == [((64, 28), False)]
+    return calls
+
+
+# The spectrum, 64 p nodes by 28 q nodes, and its capture probe, the 96 p
+# nodes of the grown window up to the light front by 42 q nodes: two real
+# T = 0 samples, values only.
+DYNAMICS_DECOMPOSITIONS = [((64, 28), np.float64, False), ((96, 42), np.float64, False)]
+
+
+@pytest.mark.parametrize("count", [2, 5, 34])
+def test_dynamics_decomposes_once_whatever_the_tau_count(tmp_path, monkeypatch, count):
+    # The sweep decomposes its spectrum once, whatever the tau count; the
+    # capture probe is the only other decomposition.
+    taus = ",".join(repr(float(t)) for t in np.linspace(3.0, 10.0, count))
+    assert _dynamics_decompositions(tmp_path, monkeypatch, taus) == DYNAMICS_DECOMPOSITIONS
 
 
 def test_dynamics_with_one_positive_tau_decomposes_once(tmp_path, monkeypatch):
-    # The smallest positive tau is the largest: the sampled check compares
-    # the thin spectrum with the sampled amplitude at that same tau, whose
-    # chirp (T = 0.45) needs 29 q nodes.
-    calls = []
-    decompose = atom_photon.schmidt_decompose
-
-    def counting(A, opts=schmidt.DecompositionOptions(), modes=True):
-        calls.append((A.entries.shape, modes))
-        return decompose(A, opts, modes)
-
-    for mod in (cli, atom_photon):
-        monkeypatch.setattr(mod, "schmidt_decompose", counting)
-    argv = [*DYNAMICS, "--eta", "0.03", "--n", "64", "--tau-list", "0,5"]
-    assert main([*argv, "--out", str(tmp_path)]) == 0
-    assert calls == [((64, 29), False)]
-    assert _summary(tmp_path)["grid_convergence"]["tau_invariance_drift"] < 1e-15
+    # The meshes depend on tau only through the light front, so one
+    # positive tau decomposes the same two real samples.
+    assert _dynamics_decompositions(tmp_path, monkeypatch, "0,5") == DYNAMICS_DECOMPOSITIONS
+    assert list(_summary(tmp_path)["grid_convergence"]) == ["endpoint_lambda_drift"]
 
 
 def test_dynamics_warns_only_when_a_tau_is_below_3(tmp_path):
-    # The tau-invariance sample at the smallest positive tau raises it.
+    # The sweep raises it once, for its smallest positive tau, before it
+    # samples anything; a tau = 0 row is exact and does not warn.
     argv = [*DYNAMICS, "--eta", "0.03", "--n", "48"]
-    with pytest.warns(UserWarning, match="only qualitative below tau = 3"):
-        assert main([*argv, "--tau-list", "2.5,10", "--out", str(tmp_path / "a")]) == 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main([*argv, "--tau-list", "3,10", "--out", str(tmp_path / "b")]) == 0
-
-
-def test_dynamics_tau_invariance_failure_exits_3(tmp_path, monkeypatch, capsys):
-    # A non-local phase on the smallest-tau amplitude changes its Schmidt
-    # weights, which free evolution cannot do.
-    amplitude = atom_photon.coord_amplitude
-
-    def perturbed(params, p, q):
-        vals = amplitude(params, p, q)
-        return vals * np.exp(1e-3j * p * q) if params.tau == 3.5 else vals
-
-    monkeypatch.setattr(atom_photon, "coord_amplitude", perturbed)
-    argv = [*DYNAMICS, "--eta", "0.03", "--n", "64", "--tau-list", "3.5,6,10"]
-    assert main([*argv, "--out", str(tmp_path / "out")]) == 3
-    assert "tau-invariance" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    with pytest.warns(UserWarning, match="only qualitative below tau = 3") as record:
+        assert main([*argv, "--tau-list", "0.5,2.5,10", "--out", str(tmp_path / "a")]) == 0
+    assert len(record) == 1
+    for i, taus in enumerate(("3,10", "0,5")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--tau-list", taus, "--out", str(tmp_path / f"b{i}")]) == 0
 
 
 def test_dynamics_zero_tau_row_and_invalid_taus(tmp_path):
@@ -959,15 +947,15 @@ def test_dynamics_zero_tau_row_and_invalid_taus(tmp_path):
 def test_dynamics_without_a_positive_tau_exits_2_before_sampling(
     tmp_path, monkeypatch, capsys, taus, message
 ):
+    # Every atom-photon sample, n x n or thin, goes through atom_photon._sample.
     sampled = []
-    sample = atom_photon.coord_matrix
+    sample = atom_photon._sample
 
-    def recording(params, grid):
+    def recording(amplitude, params, grid):
         sampled.append(params.tau)
-        return sample(params, grid)
+        return sample(amplitude, params, grid)
 
-    for mod in (cli, atom_photon):
-        monkeypatch.setattr(mod, "coord_matrix", recording)
+    monkeypatch.setattr(atom_photon, "_sample", recording)
     argv = [*DYNAMICS, "--eta", "0.03", "--n", "48", f"--tau-list={taus}"]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
@@ -1126,7 +1114,7 @@ def test_sweep_values_only_route_matches_full_route(tmp_path, monkeypatch, argv)
     for mod in (cli, atom_photon):
         monkeypatch.setattr(mod, "schmidt_decompose", full_route)
     assert main(argv + ["--out", str(tmp_path / "full")]) == 0
-    # Every sweep point and the dynamics tau-invariance check read weights only.
+    # Every sweep point, and the dynamics spectrum and its probe, read weights only.
     assert requested and not any(requested)
     header, values = _read_csv(tmp_path / "values" / "sweep.csv")
     _, full = _read_csv(tmp_path / "full" / "sweep.csv")

@@ -519,7 +519,7 @@ def test_k_and_s_invariant_under_local_unitaries():
 
 
 def test_fig1_base_matches_dense_route():
-    # The --fig1 base decomposition (n = 800) from its thin chirped sample:
+    # The --fig1 base decomposition (n = 800) from its real T = 0 factor:
     # weights, K and S within 1e-12 of the dense route on the n x n sample;
     # the four written modes and the five Laguerre overlaps within 1e-10.
     from schmidt_lab.atom_photon import coord_decomposition, laguerre_mode
@@ -683,8 +683,7 @@ def test_decomposition_takes_one_n_by_n_vdot(make, monkeypatch):
 
 @pytest.mark.parametrize("n", [65, 129])
 def test_imaginary_part_in_the_last_row_alone_takes_complex_arithmetic(n, monkeypatch):
-    # The real-or-complex scan stops at the first block of 64 rows with a
-    # nonzero imaginary part; here only the last, partial block has one.
+    # Only the last row has a nonzero imaginary part.
     e = np.random.default_rng(n).standard_normal((n, n)).astype(complex)
     assert not schmidt._has_imag(e)
     e[-1, 3] += 1e-3j
