@@ -255,10 +255,17 @@ def coord_grid(params: AtomPhotonParams, n: int = DEFAULT_N) -> Grid:
 
     p covers [tau - COORD_DECAY_SPAN, tau]; q covers the ridge q = -p
     broadened by COORD_SIGMA_MARGIN times the modulus-width of the Gaussian
-    factor, w = sqrt(1 + (tau eta^2 xi0)^2) / eta.
+    factor, w = sqrt(1 + (tau eta^2 xi0)^2) / eta.  A chirp tau eta^2 xi0
+    whose square overflows raises ValueError.
     """
     tau, eta, xi0 = params.tau, params.eta, params.xi0
-    w = math.sqrt(1.0 + (tau * eta**2 * xi0) ** 2) / eta
+    try:
+        w = math.sqrt(1.0 + (tau * eta**2 * xi0) ** 2) / eta
+    except OverflowError:
+        raise ValueError(
+            f"the chirp tau eta^2 xi0 = {tau * eta**2 * xi0:g} is too large for the "
+            "coordinate window: its square overflows"
+        ) from None
     p_lo = tau - COORD_DECAY_SPAN
     return make_grid(p_lo, tau, -tau - COORD_SIGMA_MARGIN * w, -p_lo + COORD_SIGMA_MARGIN * w, n)
 
@@ -287,34 +294,31 @@ def _sample(amplitude, params: AtomPhotonParams, grid: Grid) -> AmplitudeMatrix:
     return sample_amplitude(lambda p, q: amplitude(params, p, q), grid)
 
 
-def _rank_below(result: SchmidtResult, nq: int, mesh: str) -> SchmidtResult:
-    """``result``; ConvergenceError, naming ``mesh``, if its rank reached its ``nq`` q nodes.
+def _thin_decomposition(sample: AmplitudeMatrix, opts, mesh: str, A: AmplitudeMatrix | None = None):
+    """Schmidt decomposition of the thin ``sample``, with modes exactly when ``A`` is given.
 
-    Such a thin mesh could then cut a weight above the cutoff (``--trunc 0``
-    keeps every weight once it has at least nq rows).
+    ``sample`` has q nodes whose sums of its amplitude are exact to
+    rounding; given ``A``, it has the p nodes of ``A``, so the Gram matrix
+    over q of ``sample`` is A A^H up to a scale.  Its dense SVD gives the
+    weights and the p-modes u_k, and the q-modes are
+    v_k = conj(u_k) @ A / ||conj(u_k) @ A||, consistent with the gauged u_k.
+
+    Raises
+    ------
+    ConvergenceError
+        Naming ``mesh``, if the kept rank reaches the q nodes of ``sample``,
+        which could then cut a weight above the cutoff (``--trunc 0`` keeps
+        every weight once the sample has at least as many rows).
     """
+    result = schmidt_decompose(sample, opts, modes=A is not None)
+    nq = sample.grid.nq
     if result.rank >= nq:
         raise ConvergenceError(
             f"{mesh} kept all {nq} of its q-node weights, so it cannot show that none "
             "above the cutoff is lost; raise the truncation threshold (--trunc)"
         )
-    return result
-
-
-def _thin_decomposition(amplitude, params, A: AmplitudeMatrix, thin: Grid, opts, mesh: str):
-    """Schmidt weights and modes of the sample ``A`` from ``amplitude`` sampled on ``thin``.
-
-    ``thin`` has the p nodes of ``A.grid`` and q nodes whose sums of
-    ``amplitude`` are exact to rounding, so the Gram matrix over q of that
-    sample is A A^H up to a scale.  Its dense SVD gives the weights and the
-    p-modes u_k, and the q-modes are v_k = conj(u_k) @ A / ||conj(u_k) @ A||,
-    consistent with the gauged u_k.  Where ``thin`` has as many q nodes as
-    ``A``, ``A`` takes the dense route.  Raises ConvergenceError
-    (``_rank_below``) if the rank reaches thin.nq.
-    """
-    if thin.nq >= A.grid.nq:
-        return schmidt_decompose(A, opts)
-    result = _rank_below(schmidt_decompose(_sample(amplitude, params, thin), opts), thin.nq, mesh)
+    if A is None:
+        return result
     v = result.modes_p.conj() @ A.entries
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     v += 0.0  # no -0 part in a written mode, as in the gauge
@@ -322,18 +326,20 @@ def _thin_decomposition(amplitude, params, A: AmplitudeMatrix, thin: Grid, opts,
 
 
 def coord_decomposition(params: AtomPhotonParams, A: AmplitudeMatrix, opts=DecompositionOptions()):
-    """``_thin_decomposition`` of ``A = coord_matrix(params, grid)`` from the real T = 0 factor.
+    """Decomposition of ``A = coord_matrix(params, grid)`` from the real T = 0 factor.
 
-    The weights and p-modes come from ``_coord_t0_amplitude`` on
+    The weights and p-modes come from ``_coord_t0_amplitude`` sampled on
     ``coord_thin_grid(params, grid, COORD_SIGMA_MARGIN)``, the q-modes from
-    ``A``.  Only on the automatic window: a ``--window`` q range may cut
-    the amplitude, so ``A`` on such a grid takes the dense route.
+    ``A`` (``_thin_decomposition``).  Only on the automatic window, and
+    where the thin mesh has fewer q nodes than ``A``: a ``--window`` q
+    range may cut the amplitude, so ``A`` then takes the dense route.
     """
-    auto = A.grid == coord_grid(params, A.grid.n)
-    thin = coord_thin_grid(params, A.grid, COORD_SIGMA_MARGIN) if auto else A.grid
-    return _thin_decomposition(
-        _coord_t0_amplitude, params, A, thin, opts, f"the thin factor at tau={params.tau:g}"
-    )
+    if A.grid == coord_grid(params, A.grid.n):
+        thin = coord_thin_grid(params, A.grid, COORD_SIGMA_MARGIN)
+        if thin.nq < A.grid.nq:
+            sample = _sample(_coord_t0_amplitude, params, thin)
+            return _thin_decomposition(sample, opts, f"the thin factor at tau={params.tau:g}", A)
+    return schmidt_decompose(A, opts)
 
 
 def momentum_thin_grid(params: AtomPhotonParams, grid: Grid) -> Grid:
@@ -362,11 +368,12 @@ def momentum_thin_grid(params: AtomPhotonParams, grid: Grid) -> Grid:
 
 
 def momentum_decomposition(params: AtomPhotonParams, A: AmplitudeMatrix, opts=DecompositionOptions()):
-    """``_thin_decomposition`` of ``A = momentum_matrix(params, grid)`` on ``momentum_thin_grid``."""
+    """``_thin_decomposition`` of ``A = momentum_matrix(params, grid)`` on a thinner ``momentum_thin_grid``."""
     thin = momentum_thin_grid(params, A.grid)
-    return _thin_decomposition(
-        momentum_amplitude, params, A, thin, opts, "the momentum amplitude's thin pi mesh"
-    )
+    if thin == A.grid:
+        return schmidt_decompose(A, opts)
+    sample = _sample(momentum_amplitude, params, thin)
+    return _thin_decomposition(sample, opts, "the momentum amplitude's thin pi mesh", A)
 
 
 def coord_spectrum(
@@ -376,11 +383,16 @@ def coord_spectrum(
 ) -> SchmidtResult:
     """Schmidt weights of the coordinate amplitude on the p nodes of ``coord_grid(params, n)``.
 
-    Values only, from the real T = 0 factor of ``coord_thin_spectrum`` at
-    the automatic margin COORD_SIGMA_MARGIN; no n x n matrix is sampled or
-    decomposed.  ``coord_capture_drift`` is its window probe.
+    Values only, from the real T = 0 factor sampled on ``coord_thin_grid``
+    at the automatic margin COORD_SIGMA_MARGIN; no n x n matrix is sampled
+    or decomposed.  The weights depend on neither xi0 nor tau (tau only
+    places the light front), and no tau < 3 advisory is raised.  Raises
+    ConvergenceError (``_thin_decomposition``) if the kept rank reaches the
+    factor's q-node count.  ``coord_capture_drift`` is its window probe.
     """
-    return coord_thin_spectrum(params, coord_grid(params, n), COORD_SIGMA_MARGIN, opts)
+    thin = coord_thin_grid(params, coord_grid(params, n), COORD_SIGMA_MARGIN)
+    sample = _sample(_coord_t0_amplitude, params, thin)
+    return _thin_decomposition(sample, opts, f"the thin factor at tau={params.tau:g}")
 
 
 def coord_thin_grid(params: AtomPhotonParams, grid: Grid, margin: float) -> Grid:
@@ -405,40 +417,14 @@ def coord_thin_grid(params: AtomPhotonParams, grid: Grid, margin: float) -> Grid
     return make_grid(grid.p_min, p[k - 1], q_lo, q_hi, k, m)
 
 
-def coord_thin_spectrum(
-    params: AtomPhotonParams,
-    grid: Grid,
-    margin: float,
-    opts: DecompositionOptions = DecompositionOptions(),
-) -> SchmidtResult:
-    """Values-only decomposition of the real T = 0 factor on ``coord_thin_grid(params, grid, margin)``.
-
-    The factor is sampled with ``_coord_t0_amplitude`` and decomposed by
-    ``schmidt_decompose``.  Its weights are those of the sampled n x n
-    amplitude on the same p nodes wherever that sample's q mesh resolves
-    the chirp.  xi0 is never read, and tau only places the light front, so
-    the weights do not depend on tau and no tau < 3 advisory is raised.
-
-    Raises
-    ------
-    ConvergenceError
-        If the kept rank reaches the m q nodes of the mesh, where they could
-        cut a weight above the cutoff (``truncation_threshold = 0`` does
-        once the mesh has at least m p nodes).
-    """
-    thin = coord_thin_grid(params, grid, margin)
-    result = schmidt_decompose(_sample(_coord_t0_amplitude, params, thin), opts, modes=False)
-    return _rank_below(result, thin.nq, f"the thin factor at tau={params.tau:g}")
-
-
-# momentum_probe calls its sampler, and it, the thin bases and
-# coord_thin_spectrum call schmidt_decompose, through this module's
-# globals, where bench/tracing.py wraps them and tells the probe by its
-# grid.  The thin samples are taken with the unwrapped _sample, so the
-# tracer sees no probe there, and every real T = 0 decomposition is a
-# decompose span.  The coordinate probe samples through no wrapped
-# function, so the tracer counts it by its name, coord_capture_drift, as
-# the CLI calls it; its T = 0 decomposition is a decompose span inside it.
+# momentum_probe calls its sampler, and _thin_decomposition and the
+# dense fallbacks call schmidt_decompose, through this module's globals,
+# where bench/tracing.py wraps them and tells the probe by its grid.  The
+# thin samples are taken with the unwrapped _sample, so the tracer sees no
+# probe there, and every real T = 0 decomposition is a decompose span.
+# The coordinate probe samples through no wrapped function, so the tracer
+# counts it by its name, coord_capture_drift, as the CLI calls it; its
+# T = 0 decomposition is a decompose span inside it.
 
 
 def momentum_probe(params: AtomPhotonParams, grid: Grid, opts: DecompositionOptions) -> SchmidtResult:
@@ -447,14 +433,13 @@ def momentum_probe(params: AtomPhotonParams, grid: Grid, opts: DecompositionOpti
     The probe window is ``grown_grid(momentum_thin_grid(params, grid),
     MOMENTUM_PROBE_FACTOR)``: the spacing of the base weights' sample, and
     nodes that contain its nodes.  A thin probe mesh has the rank check of
-    ``_rank_below``.
+    ``_thin_decomposition``.
     """
     thin = momentum_thin_grid(params, grid)
-    big_grid = grown_grid(thin, MOMENTUM_PROBE_FACTOR)
-    result = schmidt_decompose(momentum_matrix(params, big_grid), opts, modes=False)
+    big = momentum_matrix(params, grown_grid(thin, MOMENTUM_PROBE_FACTOR))
     if thin == grid:
-        return result
-    return _rank_below(result, big_grid.nq, "the momentum probe's thin pi mesh")
+        return schmidt_decompose(big, opts, modes=False)
+    return _thin_decomposition(big, opts, "the momentum probe's thin pi mesh")
 
 
 def coord_capture_drift(
@@ -464,8 +449,8 @@ def coord_capture_drift(
 ) -> SchmidtResult:
     """Values-only decomposition on the window probe of ``grid``.
 
-    The coordinate model's one window probe: the real T = 0 factor
-    (``coord_thin_spectrum``) on the p nodes of ``grid`` grown by
+    The coordinate model's one window probe: the real T = 0 factor, as in
+    ``coord_spectrum``, on the p nodes of ``grid`` grown by
     2 COORD_PROBE_FACTOR - 1, at the q margin
     COORD_PROBE_FACTOR * COORD_SIGMA_MARGIN.  The light front p = tau is
     the automatic window's edge, so the decay span behind it grows by
@@ -478,10 +463,12 @@ def coord_capture_drift(
     Raises
     ------
     ConvergenceError
-        From ``coord_thin_spectrum``, if the kept rank reaches its q-node count.
+        From ``_thin_decomposition``, if the kept rank reaches its q-node count.
     """
     big_grid = grown_grid(grid, 2.0 * COORD_PROBE_FACTOR - 1.0)
-    return coord_thin_spectrum(params, big_grid, COORD_PROBE_FACTOR * COORD_SIGMA_MARGIN, opts)
+    thin = coord_thin_grid(params, big_grid, COORD_PROBE_FACTOR * COORD_SIGMA_MARGIN)
+    sample = _sample(_coord_t0_amplitude, params, thin)
+    return _thin_decomposition(sample, opts, f"the thin factor at tau={params.tau:g}")
 
 
 def xi0_estimate(mass_ratio_M_over_m: float) -> float:

@@ -212,7 +212,7 @@ def _read_config(path: Path, flags: tuple) -> dict:
     """
     try:
         loaded = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read config file {path}: {exc}")
     if not isinstance(loaded, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
@@ -356,10 +356,11 @@ def _spdc_constants(req: _Resolver):
 # the base decomposition.  The models look the sampling, decomposition,
 # probe, coherence and dynamics functions up in this module's globals at
 # call time, and the atom-photon bases, the coordinate spectrum and
-# momentum_probe look theirs up in atom_photon's, because bench/tracing.py
-# wraps them there.  A thin sample is not wrapped, so the tracer counts a
-# base as the n x n sample here and one decomposition, and a dynamics run
-# as two decompositions of real T = 0 samples and no sample.  It tells a
+# momentum_probe look theirs up in atom_photon's, whose one thin-mesh
+# decomposition, _thin_decomposition, calls its schmidt_decompose, because
+# bench/tracing.py wraps them there.  A thin sample is not wrapped, so the
+# tracer counts a base as the n x n sample here and one decomposition, and
+# a dynamics run as two decompositions of real T = 0 samples and no sample.  It tells a
 # sampled probe by its grid differing from the first one sampled, and
 # counts coord_capture_drift, which samples through no wrapped function,
 # by its name.  Sweep points, whose modes are never read, pass modes=False.

@@ -124,7 +124,7 @@ def parse_matrix_file(path) -> np.ndarray:
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MatrixParseError(f"cannot read matrix file {path}: {exc}") from exc
     rows = []
     row_lines = []  # source line number of each row

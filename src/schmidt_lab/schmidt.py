@@ -225,7 +225,10 @@ def schmidt_decompose(
     captures it (see ``_centrosymmetric_split``) takes the centrosymmetric
     route; its weights are normalized by the exact ||A||_F^2, one
     ``np.vdot``, and the certified weight outside the part joins the
-    discarded mass.  Every other matrix takes the dense route.
+    discarded mass.  Every other matrix takes the dense route, whose raw
+    weights are s^2 / sum(s^2).  The weights at or above
+    ``opts.truncation_threshold`` times the largest are kept and
+    renormalized to sum to 1; the kept modes are gauged by ``opts.gauge``.
 
     Raises
     ------
@@ -238,57 +241,31 @@ def schmidt_decompose(
     # One decision of real or complex arithmetic for every route; a real
     # array never allocates its zero imaginary part.
     M = e if _has_imag(e) else np.ascontiguousarray(e.real)
-    split = None
+    split = residual_mass = None
     if not modes and M.shape[0] == M.shape[1]:
         total = float(np.vdot(M, M).real)
         split = _centrosymmetric_split(M, opts.truncation_threshold, total)
-    if split is None and modes:
+    if split is not None:
+        s, residual = split
+        residual_mass = residual / total
+    elif modes:
         U, s, Vh = np.linalg.svd(M, full_matrices=False)
-        return spectrum_result(s, opts, "dense", factors=(U, Vh))
+    else:
+        s = np.linalg.svd(M, compute_uv=False)
     if split is None:
-        return spectrum_result(np.linalg.svd(M, compute_uv=False), opts, "dense")
-    s, residual = split
-    return spectrum_result(s, opts, "centrosymmetric", total, residual_mass=residual / total)
-
-
-def spectrum_result(
-    s: np.ndarray,
-    opts: DecompositionOptions = DecompositionOptions(),
-    route: str = "dense",
-    total: float | None = None,
-    factors=None,
-    residual_mass: float | None = None,
-) -> SchmidtResult:
-    """The decomposition given by the singular values ``s`` (non-increasing) of a factor.
-
-    The raw weights are s^2 / ``total``, with ``total`` = ||A||_F^2, by
-    default sum(s^2) when ``s`` holds every singular value.  Those at or
-    above ``opts.truncation_threshold`` times the largest are kept and
-    renormalized to sum to 1; the rest, plus ``residual_mass`` (a certified
-    weight outside the factor, as a share of ``total``), is the discarded
-    mass.  ``factors`` is ``(U, Vh)``: their kept columns and rows become
-    the modes, gauged by ``opts.gauge``.  None gives a values-only result.
-    """
-    if total is None:
         total = float((s**2).sum())
     lam_raw = s**2 / total
-
-    keep = lam_raw >= opts.truncation_threshold * lam_raw[0]
-    rank = int(np.count_nonzero(keep))
-    lam_kept = lam_raw[:rank]
+    rank = int(np.count_nonzero(lam_raw >= opts.truncation_threshold * lam_raw[0]))
     u = v = None
-    if factors is not None:
-        U, Vh = factors
+    if modes:
         # Copy only the kept modes, so no full n x n factor outlives the call.
         u = U[:, :rank].T.astype(complex, order="C")
         v = Vh[:rank].astype(complex, order="C")
         if opts.gauge == "largest-real-positive":
             _apply_gauge(u, v)
 
-    discarded = float(lam_raw[rank:].sum())
-    if residual_mass is not None:
-        discarded += residual_mass
-    lam = lam_kept / float(lam_kept.sum())
+    discarded = float(lam_raw[rank:].sum()) + (residual_mass or 0.0)
+    lam = lam_raw[:rank] / float(lam_raw[:rank].sum())
     return SchmidtResult(
         lambdas=lam,
         modes_p=u,
@@ -297,7 +274,7 @@ def spectrum_result(
         schmidt_number=schmidt_number(lam),
         entropy=entanglement_entropy(lam),
         reconstruction_error=float(np.sqrt(max(discarded, 0.0))),
-        route=route,
+        route="dense" if split is None else "centrosymmetric",
         residual_mass=residual_mass,
     )
 

@@ -68,16 +68,17 @@ def make_grid(
     Raises
     ------
     ValueError
-        If any bound is non-finite, a window is empty or reversed, or n or
-        nq is below 2.
+        If any bound is non-finite, a window is empty or reversed, its
+        width overflows, or n or nq is below 2.
     """
     bounds = (p_min, p_max, q_min, q_max)
     if not all(np.isfinite(b) for b in bounds):
         raise ValueError(f"grid bounds must be finite, got {bounds}")
-    if not p_min < p_max:
-        raise ValueError(f"need p_min < p_max, got [{p_min}, {p_max}]")
-    if not q_min < q_max:
-        raise ValueError(f"need q_min < q_max, got [{q_min}, {q_max}]")
+    for axis, lo, hi in (("p", p_min, p_max), ("q", q_min, q_max)):
+        if not lo < hi:
+            raise ValueError(f"need {axis}_min < {axis}_max, got [{lo}, {hi}]")
+        if not math.isfinite(float(hi) - float(lo)):
+            raise ValueError(f"the {axis} window [{lo}, {hi}] has a width that overflows")
     n = int(n)
     nq = n if nq is None else int(nq)
     if n < 2:

@@ -375,6 +375,16 @@ def test_coord_grid_geometry():
     assert (gm.p_min, gm.p_max, gm.q_min, gm.q_max) == (-60.0, 60.0, -6.0, 6.0)
 
 
+def test_coord_grid_refuses_a_chirp_whose_square_overflows():
+    with pytest.raises(ValueError, match="chirp tau eta\\^2 xi0 = 9e\\+298 is too large"):
+        coord_grid(AtomPhotonParams(100.0, 0.03, 1e300), 16)
+    # Below the overflow the window keeps the bits of its formula.
+    for tau in (1e-3, 10.0, 1e9):
+        params = AtomPhotonParams(100.0, 0.03, tau)
+        w = math.sqrt(1.0 + (tau * 0.03**2 * 100.0) ** 2) / 0.03
+        assert coord_grid(params, 16).q_max == -(tau - 40.0) + 6.0 * w
+
+
 def test_coord_window_enlargement_invariance():
     base = coord_spectrum(FIG_PARAMS, 400)
     big_grid = grown_grid(coord_grid(FIG_PARAMS, 400), 2.0)

@@ -168,6 +168,55 @@ def test_exit_code_parse_failures(tmp_path, capsys):
         assert not (tmp_path / name).exists()
 
 
+def test_matrix_file_that_is_not_utf8_exits_4(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"1 2\n3 4\xb5\n")
+    assert main(["decompose", str(latin1), "--out", str(tmp_path / "o")]) == 4
+    assert "cannot read matrix file" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"n": 64, "sigma": "\xb5"}\n')
+    argv = ["spdc", "--L", "0.5", "--sigma", "10", "--config", str(latin1)]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert "cannot read config file" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spdc", "--L", "0.5", "--sigma", "10"],
+        ["atom-photon-coord", "--xi0", "100", "--eta", "0.03", "--tau", "10"],
+        ["atom-photon-momentum", "--xi0", "100", "--eta", "0.03"],
+    ],
+    ids=["spdc", "coord", "momentum"],
+)
+def test_window_whose_width_overflows_exits_2(tmp_path, capsys, argv):
+    flag = "--window=-1e308,1e308,-1e308,1e308"
+    assert main([*argv, "--n", "64", flag, "--out", str(tmp_path / "o")]) == 2
+    assert "the p window [-1e+308, 1e+308] has a width that overflows" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["atom-photon-coord", "--tau", "1e300"],
+        ["atom-photon-dynamics", "--tau-list", "1e300"],
+        ["atom-photon-dynamics", "--tau-list", "5,1e300"],
+    ],
+    ids=["coord", "dynamics", "dynamics-sweep"],
+)
+def test_chirp_whose_square_overflows_exits_2(tmp_path, capsys, argv):
+    params = ["--xi0", "100", "--eta", "0.03", "--n", "16"]
+    assert main([*argv, *params, "--out", str(tmp_path / "o")]) == 2
+    assert "the chirp tau eta^2 xi0 = 9e+298 is too large" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_code_convergence(tmp_path, capsys):
     code = main(
         [
@@ -471,9 +520,11 @@ SPDC_N64 = ["spdc", "--L", "0.5", "--sigma", "10", "--n", "64"]
 
 
 # model: (argv at n = 64, a --window, the module whose global the probe
-# reads, that global, and its whole steps a side at n nodes).
+# reads, that global, and its whole steps a side at n nodes).  The
+# momentum and SPDC probes' grid is their sampler's second argument; the
+# coordinate probe's is the grid that grown_grid returns to it.
 PROBES = {
-    "coord": (COORD_N64, "-30,10,-200,60", atom_photon, "coord_thin_spectrum", lambda n: math.ceil((n - 1) / 2)),
+    "coord": (COORD_N64, "-30,10,-200,60", atom_photon, "grown_grid", lambda n: math.ceil((n - 1) / 2)),
     "momentum": (MOMENTUM_N64, "-50,70,-5,7", atom_photon, "momentum_matrix", lambda n: math.ceil((n - 1) / 2)),
     "spdc": (SPDC_N64, "-30,30,-30,30", spdc, "spdc_matrix", lambda n: math.ceil((n - 1) / 4)),
 }
@@ -487,12 +538,13 @@ def test_every_probe_keeps_the_base_spacing_and_contains_its_nodes(tmp_path, mon
     grids = []
     fn = getattr(module, name)
 
-    def recording(params, grid, *args):
-        grids.append(grid)
-        return fn(params, grid, *args)
+    def recording(*args):
+        out = fn(*args)
+        grids.append(out if name == "grown_grid" else args[1])
+        return out
 
-    # The CLI takes its base through its own globals, so only the probe
-    # reaches the module's.
+    # The CLI takes its base through its own globals, and no base grows its
+    # grid, so only the probe reaches the module's.
     monkeypatch.setattr(module, name, recording)
     argv = [*argv[:-1], str(n), *([f"--window={flag}"] if window else [])]
     assert main([*argv, "--out", str(tmp_path)]) == 0

@@ -184,6 +184,13 @@ def test_parse_matrix_file_rejections(tmp_path):
         parse_matrix_file(tmp_path / "missing.txt")
 
 
+def test_parse_matrix_file_refuses_a_file_that_is_not_utf8(tmp_path):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"1 2\n3 4\xb5\n")
+    with pytest.raises(MatrixParseError, match="cannot read matrix file .*utf-8"):
+        parse_matrix_file(latin1)
+
+
 def test_parse_matrix_file_locates_non_finite_entry_after_blank_lines(tmp_path):
     f = tmp_path / "m.txt"
     f.write_text("1 2 3\n\n  \n4 5 6\n7 8 -inf+1j\n")

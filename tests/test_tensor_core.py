@@ -33,6 +33,16 @@ def test_make_grid_rejects_bad_windows():
         make_grid(0.0, np.nan, 0.0, 1.0, 4)
 
 
+def test_make_grid_refuses_a_window_whose_width_overflows():
+    with pytest.raises(ValueError, match="the p window .* width that overflows"):
+        make_grid(-1e308, 1e308, 0.0, 1.0, 4)
+    with pytest.raises(ValueError, match="the q window .* width that overflows"):
+        make_grid(0.0, 1.0, np.float64(-1e308), np.float64(1e308), 4)
+    # The widest finite windows still pass.
+    g = make_grid(-1e308, 0.0, 0.0, 1.7e308, 4)
+    assert (g.p_max - g.p_min, g.q_max - g.q_min) == (1e308, 1.7e308)
+
+
 def test_grid_may_carry_its_own_q_node_count():
     g = make_grid(0.0, 1.0, -2.0, 2.0, 5, 3)
     assert (g.n, g.nq, g.dq) == (5, 3, 2.0)
