@@ -360,10 +360,10 @@ def _spdc_constants(req: _Resolver):
 # decomposition, _thin_decomposition, calls its schmidt_decompose, because
 # bench/tracing.py wraps them there.  A thin sample is not wrapped, so the
 # tracer counts a base as the n x n sample here and one decomposition, and
-# a dynamics run as two decompositions of real T = 0 samples and no sample.  It tells a
-# sampled probe by its grid differing from the first one sampled, and
-# counts coord_capture_drift, which samples through no wrapped function,
-# by its name.  Sweep points, whose modes are never read, pass modes=False.
+# a dynamics run (two atom_photon._t0_factor calls) as two decompositions
+# and no sample.  It tells a sampled probe by its grid differing from the
+# first, and counts coord_capture_drift, which samples through no wrapped
+# function, by its name.  Sweep points, never read for modes, pass modes=False.
 
 
 def _coord(req: _Resolver) -> ModelRun:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -385,6 +386,20 @@ def test_coord_grid_refuses_a_chirp_whose_square_overflows():
         assert coord_grid(params, 16).q_max == -(tau - 40.0) + 6.0 * w
 
 
+def test_coord_grid_refuses_a_tau_whose_ulp_moves_its_p_nodes():
+    # The ulp of tau must stay within 2^-20 of the p spacing 40 / (n - 1):
+    # tau < 2^32 at n = 64 and < 2^28 at n = 800.
+    for tau, n in ((2.0**32, 64), (1e16, 64), (1e18, 64), (2.0**28, 800)):
+        message = re.escape(f"tau = {tau:g} is too large for the coordinate window at n = {n}")
+        with pytest.raises(ValueError, match=message):
+            coord_grid(AtomPhotonParams(1e-12, 0.03, tau), n)
+    for tau, n in ((math.nextafter(2.0**32, 0.0), 64), (math.nextafter(2.0**28, 0.0), 800)):
+        coord_grid(AtomPhotonParams(1e-12, 0.03, tau), n)
+    # Below the bound the weights keep their tau = 10 values.
+    k = [coord_spectrum(AtomPhotonParams(1e-12, 0.03, tau), 64).schmidt_number for tau in (10.0, 1e6)]
+    assert abs(k[1] - k[0]) <= 1e-13
+
+
 def test_coord_window_enlargement_invariance():
     base = coord_spectrum(FIG_PARAMS, 400)
     big_grid = grown_grid(coord_grid(FIG_PARAMS, 400), 2.0)
@@ -644,6 +659,26 @@ def test_momentum_thin_grid_with_a_wider_pi_spacing_is_measurably_worse(eta, h, 
     assert error(momentum_thin_grid(params, base)) <= 1e-15
     coarse = make_grid(-60.0, 60.0, -6.0, 6.0, 400, math.ceil(12.0 / h) + 1)
     assert error(coarse) > worse
+
+
+@pytest.mark.parametrize(
+    "decompose, sample, grid, rank",
+    [
+        (coord_decomposition, coord_matrix, coord_grid(AtomPhotonParams(100.0, 0.5, 10.0), 200), 25),
+        (momentum_decomposition, momentum_matrix, momentum_grid(400), 21),
+    ],
+    ids=["coord-eta0.5-n200", "momentum-eta0.5-n400"],
+)
+def test_thin_bases_keep_their_written_q_modes_orthonormal(decompose, sample, grid, rank):
+    # v_k = conj(u_k) @ A / ||conj(u_k) @ A|| carries u_k's error times
+    # sigma_1 / sigma_k: over all kept q-modes 8.4e-7 (coordinate) and
+    # 1.3e-6 (momentum) off orthonormal, but the four the CLI writes are
+    # within 1.1e-14.
+    params = AtomPhotonParams(100.0, 0.5, 10.0)
+    res = decompose(params, sample(params, grid))
+    assert res.rank == rank
+    v = res.modes_q[:4]
+    assert np.max(np.abs(v @ v.conj().T - np.eye(4))) <= 1e-12
 
 
 def test_thin_bases_keep_the_dense_route_off_their_automatic_window():

@@ -217,6 +217,27 @@ def test_chirp_whose_square_overflows_exits_2(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, tau",
+    [
+        (["atom-photon-coord", "--tau", "1e16"], "1e+16"),
+        (["atom-photon-coord", "--tau", "1e18"], "1e+18"),
+        (["atom-photon-dynamics", "--tau-list", "5,1e16"], "1e+16"),
+        (["atom-photon-dynamics", "--tau-list", "5,1e18"], "1e+18"),
+    ],
+    ids=["coord-1e16", "coord-1e18", "dynamics-1e16", "dynamics-1e18"],
+)
+def test_tau_whose_rounding_moves_the_p_nodes_exits_2(tmp_path, capsys, argv, tau):
+    # At tau = 1e16 the 64 nodes of [tau - 40, tau] fall on a few
+    # representable values, which moves K by 9.4e-6.
+    params = ["--xi0", "1e-12", "--eta", "0.03", "--n", "64"]
+    assert main([*argv, *params, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"tau = {tau} is too large for the coordinate window at n = 64" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_code_convergence(tmp_path, capsys):
     code = main(
         [
@@ -1013,6 +1034,39 @@ def test_dynamics_without_a_positive_tau_exits_2_before_sampling(
     assert message in capsys.readouterr().err
     assert sampled == []
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (["atom-photon-coord", "--fig1", "--n", "64"], [True, False]),
+        (["atom-photon-coord", "--fig1", "--n", "64", "--window=-30,10,-200,60"], [False]),
+        (["atom-photon-dynamics", "--fig2", "--n", "64"], [False, False]),
+        (["atom-photon-momentum", "--fig3", "--n", "64"], []),
+    ],
+    ids=["coord", "coord-window", "dynamics", "momentum"],
+)
+def test_every_t0_factor_is_sampled_and_decomposed_in_one_function(tmp_path, monkeypatch, argv, calls):
+    # The coordinate base (given A), its probe and the dynamics spectrum and
+    # probe each make one _t0_factor call, which samples through _sample.
+    seen, sampled = [], []
+    t0_factor, sample = atom_photon._t0_factor, atom_photon._sample
+
+    def recording(params, grid, margin, opts, A=None):
+        before = len(sampled)
+        result = t0_factor(params, grid, margin, opts, A)
+        seen.append(A is not None)
+        assert len(sampled) == before + 1
+        return result
+
+    def sampling(amplitude, params, grid):
+        sampled.append(grid)
+        return sample(amplitude, params, grid)
+
+    monkeypatch.setattr(atom_photon, "_t0_factor", recording)
+    monkeypatch.setattr(atom_photon, "_sample", sampling)
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+    assert seen == calls
 
 
 def _files(out_dir):
