@@ -51,7 +51,7 @@ CAPTURE_TOL = 1e-6
 # error, about 2 exp(-pi^2 / (eta h_q)^2) = 1.4e-17, is below rounding.
 THIN_Q_SPACING = 0.5
 VALIDITY_STRICTNESS = 3.0
-# Factored coordinate Gaussian (``_factored_gaussian``): column block width,
+# Factored coordinate Gaussian (``_gaussian_tables``): column block width,
 # rows per assembly block, the cutoff on its table error bound relative to
 # the largest entry, and the smallest largest-table-entry it accepts.
 PHASE_BLOCK = 32
@@ -110,7 +110,7 @@ def coord_amplitude(params: AtomPhotonParams, p, q):
 
     with theta(0) = 1.  Accepts scalars or broadcastable arrays.  On an
     open mesh of uniform q nodes the Gaussian comes from three small exp
-    tables (``_factored_gaussian``) when their derived error bound is at
+    tables (``_gaussian_tables``) when their derived error bound is at
     most FACTORED_ERR_MAX; every other call keeps the direct form, one
     complex exp per entry.  Warns (without rejecting) below tau = 3
     where the long-time form is only qualitative (``long_time_advisory``).
@@ -153,8 +153,8 @@ def long_time_advisory(tau: float) -> None:
         )
 
 
-def _factored_gaussian(front, p, q, c):
-    """front * exp(c (p + q)^2) on an open mesh from three small tables, or None.
+def _gaussian_tables(front, p, q, c):
+    """Three small exp tables of front * exp(c (p + q)^2) on an open mesh, or None.
 
     ``front`` is the light-front column, 0 beyond the front (the caller
     writes +0.0 into those rows), ``p`` a column of n nodes and ``q`` a row
@@ -167,8 +167,9 @@ def _factored_gaussian(front, p, q, c):
                         + 2 p_i (e_Jk - d_k),
 
     and the last term, a few ulp of q_j times p_i, is dropped.  The exps
-    of c times the first three terms are an n x nb table (the front folded
-    in), an n x B table and an nb x B table, nb = ceil(m / B).  Relative to
+    of c times the first three terms are ``rows`` (n x nb, the front folded
+    in), ``shift`` (n x B) and ``blocks`` (nb x B), nb = ceil(m / B), so
+    entry (i, J B + k) is rows[i, J] shift[i, k] blocks[J, k].  Relative to
     each entry, the tables add an exponent error of at most about
 
         bound = eps |c| L (2 P + 2 R + L) + 2 |c| P max|e - d|,
@@ -178,18 +179,17 @@ def _factored_gaussian(front, p, q, c):
     term.  Returns None (the direct form then runs) for any other shape,
     non-uniform q, a bound above FACTORED_ERR_MAX, or a largest table
     entry below FACTORED_TABLE_MIN, where subnormal tables would lose
-    digits.  The product is formed in blocks of rows, so the only n x m
-    array is the result.
+    digits.  ``_factored_gaussian`` assembles the n x m product and
+    ``_gaussian_contraction`` contracts it with row weights.
     """
     if p.ndim != 2 or q.ndim != 2 or p.shape[1] != 1 or q.shape[0] != 1 or q.shape[1] < 2:
         return None
-    n, m = p.shape[0], q.shape[1]
+    m = q.shape[1]
     q = q[0]
     if not np.array_equal(q, np.linspace(q[0], q[-1], m)):
         return None
     B, half = PHASE_BLOCK, PHASE_BLOCK // 2
-    nfull, tail = divmod(m, B)
-    nb, full = nfull + (tail > 0), m - tail
+    nb = -(-m // B)
     dq = (q[-1] - q[0]) / (m - 1)
     padded = np.concatenate((q, q[-1] + dq * np.arange(1, nb * B - m + 1)))
     r = padded[half::B]
@@ -205,6 +205,21 @@ def _factored_gaussian(front, p, q, c):
         return None
     shift = np.exp(c * (2.0 * p * d))  # (n, B)
     blocks = np.exp(c * (e * (2.0 * r[:, None] + e)))  # (nb, B)
+    return rows, shift, blocks
+
+
+def _factored_gaussian(front, p, q, c):
+    """front * exp(c (p + q)^2) assembled from ``_gaussian_tables``, or None where they refuse.
+
+    The product is formed in blocks of rows, so the only n x m array is the result.
+    """
+    tables = _gaussian_tables(front, p, q, c)
+    if tables is None:
+        return None
+    rows, shift, blocks = tables
+    n, m, B = p.shape[0], q.shape[1], PHASE_BLOCK
+    nfull, tail = divmod(m, B)
+    full = m - tail
     out = np.empty((n, m), dtype=complex)
     for i in range(0, n, ROW_BLOCK):
         sl = slice(i, i + ROW_BLOCK)
@@ -217,6 +232,21 @@ def _factored_gaussian(front, p, q, c):
             np.multiply(rows[sl, nfull:], blocks[nfull, :tail], out=last)
             last *= shift[sl, :tail]
     return out
+
+
+def _gaussian_contraction(a, tables, m):
+    """a @ G for G the n x m product of ``_gaussian_tables``, without forming G.
+
+    Column J B + k of row t of a @ G is blocks[J, k] sum_i a[t, i]
+    rows[i, J] shift[i, k]: one (nb x n) @ (n x B) product per row of
+    ``a``, so the largest temporary is nb x n.
+    """
+    rows, shift, blocks = tables
+    w = np.empty((len(a), *blocks.shape), dtype=complex)
+    for a_t, w_t in zip(a, w):
+        np.matmul(rows.T * a_t, shift, out=w_t)
+    w *= blocks
+    return w.reshape(len(a), -1)[:, :m]
 
 
 def momentum_amplitude(params: AtomPhotonParams, nu_ph, pi_a):
@@ -242,9 +272,41 @@ def coord_grid(params: AtomPhotonParams, n: int = DEFAULT_N) -> Grid:
     broadened by COORD_SIGMA_MARGIN times the modulus-width of the Gaussian
     factor, w = sqrt(1 + (tau eta^2 xi0)^2) / eta.  A chirp tau eta^2 xi0
     whose square overflows raises ValueError, and so does a tau whose ulp
-    exceeds 2^-20 of the p spacing COORD_DECAY_SPAN / (n - 1), where
+    exceeds 2^-20 of the p spacing h_p = COORD_DECAY_SPAN / (n - 1), where
     rounding would move the p nodes and p + q (tau < 2^32 at n = 64).
+
+    Raises
+    ------
+    ConvergenceError
+        If eta h_p > 1 (``_check_p_mesh``).  Refusing it also bounds the q
+        nodes of the T = 0 factor on this window (``coord_thin_grid``) by
+        2 (n - 1) + 26.
     """
+    grid = _coord_window(params, n)
+    _check_p_mesh(params.eta, COORD_DECAY_SPAN, n)
+    return grid
+
+
+def _check_p_mesh(eta: float, span: float, n: int) -> None:
+    """Refuse n p nodes over ``span`` spaced wider than the Gaussian's width 1/eta.
+
+    The p mesh error of K grows with eta h_p, h_p = span / (n - 1), and at
+    eta h_p = 1, which passes, K is already 0.7% to 5.4% low, so a wider
+    spacing gives no usable result.  The ConvergenceError names the
+    smallest adequate n, ceil(eta span) + 1 (inf where eta span overflows).
+    """
+    widths = eta * span
+    if widths > n - 1:
+        need = math.ceil(widths) + 1 if math.isfinite(widths) else math.inf
+        raise ConvergenceError(
+            f"the coordinate p mesh is under-resolved at n = {n}: its spacing "
+            f"{span / (n - 1):g} exceeds the Gaussian's width 1/eta = {1.0 / eta:g}; "
+            f"use n >= {need}"
+        )
+
+
+def _coord_window(params: AtomPhotonParams, n: int) -> Grid:
+    """``coord_grid`` without its mesh-resolution check."""
     tau, eta, xi0 = params.tau, params.eta, params.xi0
     try:
         w = math.sqrt(1.0 + (tau * eta**2 * xi0) ** 2) / eta
@@ -286,13 +348,14 @@ def _sample(amplitude, params: AtomPhotonParams, grid: Grid) -> AmplitudeMatrix:
     return sample_amplitude(lambda p, q: amplitude(params, p, q), grid)
 
 
-def _thin_decomposition(sample: AmplitudeMatrix, opts, mesh: str, A: AmplitudeMatrix | None = None):
-    """Schmidt decomposition of the thin ``sample``, with modes exactly when ``A`` is given.
+def _thin_decomposition(sample: AmplitudeMatrix, opts, mesh: str, product=None):
+    """Schmidt decomposition of the thin ``sample``, with modes exactly when ``product`` is given.
 
     ``sample`` has q nodes whose sums of its amplitude are exact to
-    rounding; given ``A``, it has the p nodes of ``A``, so the Gram matrix
-    over q of ``sample`` is A A^H up to a scale.  Its dense SVD gives the
-    weights and the p-modes u_k, and the q-modes are
+    rounding; given ``product``, it has the p nodes of an n x n sample A,
+    so the Gram matrix over q of ``sample`` is A A^H up to a scale, and
+    ``product(a)`` is a @ A up to a scale, for the r x n rows a.  Its
+    dense SVD gives the weights and the p-modes u_k, and the q-modes are
     v_k = conj(u_k) @ A / ||conj(u_k) @ A||, consistent with the gauged u_k.
     Each v_k carries u_k's error times sigma_1 / sigma_k, so the trailing
     q-modes are off orthonormal (8.4e-7 over all 25 at coordinate xi0 100,
@@ -307,31 +370,48 @@ def _thin_decomposition(sample: AmplitudeMatrix, opts, mesh: str, A: AmplitudeMa
         which could then cut a weight above the cutoff (``--trunc 0`` keeps
         every weight once the sample has at least as many rows).
     """
-    result = schmidt_decompose(sample, opts, modes=A is not None)
+    result = schmidt_decompose(sample, opts, modes=product is not None)
     nq = sample.grid.nq
     if result.rank >= nq:
         raise ConvergenceError(
             f"{mesh} kept all {nq} of its q-node weights, so it cannot show that none "
             "above the cutoff is lost; raise the truncation threshold (--trunc)"
         )
-    if A is None:
+    if product is None:
         return result
-    v = result.modes_p.conj() @ A.entries
+    v = product(result.modes_p.conj())
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     v += 0.0  # no -0 part in a written mode, as in the gauge
     return replace(result, modes_q=v)
 
 
-def coord_decomposition(params: AtomPhotonParams, A: AmplitudeMatrix, opts=DecompositionOptions()):
-    """Decomposition of ``A = coord_matrix(params, grid)``: ``_t0_factor`` given ``A``.
+def coord_decomposition(params: AtomPhotonParams, grid: Grid, opts=DecompositionOptions()):
+    """Decomposition with modes of ``coord_matrix(params, grid)``.
 
-    On the automatic window, if the factor has fewer q nodes than ``A``;
-    else the dense route, as a ``--window`` q range may cut the amplitude.
+    On the automatic window (``coord_grid``) the weights and p-modes are
+    ``_t0_factor``'s, and the q-modes are contracted from the exp tables
+    of ``_gaussian_tables``, so no n x n array is formed; the amplitude is
+    sampled only where the tables refuse.  Any other grid, such as a
+    ``--window`` whose q range may cut the amplitude, has its p spacing
+    checked (``_check_p_mesh``) and is then sampled and decomposed on the
+    dense route.
     """
-    if A.grid == coord_grid(params, A.grid.n):
-        if coord_thin_grid(params, A.grid, COORD_SIGMA_MARGIN).nq < A.grid.nq:
-            return _t0_factor(params, A.grid, COORD_SIGMA_MARGIN, opts, A)
-    return schmidt_decompose(A, opts)
+    if grid != _coord_window(params, grid.n):
+        _check_p_mesh(params.eta, grid.p_max - grid.p_min, grid.n)
+        return schmidt_decompose(coord_matrix(params, grid), opts)
+    p, q = grid.p_nodes()[:, None], grid.q_nodes()[None, :]
+    # coord_amplitude's front and Gaussian constant; every p node is behind the front.
+    c = -(params.eta**2) / (2.0 * (1.0 + 1j * params.tau * params.eta**2 * params.xi0))
+    tables = _gaussian_tables(np.exp(-(params.tau - p) / 2.0), p, q, c)
+    if tables is None:
+        def product(a):  # coord_amplitude raises the long-time advisory
+            return a @ coord_matrix(params, grid).entries
+    else:
+        long_time_advisory(params.tau)
+
+        def product(a):
+            return _gaussian_contraction(a, tables, grid.nq)
+    return _t0_factor(params, grid, COORD_SIGMA_MARGIN, opts, product)
 
 
 def momentum_thin_grid(params: AtomPhotonParams, grid: Grid) -> Grid:
@@ -365,7 +445,8 @@ def momentum_decomposition(params: AtomPhotonParams, A: AmplitudeMatrix, opts=De
     if thin == A.grid:
         return schmidt_decompose(A, opts)
     sample = _sample(momentum_amplitude, params, thin)
-    return _thin_decomposition(sample, opts, "the momentum amplitude's thin pi mesh", A)
+    mesh = "the momentum amplitude's thin pi mesh"
+    return _thin_decomposition(sample, opts, mesh, lambda a: a @ A.entries)
 
 
 def coord_spectrum(
@@ -404,12 +485,13 @@ def coord_thin_grid(params: AtomPhotonParams, grid: Grid, margin: float) -> Grid
     return make_grid(grid.p_min, p[k - 1], q_lo, q_hi, k, m)
 
 
-def _t0_factor(params: AtomPhotonParams, grid: Grid, margin: float, opts, A: AmplitudeMatrix | None = None):
+def _t0_factor(params: AtomPhotonParams, grid: Grid, margin: float, opts, product=None):
     """``_thin_decomposition`` of the real T = 0 factor on ``coord_thin_grid(params, grid, margin)``.
 
     The one place the factor is sampled and decomposed; with modes exactly
-    when ``A = coord_matrix(params, grid)`` is given, and ConvergenceError
-    if the kept rank reaches the factor's q-node count.
+    when ``product(a)``, a @ ``coord_matrix(params, grid)`` up to a scale,
+    is given, and ConvergenceError if the kept rank reaches the factor's
+    q-node count.
     """
 
     def factor(params, p, q):  # built in place on one buffer, as coord_amplitude's Gaussian
@@ -420,16 +502,18 @@ def _t0_factor(params: AtomPhotonParams, grid: Grid, margin: float, opts, A: Amp
         return vals
 
     sample = _sample(factor, params, coord_thin_grid(params, grid, margin))
-    return _thin_decomposition(sample, opts, f"the thin factor at tau={params.tau:g}", A)
+    return _thin_decomposition(sample, opts, f"the thin factor at tau={params.tau:g}", product)
 
 
-# momentum_probe calls its sampler, and _thin_decomposition and the dense
-# fallbacks call schmidt_decompose, through this module's globals, where
-# bench/tracing.py wraps them and tells the probe by its grid.  The thin
-# samples (_t0_factor's and the momentum base's) use the unwrapped _sample,
-# so the tracer sees no probe there, and each _t0_factor call is one
-# decompose span.  It counts the coordinate probe, which samples through no
-# wrapped function, by its name, coord_capture_drift, as the CLI calls it.
+# momentum_probe and coord_decomposition call their samplers, and
+# _thin_decomposition and the dense fallbacks call schmidt_decompose,
+# through this module's globals, where bench/tracing.py wraps them and
+# tells the probe by its grid.  coord_decomposition samples coord_matrix
+# only on a --window mesh or where the exp tables refuse.  The thin samples
+# (_t0_factor's and the momentum base's) use the unwrapped _sample, so the
+# tracer sees no probe there, and each _t0_factor call is one decompose
+# span.  It counts the coordinate probe, which samples through no wrapped
+# function, by its name, coord_capture_drift, as the CLI calls it.
 
 
 def momentum_probe(params: AtomPhotonParams, grid: Grid, opts: DecompositionOptions) -> SchmidtResult:

@@ -47,7 +47,6 @@ from .atom_photon import (
     coord_capture_drift,
     coord_decomposition,
     coord_grid,
-    coord_matrix,
     coord_spectrum,
     full_dynamics,
     laguerre_mode,
@@ -351,26 +350,26 @@ def _spdc_constants(req: _Resolver):
 
 
 # Model functions.  A model that takes --window gets its base mesh from
-# req.mesh and samples it first; its window probe is its model's library
-# function (coord_capture_drift, momentum_probe, spdc_probe), called after
-# the base decomposition.  The models look the sampling, decomposition,
-# probe, coherence and dynamics functions up in this module's globals at
-# call time, and the atom-photon bases, the coordinate spectrum and
-# momentum_probe look theirs up in atom_photon's, whose one thin-mesh
-# decomposition, _thin_decomposition, calls its schmidt_decompose, because
-# bench/tracing.py wraps them there.  A thin sample is not wrapped, so the
-# tracer counts a base as the n x n sample here and one decomposition, and
-# a dynamics run (two atom_photon._t0_factor calls) as two decompositions
-# and no sample.  It tells a sampled probe by its grid differing from the
-# first, and counts coord_capture_drift, which samples through no wrapped
-# function, by its name.  Sweep points, never read for modes, pass modes=False.
+# req.mesh; its window probe is its model's library function
+# (coord_capture_drift, momentum_probe, spdc_probe), called after the base
+# decomposition.  The models look the sampling, decomposition, probe,
+# coherence and dynamics functions up in this module's globals at call
+# time, and the atom-photon bases, the coordinate spectrum and
+# momentum_probe look theirs up in atom_photon's (whose one thin-mesh
+# decomposition, _thin_decomposition, calls its schmidt_decompose), because
+# bench/tracing.py wraps them there.  Thin samples are not wrapped, so the
+# tracer counts the momentum base as the n x n sample here and one
+# decomposition, and an automatic-window coordinate base (one _t0_factor
+# call) or dynamics run (two) as decompositions and no sample.  It tells a
+# sampled probe by its grid differing from the first, and counts
+# coord_capture_drift by its name.  Sweep points pass modes=False.
 
 
 def _coord(req: _Resolver) -> ModelRun:
     """Decompose the coordinate-space amplitude; emit spectrum, modes, overlaps."""
     params = AtomPhotonParams(req.require("xi0"), req.require("eta"), req.require("tau"))
     grid = req.mesh(coord_grid, params)
-    result = coord_decomposition(params, coord_matrix(params, grid), req.opts)
+    result = coord_decomposition(params, grid, req.opts)
     big = coord_capture_drift(params, grid, req.opts)
     p_nodes = grid.p_nodes()
     overlaps = [

@@ -16,7 +16,6 @@ from schmidt_lab.atom_photon import (
     asymptotics,
     coord_decomposition,
     coord_grid,
-    coord_matrix,
     coord_spectrum,
     full_dynamics,
     laguerre_mode,
@@ -93,7 +92,7 @@ def test_criterion_3_coordinate_modes_match_closed_form():
     failures = []
     params = AtomPhotonParams(xi0=100.0, eta=0.03, tau=10.0)
     grid = coord_grid(params, 800)
-    res = coord_decomposition(params, coord_matrix(params, grid))
+    res = coord_decomposition(params, grid)
     p = grid.p_nodes()
     for k in range(3):
         ref = laguerre_mode(k, params.tau, p)

@@ -10,6 +10,7 @@ import schmidt_lab.atom_photon as atom_photon
 import schmidt_lab.cli as cli
 from schmidt_lab.atom_photon import (
     CAPTURE_TOL,
+    COORD_DECAY_SPAN,
     COORD_PROBE_FACTOR,
     COORD_SIGMA_MARGIN,
     THIN_Q_SPACING,
@@ -535,31 +536,33 @@ def test_thin_factor_refuses_a_rank_that_fills_its_q_nodes():
     opts = DecompositionOptions(truncation_threshold=0.0)
     with pytest.raises(ConvergenceError, match="kept all 28 of its q-node weights"):
         coord_spectrum(FIG_PARAMS, 400, opts)
-    A = coord_matrix(FIG_PARAMS, coord_grid(FIG_PARAMS, 400))
     with pytest.raises(ConvergenceError, match="the thin factor at tau=10 kept all 28"):
-        coord_decomposition(FIG_PARAMS, A, opts)
+        coord_decomposition(FIG_PARAMS, coord_grid(FIG_PARAMS, 400), opts)
     with pytest.raises(ConvergenceError, match="the momentum probe's thin pi mesh kept all 49"):
         momentum_probe(FIG_PARAMS, momentum_grid(400), opts)
 
 
 def test_chirped_grid_is_exact_in_q_where_the_square_mesh_is_not():
-    # At n = 64 the square q mesh is too coarse for this chirp (T = 4):
-    # its weights are 8.6e-5 off, with rank 38 against 49.  The real T = 0
-    # factor on the same 64 p nodes is exact in q: it agrees with the
-    # amplitude sampled on those p nodes and 512 q nodes over the same
-    # window, which resolve the chirp.
+    # At n = 81, the smallest mesh with eta h_p <= 1 at eta = 2, the square
+    # q mesh is too coarse for this chirp (T = 4): its weights are 7.5e-6
+    # off, with rank 47 against 60.  The real T = 0 factor on the same 81 p
+    # nodes is exact in q: it agrees with the amplitude sampled on those p
+    # nodes and 648 q nodes over the same window, which resolve the chirp.
+    # n = 64, where the square mesh was 8.6e-5 off, is refused.
     params = AtomPhotonParams(10.0, 2.0, 0.1)
-    thin = coord_spectrum(params, 64)
-    grid = coord_grid(params, 64)
-    fine = make_grid(grid.p_min, grid.p_max, grid.q_min, grid.q_max, 64, 512)
+    with pytest.raises(ConvergenceError, match="under-resolved at n = 64"):
+        coord_spectrum(params, 64)
+    thin = coord_spectrum(params, 81)
+    grid = coord_grid(params, 81)
+    fine = make_grid(grid.p_min, grid.p_max, grid.q_min, grid.q_max, 81, 648)
     with pytest.warns(UserWarning, match="only qualitative"):
         resolved = schmidt_decompose(coord_matrix(params, fine), modes=False)
-    assert resolved.rank == thin.rank == 49
+    assert resolved.rank == thin.rank == 60
     np.testing.assert_allclose(resolved.lambdas, thin.lambdas, rtol=0, atol=1e-15)
     with pytest.warns(UserWarning, match="only qualitative"):
-        sampled = _sampled_spectrum(params, 64)
-    assert sampled.rank == 38
-    assert np.max(np.abs(sampled.lambdas - thin.lambdas[:38])) > 1e-5
+        sampled = _sampled_spectrum(params, 81)
+    assert sampled.rank == 47
+    assert np.max(np.abs(sampled.lambdas - thin.lambdas[:47])) > 5e-6
 
 
 def _read_modes(path):
@@ -570,7 +573,7 @@ def _read_modes(path):
 
 # Written modes lie within MODE_ATOL / gap of a dense SVD, gap the distance
 # of sigma_k / sigma_1 to its nearest neighbour (or to zero).  Measured:
-# error x gap at most 4.3e-16 over these cases.
+# error x gap at most 1.7e-15 over these cases (coordinate eta 0.5, tau 10).
 MODE_ATOL = 1e-13
 
 
@@ -589,14 +592,30 @@ MODE_ATOL = 1e-13
             AtomPhotonParams(100.0, 0.5, 10.0),
             400,
         ),
+        (
+            ["atom-photon-coord", "--xi0", "100", "--eta", "0.3", "--tau", "10", "--n", "400"],
+            AtomPhotonParams(100.0, 0.3, 10.0),
+            400,
+        ),
+        (
+            ["atom-photon-coord", "--xi0", "100", "--eta", "0.5", "--tau", "1", "--n", "400"],
+            AtomPhotonParams(100.0, 0.5, 1.0),
+            400,
+        ),
     ],
-    ids=["fig1", "fig3", "momentum-eta0.3-n400", "coord-eta0.5-n400"],
+    ids=[
+        "fig1", "fig3", "momentum-eta0.3-n400", "coord-eta0.5-n400", "coord-eta0.3-n400",
+        "coord-T25-n400",
+    ],
 )
+@pytest.mark.filterwarnings("ignore:coordinate amplitude is a long-time approximation")
 def test_written_modes_match_a_dense_svd(tmp_path, argv, params, n):
     # The weights and the p-modes come from a thin sample, the q-modes from
-    # the n x n one; every written mode and weight is checked against the
-    # SVD of the n x n sample, each mode up to a phase that its q-mode
-    # takes back, so that each rank-1 term matches.
+    # the exp tables of the n x n amplitude (fig1) or, where those refuse
+    # (the coordinate eta 0.3 and 0.5 cases, T = 90, 250 and 25), from its
+    # sample; every written mode and weight is checked against the SVD of
+    # the n x n sample, each mode up to a phase that its q-mode takes back,
+    # so that each rank-1 term matches.
     assert cli.main([*argv, "--out", str(tmp_path)]) == 0
     coord = argv[0] == "atom-photon-coord"
     A = coord_matrix(params, coord_grid(params, n)) if coord else momentum_matrix(params, momentum_grid(n))
@@ -616,6 +635,113 @@ def test_written_modes_match_a_dense_svd(tmp_path, argv, params, n):
         phase /= abs(phase)
         assert np.max(np.abs(u[k] - phase * U[:, k])) <= MODE_ATOL / gap
         assert np.max(np.abs(v[k] - np.conj(phase) * Vh[k])) <= MODE_ATOL / gap
+
+
+def _coord_samples(monkeypatch):
+    """A list that records each coord_matrix call that coord_decomposition makes."""
+    calls = []
+    sample = atom_photon.coord_matrix
+
+    def recording(params, grid):
+        calls.append(grid)
+        return sample(params, grid)
+
+    monkeypatch.setattr(atom_photon, "coord_matrix", recording)
+    return calls
+
+
+# (xi0, eta, tau, n), and whether the exp tables accept the automatic
+# window: they do at eta <= 0.2 or so, and refuse at eta 0.5, where their
+# error bound (2.0e-13 at tau 10, 6.4e-14 at tau 1) exceeds FACTORED_ERR_MAX.
+CONTRACTION_CASES = [
+    ((100.0, 0.03, 10.0, 800), True),
+    ((100.0, 0.1, 10.0, 400), True),
+    ((10.0, 0.2, 10.0, 400), True),
+    ((100.0, 0.5, 10.0, 400), False),
+    ((100.0, 0.5, 1.0, 400), False),
+]
+
+
+@pytest.mark.filterwarnings("ignore:coordinate amplitude is a long-time approximation")
+@pytest.mark.parametrize(
+    "case, contracted", CONTRACTION_CASES, ids=["fig1", "eta0.1", "eta0.2", "eta0.5", "T25"]
+)
+def test_contracted_q_modes_match_the_product_with_the_sample(monkeypatch, case, contracted):
+    # On the automatic window the q-modes come from the exp tables with no
+    # n x n sample; where the tables refuse, from the one sample.  Either
+    # way every kept q-mode lies within MODE_ATOL / gap of
+    # conj(u_k) @ A / ||conj(u_k) @ A|| for the sampled A (measured: error
+    # x gap at most 5.4e-17 at fig1).
+    params, n = AtomPhotonParams(*case[:3]), case[3]
+    grid = coord_grid(params, n)
+    samples = _coord_samples(monkeypatch)
+    res = coord_decomposition(params, grid)
+    assert samples == ([] if contracted else [grid])
+    v = res.modes_p.conj() @ coord_matrix(params, grid).entries
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    sig = np.sqrt(res.lambdas / res.lambdas[0])
+    for k in range(res.rank):
+        gap = min([sig[k], *np.abs(sig[k] - np.delete(sig, k))])
+        assert np.max(np.abs(res.modes_q[k] - v[k])) <= MODE_ATOL / gap
+
+
+def test_coord_base_at_fig1_allocates_no_n_x_n_array(monkeypatch):
+    # One 800 x 800 complex array is 10.24 MB; the fig1 base peaks at about
+    # 1.6 MB, its largest arrays the exp tables and the real 800 x 28 sample.
+    grid = coord_grid(FIG_PARAMS, 800)
+    samples = _coord_samples(monkeypatch)
+    coord_decomposition(FIG_PARAMS, grid)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        coord_decomposition(FIG_PARAMS, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert samples == []
+    assert peak <= 800 * 800 * 16 / 4
+
+
+@pytest.mark.parametrize("eta", [0.03, 0.5, 2.0, 10.0])
+def test_coord_grid_refuses_a_p_mesh_coarser_than_the_gaussian(eta):
+    # eta h_p > 1, h_p = 40 / (n - 1), is refused before anything is
+    # sampled, naming the smallest adequate n, ceil(40 eta) + 1; there the
+    # T = 0 factor has at most 2 (n - 1) + 26 q nodes.
+    params = AtomPhotonParams(100.0, eta, 10.0)
+    need = math.ceil(COORD_DECAY_SPAN * eta) + 1
+    with pytest.raises(ConvergenceError, match=f"under-resolved at n = {need - 1}: .* use n >= {need}$"):
+        coord_grid(params, need - 1)
+    for n in (need, need + 1, 2 * need):
+        grid = coord_grid(params, n)
+        assert eta * grid.dp <= 1.0
+        assert coord_thin_grid(params, grid, COORD_SIGMA_MARGIN).nq <= 2 * (n - 1) + 26
+
+
+@pytest.mark.parametrize("eta, n", [(2.0, 81), (0.5, 21), (0.25, 11)])
+def test_coord_grid_accepts_eta_h_p_of_exactly_1(eta, n):
+    params = AtomPhotonParams(100.0, eta, 10.0)
+    assert eta * COORD_DECAY_SPAN / (n - 1) == 1.0
+    assert coord_grid(params, n).n == n
+    with pytest.raises(ConvergenceError, match="under-resolved"):
+        coord_grid(params, n - 1)
+
+
+def test_window_mesh_is_checked_on_its_own_p_span(monkeypatch):
+    # At eta 2 the automatic window needs n >= 81, but 16 nodes over a
+    # --window p span of 5 have eta h_p = 0.67 and are decomposed densely;
+    # over a p span of 40 they are refused before anything is sampled.
+    params = AtomPhotonParams(100.0, 2.0, 10.0)
+    grid = make_grid(5.0, 10.0, -60.0, 40.0, 16)
+    A = coord_matrix(params, grid)
+    res, ref = coord_decomposition(params, grid), schmidt_decompose(A)
+    for attr in ("lambdas", "modes_p", "modes_q"):
+        assert np.array_equal(getattr(res, attr), getattr(ref, attr))
+    samples = _coord_samples(monkeypatch)
+    with pytest.raises(ConvergenceError, match="under-resolved at n = 16: .* use n >= 81$"):
+        coord_decomposition(params, make_grid(-30.0, 10.0, -60.0, 40.0, 16))
+    # eta (p_max - p_min) overflows: refused, not an OverflowError.
+    with pytest.raises(ConvergenceError, match="use n >= inf$"):
+        coord_decomposition(AtomPhotonParams(100.0, 1e10, 10.0), make_grid(-1e300, 1e300, -1.0, 1.0, 16))
+    assert samples == []
 
 
 def _momentum_spacing(eta):
@@ -661,21 +787,26 @@ def test_momentum_thin_grid_with_a_wider_pi_spacing_is_measurably_worse(eta, h, 
     assert error(coarse) > worse
 
 
+def _momentum_base(params, grid, opts=DecompositionOptions()):
+    """The momentum base, which takes its q-modes from the n x n sample, on ``grid``."""
+    return momentum_decomposition(params, momentum_matrix(params, grid), opts)
+
+
 @pytest.mark.parametrize(
-    "decompose, sample, grid, rank",
+    "decompose, grid, rank",
     [
-        (coord_decomposition, coord_matrix, coord_grid(AtomPhotonParams(100.0, 0.5, 10.0), 200), 25),
-        (momentum_decomposition, momentum_matrix, momentum_grid(400), 21),
+        (coord_decomposition, coord_grid(AtomPhotonParams(100.0, 0.5, 10.0), 200), 25),
+        (_momentum_base, momentum_grid(400), 21),
     ],
     ids=["coord-eta0.5-n200", "momentum-eta0.5-n400"],
 )
-def test_thin_bases_keep_their_written_q_modes_orthonormal(decompose, sample, grid, rank):
+def test_thin_bases_keep_their_written_q_modes_orthonormal(decompose, grid, rank):
     # v_k = conj(u_k) @ A / ||conj(u_k) @ A|| carries u_k's error times
     # sigma_1 / sigma_k: over all kept q-modes 8.4e-7 (coordinate) and
     # 1.3e-6 (momentum) off orthonormal, but the four the CLI writes are
     # within 1.1e-14.
     params = AtomPhotonParams(100.0, 0.5, 10.0)
-    res = decompose(params, sample(params, grid))
+    res = decompose(params, grid)
     assert res.rank == rank
     v = res.modes_q[:4]
     assert np.max(np.abs(v @ v.conj().T - np.eye(4))) <= 1e-12
@@ -686,12 +817,11 @@ def test_thin_bases_keep_the_dense_route_off_their_automatic_window():
     # decomposes the n x n sample itself.
     cases = [
         (coord_decomposition, coord_matrix, FIG_PARAMS, make_grid(-30.0, 10.0, -200.0, 60.0, 64)),
-        (momentum_decomposition, momentum_matrix, FIG_PARAMS, make_grid(-60.0, 60.0, -6.0, 6.5, 64)),
-        (momentum_decomposition, momentum_matrix, FIG_PARAMS, momentum_grid(24)),
+        (_momentum_base, momentum_matrix, FIG_PARAMS, make_grid(-60.0, 60.0, -6.0, 6.5, 64)),
+        (_momentum_base, momentum_matrix, FIG_PARAMS, momentum_grid(24)),
     ]
     for decompose, sample, params, grid in cases:
-        A = sample(params, grid)
-        res, ref = decompose(params, A), schmidt_decompose(A)
+        res, ref = decompose(params, grid), schmidt_decompose(sample(params, grid))
         for attr in ("lambdas", "modes_p", "modes_q"):
             assert np.array_equal(getattr(res, attr), getattr(ref, attr))
     assert momentum_thin_grid(FIG_PARAMS, momentum_grid(24)).nq == 24
@@ -723,10 +853,19 @@ def test_full_dynamics_capture_failure_raises(monkeypatch, tmp_path):
 @pytest.mark.parametrize("eta", [0.03, 0.3, 2.0])
 def test_automatic_window_drifts_by_rounding_at_any_mesh(eta, n):
     # The probe sees window error only, and the automatic window holds all
-    # but about 1e-17 of the weight, however coarse the mesh.
+    # but about 1e-17 of the weight, however coarse the mesh.  A mesh with
+    # eta h_p > 1 is refused, so the drift is then checked on the two
+    # coarsest meshes accepted, of both parities.
     params = AtomPhotonParams(xi0=100.0, eta=eta, tau=10.0)
-    probe = coord_capture_drift(params, coord_grid(params, n))
-    assert spectrum_drift(coord_spectrum(params, n), probe) <= 1e-15
+    need = math.ceil(COORD_DECAY_SPAN * eta) + 1
+    meshes = [n]
+    if n < need:
+        with pytest.raises(ConvergenceError, match=f"under-resolved at n = {n}: .* use n >= {need}$"):
+            coord_grid(params, n)
+        meshes = [need, need + 1]
+    for n in meshes:
+        probe = coord_capture_drift(params, coord_grid(params, n))
+        assert spectrum_drift(coord_spectrum(params, n), probe) <= 1e-15
 
 
 @pytest.mark.filterwarnings("ignore:coordinate amplitude is a long-time approximation")

@@ -238,6 +238,49 @@ def test_tau_whose_rounding_moves_the_p_nodes_exits_2(tmp_path, capsys, argv, ta
     assert not (tmp_path / "o").exists()
 
 
+# (subcommand flags, eta, n): dynamics sweeps at xi0 100 that exited 0
+# with K 7% to 50% low (eta 0.5 to 2 at n 16 to 48, with taus 0.1,10 or
+# 3,10), the dynamics run at eta 2, n 64 (K 0.106 low), a coordinate run
+# whose T = 0 factor would have had 8 million q nodes, and a --window run
+# with the automatic window's p span.
+UNDER_RESOLVED = [
+    *[
+        (["atom-photon-dynamics", "--tau-list", taus], eta, n)
+        for eta, n in ((0.5, 16), (1.0, 16), (2.0, 16), (2.0, 32), (2.0, 48))
+        for taus in ("0.1,10", "3,10")
+    ],
+    (["atom-photon-dynamics", "--tau-list", "0.1,10"], 1.0, 32),
+    (["atom-photon-dynamics", "--tau-list", "0,10"], 2.0, 64),
+    (["atom-photon-coord", "--tau", "10"], 1e5, 16),
+    (["atom-photon-coord", "--tau", "10", "--window=-30,10,-60,40"], 2.0, 16),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, eta, n",
+    UNDER_RESOLVED,
+    ids=[f"{a[0][12:]}-{a[-1].split('=')[0].lstrip('-')}-eta{e:g}-n{n}" for a, e, n in UNDER_RESOLVED],
+)
+def test_p_mesh_coarser_than_the_gaussian_exits_3_before_sampling(
+    tmp_path, monkeypatch, capsys, argv, eta, n
+):
+    sampled = []
+    sample = atom_photon._sample
+
+    def recording(amplitude, params, grid):
+        sampled.append(grid)
+        return sample(amplitude, params, grid)
+
+    monkeypatch.setattr(atom_photon, "_sample", recording)
+    params = ["--xi0", "100", "--eta", repr(eta), "--n", str(n)]
+    assert main([*argv, *params, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert f"under-resolved at n = {n}" in err
+    assert f"use n >= {math.ceil(40 * eta) + 1}" in err
+    assert sampled == []
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_code_convergence(tmp_path, capsys):
     code = main(
         [
@@ -607,8 +650,7 @@ def test_grid_convergence_comes_from_the_model_probe(tmp_path, argv):
         big = atom_photon.momentum_probe(params, grid, opts)
     else:
         params = AtomPhotonParams(100.0, 0.03, 10.0)
-        A = atom_photon.coord_matrix(params, grid)
-        base = atom_photon.coord_decomposition(params, A, opts)
+        base = atom_photon.coord_decomposition(params, grid, opts)
         big = atom_photon.coord_capture_drift(params, grid, opts)
     assert summary["grid_convergence"] == {
         "lambda_drift": spectrum_drift(base, big),
@@ -960,7 +1002,7 @@ def _dynamics_decompositions(tmp_path, monkeypatch, taus):
 
     for mod in (cli, atom_photon):
         monkeypatch.setattr(mod, "schmidt_decompose", counting)
-        monkeypatch.setattr(mod, "coord_matrix", sampled)
+    monkeypatch.setattr(atom_photon, "coord_matrix", sampled)
     argv = [*DYNAMICS, "--eta", "0.03", "--n", "64", "--tau-list", taus]
     assert main([*argv, "--out", str(tmp_path)]) == 0
     return calls
@@ -1047,15 +1089,16 @@ def test_dynamics_without_a_positive_tau_exits_2_before_sampling(
     ids=["coord", "coord-window", "dynamics", "momentum"],
 )
 def test_every_t0_factor_is_sampled_and_decomposed_in_one_function(tmp_path, monkeypatch, argv, calls):
-    # The coordinate base (given A), its probe and the dynamics spectrum and
-    # probe each make one _t0_factor call, which samples through _sample.
+    # The coordinate base (given its q-mode product), its probe and the
+    # dynamics spectrum and probe each make one _t0_factor call, which
+    # samples through _sample.
     seen, sampled = [], []
     t0_factor, sample = atom_photon._t0_factor, atom_photon._sample
 
-    def recording(params, grid, margin, opts, A=None):
+    def recording(params, grid, margin, opts, product=None):
         before = len(sampled)
-        result = t0_factor(params, grid, margin, opts, A)
-        seen.append(A is not None)
+        result = t0_factor(params, grid, margin, opts, product)
+        seen.append(product is not None)
         assert len(sampled) == before + 1
         return result
 

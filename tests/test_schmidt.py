@@ -525,7 +525,7 @@ def test_fig1_base_matches_dense_route():
     from schmidt_lab.atom_photon import coord_decomposition, laguerre_mode
 
     A = _coord(800)
-    thin = coord_decomposition(AtomPhotonParams(100.0, 0.03, 10.0), A)
+    thin = coord_decomposition(AtomPhotonParams(100.0, 0.03, 10.0), A.grid)
     ref = _dense(A)
     assert (thin.route, thin.rank, ref.rank) == ("dense", 5, 5)
     np.testing.assert_allclose(thin.lambdas, ref.lambdas, rtol=0, atol=ROUTE_ATOL)
