@@ -701,28 +701,21 @@ def test_coord_base_at_fig1_allocates_no_n_x_n_array(monkeypatch):
     assert peak <= 800 * 800 * 16 / 4
 
 
-@pytest.mark.parametrize("eta", [0.03, 0.5, 2.0, 10.0])
+@pytest.mark.parametrize("eta", [0.03, 0.25, 0.5, 2.0, 10.0])
 def test_coord_grid_refuses_a_p_mesh_coarser_than_the_gaussian(eta):
     # eta h_p > 1, h_p = 40 / (n - 1), is refused before anything is
-    # sampled, naming the smallest adequate n, ceil(40 eta) + 1; there the
-    # T = 0 factor has at most 2 (n - 1) + 26 q nodes.
+    # sampled, naming the smallest adequate n, ceil(40 eta) + 1, where
+    # eta h_p = 1 exactly for all but eta 0.03; there the T = 0 factor has
+    # at most 2 (n - 1) + 26 q nodes.
     params = AtomPhotonParams(100.0, eta, 10.0)
     need = math.ceil(COORD_DECAY_SPAN * eta) + 1
+    assert (eta * COORD_DECAY_SPAN / (need - 1) == 1.0) == (eta != 0.03)
     with pytest.raises(ConvergenceError, match=f"under-resolved at n = {need - 1}: .* use n >= {need}$"):
         coord_grid(params, need - 1)
     for n in (need, need + 1, 2 * need):
         grid = coord_grid(params, n)
         assert eta * grid.dp <= 1.0
         assert coord_thin_grid(params, grid, COORD_SIGMA_MARGIN).nq <= 2 * (n - 1) + 26
-
-
-@pytest.mark.parametrize("eta, n", [(2.0, 81), (0.5, 21), (0.25, 11)])
-def test_coord_grid_accepts_eta_h_p_of_exactly_1(eta, n):
-    params = AtomPhotonParams(100.0, eta, 10.0)
-    assert eta * COORD_DECAY_SPAN / (n - 1) == 1.0
-    assert coord_grid(params, n).n == n
-    with pytest.raises(ConvergenceError, match="under-resolved"):
-        coord_grid(params, n - 1)
 
 
 def test_window_mesh_is_checked_on_its_own_p_span(monkeypatch):
