@@ -108,12 +108,10 @@ def coord_amplitude(params: AtomPhotonParams, p, q):
     psi = theta(tau - p) * exp(-(tau - p)/2) * exp(c (p + q)^2),
     c = -eta^2 / (2 (1 + i T)),  T = tau eta^2 xi0,
 
-    with theta(0) = 1.  Accepts scalars or broadcastable arrays.  On an
-    open mesh of uniform q nodes the Gaussian comes from three small exp
-    tables (``_gaussian_tables``) when their derived error bound is at
-    most FACTORED_ERR_MAX; every other call keeps the direct form, one
-    complex exp per entry.  Warns (without rejecting) below tau = 3
-    where the long-time form is only qualitative (``long_time_advisory``).
+    with theta(0) = 1.  Accepts scalars or broadcastable arrays, and is
+    bit-for-bit an elementwise evaluation for every input, one complex exp
+    per entry.  Warns (without rejecting) below tau = 3 where the
+    long-time form is only qualitative (``long_time_advisory``).
     """
     long_time_advisory(params.tau)
     p, q = _as_finite_arrays(p, q)
@@ -124,10 +122,6 @@ def coord_amplitude(params: AtomPhotonParams, p, q):
     inside = x >= 0.0
     front = np.exp(-np.where(inside, x, 0.0) / 2.0)
     denom = 2.0 * (1.0 + 1j * params.tau * params.eta**2 * params.xi0)
-    vals = _factored_gaussian(np.where(inside, front, 0.0), p, q, -(params.eta**2) / denom)
-    if vals is not None:
-        vals[~inside[:, 0]] = 0.0
-        return vals
     s = np.add(p, q, out=np.empty(np.broadcast_shapes(p.shape, q.shape)))
     np.square(s, out=s)
     s *= -(params.eta**2)
@@ -144,7 +138,8 @@ def long_time_advisory(tau: float) -> None:
     The warning points at the line that calls this function, and its
     message does not name tau, so the default warning filter prints it
     once per process from each such line.  ``coord_amplitude`` calls it,
-    and so does the dynamics sweep, once, for its smallest positive tau.
+    and so do ``coord_matrix`` and ``coord_decomposition`` where they use
+    the exp tables, and the dynamics sweep, once, for its smallest positive tau.
     """
     if tau < TAU_APPLICABILITY_WARN:
         warnings.warn(
@@ -153,15 +148,15 @@ def long_time_advisory(tau: float) -> None:
         )
 
 
-def _gaussian_tables(front, p, q, c):
-    """Three small exp tables of front * exp(c (p + q)^2) on an open mesh, or None.
+def _gaussian_tables(params: AtomPhotonParams, p, q):
+    """Three small exp tables of the coordinate amplitude on a grid's open mesh, or None.
 
-    ``front`` is the light-front column, 0 beyond the front (the caller
-    writes +0.0 into those rows), ``p`` a column of n nodes and ``q`` a row
-    of m uniform nodes, exactly ``np.linspace(q[0, 0], q[0, -1], m)``.
-    Column j = J B + k, B = PHASE_BLOCK, is q_j = r_J + e_Jk with r_J the
-    node J B + B/2 (the last block is padded with further nodes).  With
-    d_k = (k - B/2) dq,
+    ``p`` is a column of a grid's n p nodes and ``q`` a row of its m
+    uniform q nodes.  The tables give front * exp(c (p + q)^2), with the
+    light-front column ``front`` 0 beyond the front and c =
+    -eta^2 / (2 (1 + i T)) as in ``coord_amplitude``.  Column j = J B + k,
+    B = PHASE_BLOCK, is q_j = r_J + e_Jk with r_J the node J B + B/2 (the
+    last block is padded with further nodes).  With d_k = (k - B/2) dq,
 
         (p_i + q_j)^2 = (p_i + r_J)^2 + 2 p_i d_k + e_Jk (2 r_J + e_Jk)
                         + 2 p_i (e_Jk - d_k),
@@ -176,18 +171,17 @@ def _gaussian_tables(front, p, q, c):
 
     P = max|p|, R = max|r_J|, L = B dq / 2: the rounding of the two offset
     terms' arguments, which the Gaussian does not damp, and the dropped
-    term.  Returns None (the direct form then runs) for any other shape,
-    non-uniform q, a bound above FACTORED_ERR_MAX, or a largest table
-    entry below FACTORED_TABLE_MIN, where subnormal tables would lose
+    term.  Returns None for a bound above FACTORED_ERR_MAX or a largest
+    table entry below FACTORED_TABLE_MIN, where subnormal tables would lose
     digits.  ``_factored_gaussian`` assembles the n x m product and
     ``_gaussian_contraction`` contracts it with row weights.
     """
-    if p.ndim != 2 or q.ndim != 2 or p.shape[1] != 1 or q.shape[0] != 1 or q.shape[1] < 2:
-        return None
+    x = params.tau - p
+    inside = x >= 0.0
+    front = np.where(inside, np.exp(-np.where(inside, x, 0.0) / 2.0), 0.0)
+    c = -(params.eta**2) / (2.0 * (1.0 + 1j * params.tau * params.eta**2 * params.xi0))
     m = q.shape[1]
     q = q[0]
-    if not np.array_equal(q, np.linspace(q[0], q[-1], m)):
-        return None
     B, half = PHASE_BLOCK, PHASE_BLOCK // 2
     nb = -(-m // B)
     dq = (q[-1] - q[0]) / (m - 1)
@@ -208,16 +202,13 @@ def _gaussian_tables(front, p, q, c):
     return rows, shift, blocks
 
 
-def _factored_gaussian(front, p, q, c):
-    """front * exp(c (p + q)^2) assembled from ``_gaussian_tables``, or None where they refuse.
+def _factored_gaussian(tables, n: int, m: int):
+    """The n x m product of ``_gaussian_tables``, assembled in blocks of rows.
 
-    The product is formed in blocks of rows, so the only n x m array is the result.
+    The only n x m array is the result.
     """
-    tables = _gaussian_tables(front, p, q, c)
-    if tables is None:
-        return None
     rows, shift, blocks = tables
-    n, m, B = p.shape[0], q.shape[1], PHASE_BLOCK
+    B = PHASE_BLOCK
     nfull, tail = divmod(m, B)
     full = m - tail
     out = np.empty((n, m), dtype=complex)
@@ -335,8 +326,26 @@ def momentum_grid(n: int = DEFAULT_N) -> Grid:
 
 
 def coord_matrix(params: AtomPhotonParams, grid: Grid) -> AmplitudeMatrix:
-    """Sample the coordinate amplitude on a grid, normalized."""
-    return _sample(coord_amplitude, params, grid)
+    """Sample the coordinate amplitude on a grid, normalized.
+
+    The entries are assembled from ``_gaussian_tables`` where they accept
+    the grid, and are ``coord_amplitude``'s where they refuse.
+    """
+    return _sample(_coord_mesh, params, grid)
+
+
+def _coord_mesh(params: AtomPhotonParams, p, q):
+    """The coordinate amplitude on the open mesh ``p`` (n x 1), ``q`` (1 x m) of a grid.
+
+    Raises the long-time advisory once.
+    """
+    tables = _gaussian_tables(params, p, q)
+    if tables is None:
+        return coord_amplitude(params, p, q)
+    long_time_advisory(params.tau)
+    vals = _factored_gaussian(tables, p.shape[0], q.shape[1])
+    vals[p[:, 0] > params.tau] = 0.0  # +0.0, not the tables' signed zeros
+    return vals
 
 
 def momentum_matrix(params: AtomPhotonParams, grid: Grid) -> AmplitudeMatrix:
@@ -399,12 +408,9 @@ def coord_decomposition(params: AtomPhotonParams, grid: Grid, opts=Decomposition
     if grid != _coord_window(params, grid.n):
         _check_p_mesh(params.eta, grid.p_max - grid.p_min, grid.n)
         return schmidt_decompose(coord_matrix(params, grid), opts)
-    p, q = grid.p_nodes()[:, None], grid.q_nodes()[None, :]
-    # coord_amplitude's front and Gaussian constant; every p node is behind the front.
-    c = -(params.eta**2) / (2.0 * (1.0 + 1j * params.tau * params.eta**2 * params.xi0))
-    tables = _gaussian_tables(np.exp(-(params.tau - p) / 2.0), p, q, c)
+    tables = _gaussian_tables(params, grid.p_nodes()[:, None], grid.q_nodes()[None, :])
     if tables is None:
-        def product(a):  # coord_amplitude raises the long-time advisory
+        def product(a):  # coord_matrix raises the long-time advisory
             return a @ coord_matrix(params, grid).entries
     else:
         long_time_advisory(params.tau)
@@ -439,10 +445,15 @@ def momentum_thin_grid(params: AtomPhotonParams, grid: Grid) -> Grid:
     return make_grid(grid.p_min, grid.p_max, grid.q_min, grid.q_max, grid.n, nq)
 
 
-def momentum_decomposition(params: AtomPhotonParams, A: AmplitudeMatrix, opts=DecompositionOptions()):
-    """``_thin_decomposition`` of ``A = momentum_matrix(params, grid)`` on a thinner ``momentum_thin_grid``."""
-    thin = momentum_thin_grid(params, A.grid)
-    if thin == A.grid:
+def momentum_decomposition(params: AtomPhotonParams, grid: Grid, opts=DecompositionOptions()):
+    """Decomposition with modes of ``A = momentum_matrix(params, grid)``, which it samples first.
+
+    ``_thin_decomposition`` on a thinner ``momentum_thin_grid`` with the
+    pi-modes from A, or the dense route on A where that grid is ``grid``.
+    """
+    A = momentum_matrix(params, grid)
+    thin = momentum_thin_grid(params, grid)
+    if thin == grid:
         return schmidt_decompose(A, opts)
     sample = _sample(momentum_amplitude, params, thin)
     mesh = "the momentum amplitude's thin pi mesh"
@@ -505,7 +516,7 @@ def _t0_factor(params: AtomPhotonParams, grid: Grid, margin: float, opts, produc
     return _thin_decomposition(sample, opts, f"the thin factor at tau={params.tau:g}", product)
 
 
-# momentum_probe and coord_decomposition call their samplers, and
+# The atom-photon bases and momentum_probe call their samplers, and
 # _thin_decomposition and the dense fallbacks call schmidt_decompose,
 # through this module's globals, where bench/tracing.py wraps them and
 # tells the probe by its grid.  coord_decomposition samples coord_matrix

@@ -53,7 +53,6 @@ from .atom_photon import (
     long_time_advisory,
     momentum_decomposition,
     momentum_grid,
-    momentum_matrix,
     momentum_probe,
     validity_check,
     zero_order_dynamics,
@@ -358,7 +357,7 @@ def _spdc_constants(req: _Resolver):
 # momentum_probe look theirs up in atom_photon's (whose one thin-mesh
 # decomposition, _thin_decomposition, calls its schmidt_decompose), because
 # bench/tracing.py wraps them there.  Thin samples are not wrapped, so the
-# tracer counts the momentum base as the n x n sample here and one
+# tracer counts the momentum base as its n x n sample and one
 # decomposition, and an automatic-window coordinate base (one _t0_factor
 # call) or dynamics run (two) as decompositions and no sample.  It tells a
 # sampled probe by its grid differing from the first, and counts
@@ -401,7 +400,7 @@ def _momentum(req: _Resolver) -> ModelRun:
     params = AtomPhotonParams(req.require("xi0"), req.require("eta"), tau=1.0)
     k_inf, s_inf = asymptotics(params.eta)  # refuses eta >= 1 before sampling
     grid = req.mesh(momentum_grid)
-    result = momentum_decomposition(params, momentum_matrix(params, grid), req.opts)
+    result = momentum_decomposition(params, grid, req.opts)
     big = momentum_probe(params, grid, req.opts)
     nu = grid.p_nodes()
     pi = grid.q_nodes()

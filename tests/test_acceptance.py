@@ -21,7 +21,6 @@ from schmidt_lab.atom_photon import (
     laguerre_mode,
     momentum_decomposition,
     momentum_grid,
-    momentum_matrix,
     momentum_probe,
     zero_order_dynamics,
 )
@@ -106,7 +105,7 @@ def test_criterion_4_momentum_measures_near_analytic_limits():
     failures = []
     params = AtomPhotonParams(xi0=100.0, eta=0.03, tau=10.0)
     grid, opts = momentum_grid(800), DecompositionOptions()
-    res = momentum_decomposition(params, momentum_matrix(params, grid), opts)
+    res = momentum_decomposition(params, grid, opts)
     k_inf, s_inf = asymptotics(params.eta)
     k_excess = res.schmidt_number - 1.0
     if not abs(k_excess - (k_inf - 1.0)) <= 0.1 * (k_inf - 1.0):

@@ -139,23 +139,29 @@ def _longdouble_coord(params, p, q):
     return np.where(inside, vals, 0)
 
 
-def _open_mesh_amplitude(monkeypatch, params, grid):
-    """coord_amplitude on the open mesh of ``grid``, and the route it took."""
+def _table_routes(monkeypatch):
+    """A list that records, per ``_gaussian_tables`` call, whether the tables refused."""
     routes = []
-    factored = atom_photon._factored_gaussian
+    tables = atom_photon._gaussian_tables
 
     def recording(*args):
-        out = factored(*args)
+        out = tables(*args)
         routes.append("direct" if out is None else "factored")
         return out
 
-    monkeypatch.setattr(atom_photon, "_factored_gaussian", recording)
+    monkeypatch.setattr(atom_photon, "_gaussian_tables", recording)
+    return routes
+
+
+def _mesh_amplitude(monkeypatch, params, grid):
+    """The coordinate amplitude from coord_matrix's sampler on ``grid``, and the route it took."""
+    routes = _table_routes(monkeypatch)
     p, q = grid.p_nodes()[:, None], grid.q_nodes()[None, :]
     if params.tau < 3.0:
         with pytest.warns(UserWarning, match="only qualitative below tau = 3"):
-            got = coord_amplitude(params, p, q)
+            got = atom_photon._coord_mesh(params, p, q)
     else:
-        got = coord_amplitude(params, p, q)
+        got = atom_photon._coord_mesh(params, p, q)
     assert len(routes) == 1
     return got, routes[0]
 
@@ -190,14 +196,15 @@ def test_coord_amplitude_matches_a_longdouble_evaluation(monkeypatch, params, wi
     # form's own rounding grows with the phase T = tau eta^2 xi0 (1.2e-13
     # at T = 810); the factored route measured at most 1.1e-15 at fig1 and
     # fig2 and 3.6e-15 at T = 25, against a cutoff of FACTORED_ERR_MAX on
-    # its derived bound.
+    # its derived bound.  Where the tables refuse, the sampler's entries
+    # are coord_amplitude's.
     if window is None:
         grid = coord_grid(params, n)
     elif window == "probe":
         grid = grown_grid(coord_grid(params, n), 2.0 * COORD_PROBE_FACTOR - 1.0)
     else:
         grid = make_grid(*window, n)
-    got, taken = _open_mesh_amplitude(monkeypatch, params, grid)
+    got, taken = _mesh_amplitude(monkeypatch, params, grid)
     assert taken == route
     T = params.tau * params.eta**2 * params.xi0
     p, q = grid.p_nodes()[:, None], grid.q_nodes()[None, :]
@@ -213,23 +220,47 @@ def test_coord_amplitude_matches_a_longdouble_evaluation(monkeypatch, params, wi
         assert got.tobytes() == _where_coord(params, p, q).tobytes()
 
 
+def _open_mesh(params, n):
+    grid = coord_grid(params, n)
+    return params, grid.p_nodes()[:, None], grid.q_nodes()[None, :]
+
+
 @pytest.mark.parametrize(
-    "p, q",
+    "params, p, q",
     [
-        (9.0, -9.0),
-        # full arrays, not an open mesh
-        tuple(np.meshgrid(np.linspace(-30.0, 10.0, 65), np.linspace(-300.0, 300.0, 65), indexing="ij")),
+        (FIG_PARAMS, 9.0, -9.0),
+        # full arrays
+        (FIG_PARAMS, *np.meshgrid(np.linspace(-30.0, 10.0, 65), np.linspace(-300.0, 300.0, 65), indexing="ij")),
         # q nodes that are not np.linspace's
-        (np.linspace(-30.0, 10.0, 65)[:, None], np.linspace(-300.0, 300.0, 65)[None, :] ** 3 / 9e4),
-        # entries near 1e-298: tables this small would go subnormal
-        (np.linspace(9.0, 10.0, 4)[:, None], np.linspace(1650.0, 1660.0, 4)[None, :]),
+        (FIG_PARAMS, np.linspace(-30.0, 10.0, 65)[:, None], np.linspace(-300.0, 300.0, 65)[None, :] ** 3 / 9e4),
+        # entries near 1e-298
+        (FIG_PARAMS, np.linspace(9.0, 10.0, 4)[:, None], np.linspace(1650.0, 1660.0, 4)[None, :]),
+        # open meshes whose exp tables coord_matrix uses
+        _open_mesh(FIG_PARAMS, 800),
+        _open_mesh(T25, 800),
     ],
-    ids=["scalar", "full-arrays", "non-uniform-q", "far-off-the-ridge"],
+    ids=["scalar", "full-arrays", "non-uniform-q", "far-off-the-ridge", "fig1-open-mesh", "T25-open-mesh"],
 )
-def test_coord_amplitude_direct_form_is_byte_identical_to_the_where_form(p, q):
-    got = coord_amplitude(FIG_PARAMS, p, q)
-    want = _where_coord(FIG_PARAMS, np.asarray(p), np.asarray(q))
+def test_coord_amplitude_direct_form_is_byte_identical_to_the_where_form(params, p, q):
+    got = coord_amplitude(params, p, q)
+    want = _where_coord(params, np.asarray(p), np.asarray(q))
     assert np.asarray(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "params, route",
+    [
+        (AtomPhotonParams(xi0=100.0, eta=0.03, tau=0.1), "factored"),
+        (AtomPhotonParams(xi0=100.0, eta=0.5, tau=1.0), "direct"),  # table error bound above the cutoff
+    ],
+    ids=["factored", "refused"],
+)
+def test_coord_matrix_raises_the_long_time_advisory_once(monkeypatch, params, route):
+    routes = _table_routes(monkeypatch)
+    with pytest.warns(UserWarning, match="only qualitative below tau = 3") as caught:
+        coord_matrix(params, coord_grid(params, 400))
+    assert routes == [route]
+    assert len(caught) == 1
 
 
 @pytest.mark.parametrize("n", [64, 401])
@@ -780,16 +811,11 @@ def test_momentum_thin_grid_with_a_wider_pi_spacing_is_measurably_worse(eta, h, 
     assert error(coarse) > worse
 
 
-def _momentum_base(params, grid, opts=DecompositionOptions()):
-    """The momentum base, which takes its q-modes from the n x n sample, on ``grid``."""
-    return momentum_decomposition(params, momentum_matrix(params, grid), opts)
-
-
 @pytest.mark.parametrize(
     "decompose, grid, rank",
     [
         (coord_decomposition, coord_grid(AtomPhotonParams(100.0, 0.5, 10.0), 200), 25),
-        (_momentum_base, momentum_grid(400), 21),
+        (momentum_decomposition, momentum_grid(400), 21),
     ],
     ids=["coord-eta0.5-n200", "momentum-eta0.5-n400"],
 )
@@ -810,8 +836,8 @@ def test_thin_bases_keep_the_dense_route_off_their_automatic_window():
     # decomposes the n x n sample itself.
     cases = [
         (coord_decomposition, coord_matrix, FIG_PARAMS, make_grid(-30.0, 10.0, -200.0, 60.0, 64)),
-        (_momentum_base, momentum_matrix, FIG_PARAMS, make_grid(-60.0, 60.0, -6.0, 6.5, 64)),
-        (_momentum_base, momentum_matrix, FIG_PARAMS, momentum_grid(24)),
+        (momentum_decomposition, momentum_matrix, FIG_PARAMS, make_grid(-60.0, 60.0, -6.0, 6.5, 64)),
+        (momentum_decomposition, momentum_matrix, FIG_PARAMS, momentum_grid(24)),
     ]
     for decompose, sample, params, grid in cases:
         res, ref = decompose(params, grid), schmidt_decompose(sample(params, grid))

@@ -389,8 +389,7 @@ def test_coord_preset_with_flag_override(tmp_path):
 def test_momentum_refuses_eta_at_or_above_1_before_sampling(tmp_path, monkeypatch, capsys, eta):
     calls = []
     real = atom_photon.momentum_matrix
-    for mod in (cli, atom_photon):  # the base grid and the probe
-        monkeypatch.setattr(mod, "momentum_matrix", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(atom_photon, "momentum_matrix", lambda *a: calls.append(a) or real(*a))
     out = tmp_path / "out"
     argv = ["atom-photon-momentum", "--xi0", "100", "--eta", eta, "--n", "64", "--out", str(out)]
     assert main(argv) == 2
@@ -607,13 +606,14 @@ def test_every_probe_keeps_the_base_spacing_and_contains_its_nodes(tmp_path, mon
         grids.append(out if name == "grown_grid" else args[1])
         return out
 
-    # The CLI takes its base through its own globals, and no base grows its
-    # grid, so only the probe reaches the module's.
+    # No base grows its grid, and only the momentum base samples through
+    # the module's global, first and on its own grid, so the probe comes last.
     monkeypatch.setattr(module, name, recording)
     argv = [*argv[:-1], str(n), *([f"--window={flag}"] if window else [])]
     assert main([*argv, "--out", str(tmp_path)]) == 0
     base = Grid(**_summary(tmp_path)["params"]["window"])
     if model == "momentum":
+        assert grids.pop(0) == base
         # The probe grows the mesh the base weights come from: on the
         # automatic window, its thin pi mesh.
         base = atom_photon.momentum_thin_grid(AtomPhotonParams(100.0, 0.03, 1.0), base)
@@ -645,8 +645,7 @@ def test_grid_convergence_comes_from_the_model_probe(tmp_path, argv):
         base = schmidt.schmidt_decompose(A, opts)
     elif argv is MOMENTUM_N64:
         params = AtomPhotonParams(100.0, 0.03, 1.0)
-        A = atom_photon.momentum_matrix(params, grid)
-        base = atom_photon.momentum_decomposition(params, A, opts)
+        base = atom_photon.momentum_decomposition(params, grid, opts)
         big = atom_photon.momentum_probe(params, grid, opts)
     else:
         params = AtomPhotonParams(100.0, 0.03, 10.0)
