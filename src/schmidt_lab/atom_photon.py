@@ -685,7 +685,7 @@ def zero_order_dynamics(tau: float, squared_entropy_weights: bool = True):
     return k0, s0
 
 
-def full_dynamics(tau: float, spectrum: SchmidtResult):
+def full_dynamics(tau, spectrum: SchmidtResult):
     """Entanglement measures including the photonic fine structure at time tau.
 
     The excited state survives with weight exp(-tau); the emitted-photon
@@ -701,19 +701,34 @@ def full_dynamics(tau: float, spectrum: SchmidtResult):
     After the emission the atom and the photon evolve freely, a local
     unitary, so mu_k does not depend on tau, and a time sweep passes one
     decomposition for all its points.  Samples and decomposes nothing.
-    Returns (K, S, lambdas) with lambdas the composite spectrum.
+
+    ``tau`` is one time or a 1-D sequence of them.  For one time, returns
+    (K, S, lambdas) with K and S floats and lambdas the composite
+    spectrum, r + 1 weights for a rank-r ``spectrum`` (at tau = 0 the
+    photon weights are 0).  For a sequence of T times, returns arrays of
+    T values of K and S and the T x (r + 1) spectra, one row per time, in
+    one pass over all rows; each row equals the call at its own tau bit
+    for bit.
 
     Raises
     ------
     ValueError
-        For negative or NaN tau.
+        For a negative or NaN tau, anywhere in the sequence.
     """
-    le, lg = _decay_weights(tau)
-    if lg == 0.0:
-        return 1.0, 0.0, np.array([1.0])
-    lam = np.concatenate(([le], lg * spectrum.lambdas))
-    lam = lam / lam.sum()
-    return schmidt_number(lam), entanglement_entropy(lam), lam
+    taus = np.asarray(tau)
+    if taus.ndim > 1:
+        raise ValueError(f"tau must be a number or a 1-D sequence, got shape {taus.shape}")
+    # Each tau through _decay_weights: its ValueError, and the libm exp
+    # of a one-tau call, where np.exp may differ in the last bit.
+    decay = np.array([_decay_weights(t) for t in np.atleast_1d(taus).tolist()]).reshape(-1, 2)
+    lam = np.empty((decay.shape[0], spectrum.lambdas.size + 1))
+    lam[:, 0] = decay[:, 0]
+    np.multiply(decay[:, 1:], spectrum.lambdas, out=lam[:, 1:])
+    lam /= lam.sum(axis=-1, keepdims=True)
+    k, s = schmidt_number(lam), entanglement_entropy(lam)
+    if taus.ndim == 0:
+        return float(k[0]), float(s[0]), lam[0]
+    return k, s, lam
 
 
 def asymptotics(eta: float):

@@ -181,7 +181,12 @@ def _parse(key: str, text: str, source: str):
         raise ValueError(f"{source}: {exc}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; if ``command`` names a subcommand, only it gets flags.
+
+    Every subcommand is registered either way, so a command line that
+    starts with ``command`` parses as with the full parser.
+    """
     ap = argparse.ArgumentParser(
         prog="schmidt-lab",
         description="Schmidt-mode analysis of two-variable amplitudes",
@@ -189,6 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     for name, cmd in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=cmd.help)
+        if command in SUBCOMMANDS and name != command:
+            continue
         for key in cmd.flags:
             kind, text = FLAGS.get(key, (float, None))
             if key == "n":
@@ -361,7 +368,9 @@ def _spdc_constants(req: _Resolver):
 # decomposition, and an automatic-window coordinate base (one _t0_factor
 # call) or dynamics run (two) as decompositions and no sample.  It tells a
 # sampled probe by its grid differing from the first, and counts
-# coord_capture_drift by its name.  Sweep points pass modes=False.
+# coord_capture_drift by its name.  A dynamics run calls full_dynamics
+# once for its whole tau sweep, so the tracer counts one dynamics call.
+# Sweep points pass modes=False.
 
 
 def _coord(req: _Resolver) -> ModelRun:
@@ -431,7 +440,8 @@ def _dynamics(req: _Resolver) -> ModelRun:
     emission leaves the photonic Schmidt weights unchanged, so every row
     is built from one spectrum: the real T = 0 factor on the largest tau's
     window, capture-checked by ``coord_capture_drift``.  No n x n matrix
-    is sampled or decomposed.
+    is sampled or decomposed.  One ``full_dynamics`` call, looked up in
+    this module's globals, takes K and S for every tau in one pass.
     """
     xi0, eta = req.require("xi0"), req.require("eta")
     taus = _sweep_values(req, "tau")
@@ -457,10 +467,11 @@ def _dynamics(req: _Resolver) -> ModelRun:
         )
 
     header = ("tau", "K0", "S0", "K", "S", "K_minus_K0", "S_minus_S0")
-    rows = []
-    for tau, (k0, s0) in zip(taus, zero_order):
-        k, s, _ = full_dynamics(tau, spectrum)
-        rows.append((tau, k0, s0, k, s, k - k0, s - s0))
+    ks, ss, _ = full_dynamics(taus, spectrum)
+    rows = [
+        (tau, k0, s0, k, s, k - k0, s - s0)
+        for tau, (k0, s0), k, s in zip(taus, zero_order, ks.tolist(), ss.tolist())
+    ]
     return ModelRun(
         params={"xi0": xi0, "eta": eta, "tau_values": taus},
         sections={
@@ -662,7 +673,9 @@ def run(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Flags only for the subcommand invoked, the first token if it names one.
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     t0 = time.perf_counter()
     try:
         run(args)

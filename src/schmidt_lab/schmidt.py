@@ -114,29 +114,47 @@ def _xlog2x(w: np.ndarray) -> np.ndarray:
 
 
 def _check_weights(lambdas, op: str) -> np.ndarray:
-    w = np.asarray(lambdas, dtype=float).ravel()
-    if w.size == 0:
+    """``lambdas`` as float weight spectra, one per row along the last axis.
+
+    A scalar is a one-weight spectrum.  Every spectrum must be non-empty
+    and non-negative and sum to 1 within ``WEIGHT_SUM_ATOL``.
+    """
+    w = np.atleast_1d(np.asarray(lambdas, dtype=float))
+    if w.shape[-1] == 0:
         raise ValueError(f"{op}: empty weight vector")
-    if np.any(w < 0.0):
+    if (w < 0.0).any():
         raise ValueError(f"{op}: weights must be non-negative, min is {w.min()!r}")
-    total = float(w.sum())
-    if total == 0.0:
+    total = w.sum(axis=-1)
+    if (total == 0.0).any():
         raise ValueError(f"{op}: all weights are zero")
-    if abs(total - 1.0) > WEIGHT_SUM_ATOL:
-        raise ValueError(f"{op}: weights must sum to 1 within 1e-10, got {total!r}")
+    off = abs(total - 1.0) > WEIGHT_SUM_ATOL
+    if off.any():
+        raise ValueError(f"{op}: weights must sum to 1 within 1e-10, got {float(total[off][0])!r}")
     return w
 
 
-def schmidt_number(lambdas) -> float:
-    """Effective mode count K = 1 / sum(lambda_k^2) of a weight spectrum."""
+def _per_spectrum(values: np.ndarray):
+    """A float for one spectrum's measure, else the array of one per row."""
+    return float(values) if values.ndim == 0 else values
+
+
+def schmidt_number(lambdas):
+    """Effective mode count K = 1 / sum(lambda_k^2) of a weight spectrum.
+
+    A float for one spectrum; for spectra in rows, an array of one K per row.
+    """
     w = _check_weights(lambdas, "schmidt_number")
-    return float(1.0 / np.sum(w**2))
+    return _per_spectrum(1.0 / np.sum(w**2, axis=-1))
 
 
-def entanglement_entropy(lambdas) -> float:
-    """Entropy S = -sum(lambda_k log2 lambda_k) in bits; 0 log 0 counts as 0."""
+def entanglement_entropy(lambdas):
+    """Entropy S = -sum(lambda_k log2 lambda_k) in bits; 0 log 0 counts as 0.
+
+    A float for one spectrum; for spectra in rows, an array of one S per row.
+    """
     w = _check_weights(lambdas, "entanglement_entropy")
-    return float(0.0 - np.sum(_xlog2x(w)))  # 0.0 - x, not -x: a pure state gets +0.0
+    # 0.0 - x, not -x: a pure state gets +0.0.
+    return _per_spectrum(0.0 - np.sum(_xlog2x(w), axis=-1))
 
 
 def _apply_gauge(u: np.ndarray, v: np.ndarray) -> None:

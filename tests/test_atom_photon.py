@@ -37,7 +37,14 @@ from schmidt_lab.atom_photon import (
     zero_order_dynamics,
 )
 from schmidt_lab.errors import ConvergenceError
-from schmidt_lab.schmidt import DecompositionOptions, mode_overlap, schmidt_decompose, spectrum_drift
+from schmidt_lab.schmidt import (
+    DecompositionOptions,
+    entanglement_entropy,
+    mode_overlap,
+    schmidt_decompose,
+    schmidt_number,
+    spectrum_drift,
+)
 from schmidt_lab.tensor_core import AmplitudeMatrix, grown_grid, make_grid, normalize
 
 FIG_PARAMS = AtomPhotonParams(xi0=100.0, eta=0.03, tau=10.0)
@@ -909,6 +916,41 @@ def test_full_dynamics_with_a_shared_spectrum_matches_the_per_tau_route(monkeypa
     for bad in (-1.0, math.nan):
         with pytest.raises(ValueError, match="non-negative"):
             full_dynamics(bad, spectrum)
+
+
+# tau = 0 leaves the photon weights 0; exp(-800) underflows to 0.
+ROW_TAUS = (0.0, 1e-300, 0.1, math.log(2.0), 10.0, 745.2, 800.0)
+
+
+@pytest.mark.parametrize("eta", [0.03, 1e-8], ids=["fig1", "rank-1"])
+def test_full_dynamics_rows_equal_the_scalar_calls_bit_for_bit(eta):
+    spectrum = coord_spectrum(AtomPhotonParams(100.0, eta, 10.0), 400)
+    assert (spectrum.rank == 1) == (eta == 1e-8)
+    k, s, lam = full_dynamics(np.array(ROW_TAUS), spectrum)
+    assert k.shape == s.shape == (len(ROW_TAUS),)
+    assert lam.shape == (len(ROW_TAUS), spectrum.rank + 1)
+    for i, tau in enumerate(ROW_TAUS):
+        k1, s1, lam1 = full_dynamics(tau, spectrum)
+        assert type(k1) is float and type(s1) is float
+        assert k1 == k[i] and s1 == s[i]
+        assert (lam1 == lam[i]).all()
+        # The one-spectrum route: a 1-D composite and its measures.
+        one = np.concatenate(([math.exp(-tau)], -math.expm1(-tau) * spectrum.lambdas))
+        one = one / one.sum()
+        assert (one == lam[i]).all()
+        assert (schmidt_number(one), entanglement_entropy(one)) == (k1, s1)
+    assert lam[0].tolist() == [1.0] + [0.0] * spectrum.rank
+    assert (k[0], s[0], math.copysign(1.0, s[0])) == (1.0, 0.0, 1.0)
+    assert lam[-1, 0] == 0.0 and lam[-1, 1:].sum() == pytest.approx(1.0, abs=1e-15)
+    assert full_dynamics(list(ROW_TAUS), spectrum)[0].tolist() == k.tolist()
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError) as scalar:
+            full_dynamics(bad, spectrum)
+        for at in (0, 3, len(ROW_TAUS)):
+            taus = [*ROW_TAUS[:at], bad, *ROW_TAUS[at:]]
+            with pytest.raises(ValueError) as rows:
+                full_dynamics(taus, spectrum)
+            assert str(rows.value) == str(scalar.value)
 
 
 def test_coord_matrix_normalized():

@@ -889,6 +889,47 @@ def test_flags_a_subcommand_ignores_are_rejected(tmp_path, argv, key, value):
     assert not (tmp_path / "b").exists()
 
 
+PARSER_ARGVS = [
+    *([name, "--help"] for name in cli.SUBCOMMANDS),
+    ["--help"],
+    ["bogus"],
+    [],
+    ["atom-photon-coord", "--fig2"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_main_parses_as_the_full_parser(monkeypatch, capsys, argv):
+    # main gives flags to the invoked subcommand's parser only; its exit
+    # code and text are the full parser's, from argv and from sys.argv.
+    def outcome(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse()
+        return (exc.value.code, *capsys.readouterr())
+
+    want = outcome(lambda: cli.build_parser().parse_args(argv))
+    assert outcome(lambda: main(argv)) == want
+    monkeypatch.setattr(sys, "argv", ["schmidt-lab", *argv])
+    assert outcome(main) == want
+
+
+# A valid text for each flag; a flag not listed takes "1".
+FLAG_TEXT = {
+    "n": "64", "window": "-1,1,-2,2", "gauge": "none", "out": "o", "format": "json-summary",
+    "tau_steps": "3", "L_steps": "3", "tau_list": "1,2", "L_list": "1,2",
+}
+
+
+@pytest.mark.parametrize("name", list(cli.SUBCOMMANDS))
+def test_the_parser_of_one_subcommand_reads_every_flag_as_the_full_one(name):
+    cmd = cli.SUBCOMMANDS[name]
+    argv = [name, *(f"--{fig}" for fig in cmd.figs), "--config", "c.json"]
+    for key in cmd.flags:
+        text = FLAG_TEXT.get(key, "1")
+        argv += ["m.txt"] if key == "file" else [f"{cli._flag(key)}={text}"]
+    assert vars(cli.build_parser(name).parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+
+
 def test_decompose_ignores_default_n_env_var(tmp_path, monkeypatch):
     f = tmp_path / "eye.txt"
     _write_matrix(f, np.eye(3))

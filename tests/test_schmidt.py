@@ -155,6 +155,23 @@ def test_weight_validation():
         entanglement_entropy([])
 
 
+def test_measures_of_spectra_in_rows_equal_their_one_spectrum_values():
+    rows = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.7, 0.2, 0.1]])
+    k, s = schmidt_number(rows), entanglement_entropy(rows)
+    assert k.shape == s.shape == (3,)
+    assert k.tolist() == [schmidt_number(row) for row in rows]
+    assert s.tolist() == [entanglement_entropy(row) for row in rows]
+    assert type(schmidt_number(rows[2])) is float and type(entanglement_entropy(rows[2])) is float
+    # Each row is checked, not their sum.
+    for bad, match in (([0.5, -0.5, 1.0], "non-negative"), ([0.5, 0.4, 0.0], "sum"), ([0.0] * 3, "zero")):
+        with pytest.raises(ValueError, match=match):
+            schmidt_number(np.vstack((rows, bad)))
+        with pytest.raises(ValueError, match=match):
+            entanglement_entropy(np.vstack((bad, rows)))
+    with pytest.raises(ValueError, match="empty"):
+        schmidt_number(np.empty((2, 0)))
+
+
 def test_options_validation():
     with pytest.raises(ValueError):
         DecompositionOptions(truncation_threshold=1.0)
