@@ -115,7 +115,6 @@ def coord_amplitude(params: AtomPhotonParams, p, q):
     """
     long_time_advisory(params.tau)
     p, q = _as_finite_arrays(p, q)
-    scalar = p.ndim == 0 and q.ndim == 0
     # The light-front factor depends on p alone, so on open mesh vectors it
     # is one column; the Gaussian in p + q is built in place on one buffer.
     x = params.tau - p
@@ -129,7 +128,7 @@ def coord_amplitude(params: AtomPhotonParams, p, q):
     np.exp(vals, out=vals)
     np.multiply(front, vals, out=vals)
     np.copyto(vals, 0.0, where=~inside)
-    return complex(vals) if scalar else vals
+    return complex(vals) if vals.ndim == 0 else vals
 
 
 def long_time_advisory(tau: float) -> None:
@@ -266,38 +265,10 @@ def coord_grid(params: AtomPhotonParams, n: int = DEFAULT_N) -> Grid:
     exceeds 2^-20 of the p spacing h_p = COORD_DECAY_SPAN / (n - 1), where
     rounding would move the p nodes and p + q (tau < 2^32 at n = 64).
 
-    Raises
-    ------
-    ConvergenceError
-        If eta h_p > 1 (``_check_p_mesh``).  Refusing it also bounds the q
-        nodes of the T = 0 factor on this window (``coord_thin_grid``) by
-        2 (n - 1) + 26.
+    Builds the window only, as ``momentum_grid`` and ``spdc_grid`` do: the
+    p mesh is checked by the samplers (``coord_matrix``,
+    ``coord_decomposition``, ``coord_spectrum``, ``coord_capture_drift``).
     """
-    grid = _coord_window(params, n)
-    _check_p_mesh(params.eta, COORD_DECAY_SPAN, n)
-    return grid
-
-
-def _check_p_mesh(eta: float, span: float, n: int) -> None:
-    """Refuse n p nodes over ``span`` spaced wider than the Gaussian's width 1/eta.
-
-    The p mesh error of K grows with eta h_p, h_p = span / (n - 1), and at
-    eta h_p = 1, which passes, K is already 0.7% to 5.4% low, so a wider
-    spacing gives no usable result.  The ConvergenceError names the
-    smallest adequate n, ceil(eta span) + 1 (inf where eta span overflows).
-    """
-    widths = eta * span
-    if widths > n - 1:
-        need = math.ceil(widths) + 1 if math.isfinite(widths) else math.inf
-        raise ConvergenceError(
-            f"the coordinate p mesh is under-resolved at n = {n}: its spacing "
-            f"{span / (n - 1):g} exceeds the Gaussian's width 1/eta = {1.0 / eta:g}; "
-            f"use n >= {need}"
-        )
-
-
-def _coord_window(params: AtomPhotonParams, n: int) -> Grid:
-    """``coord_grid`` without its mesh-resolution check."""
     tau, eta, xi0 = params.tau, params.eta, params.xi0
     try:
         w = math.sqrt(1.0 + (tau * eta**2 * xi0) ** 2) / eta
@@ -315,6 +286,37 @@ def _coord_window(params: AtomPhotonParams, n: int) -> Grid:
     return make_grid(p_lo, tau, -tau - COORD_SIGMA_MARGIN * w, -p_lo + COORD_SIGMA_MARGIN * w, n)
 
 
+def _coord_route(params: AtomPhotonParams, grid: Grid) -> bool:
+    """Whether ``grid`` is ``coord_grid(params, grid.n)``, once its p mesh is checked.
+
+    The p span is COORD_DECAY_SPAN on the automatic window and the grid's
+    own on any other.  The p mesh error of K grows with eta h_p, h_p =
+    span / (n - 1), and at eta h_p = 1, which passes, K is already 0.7% to
+    5.4% low, so a wider spacing gives no usable result.  Every coordinate
+    sampler calls this before it samples anything.  On the automatic window
+    the check also bounds the q nodes of the T = 0 factor
+    (``coord_thin_grid``) by 2 (n - 1) + 26.
+
+    Raises
+    ------
+    ValueError
+        Where ``coord_grid(params, grid.n)`` does.
+    ConvergenceError
+        If eta h_p > 1, naming the smallest adequate n, ceil(eta span) + 1
+        (inf where eta span overflows).
+    """
+    auto = grid == coord_grid(params, grid.n)
+    span = COORD_DECAY_SPAN if auto else grid.p_max - grid.p_min
+    widths, n = params.eta * span, grid.n
+    if widths > n - 1:
+        need = math.ceil(widths) + 1 if math.isfinite(widths) else math.inf
+        raise ConvergenceError(
+            f"the coordinate p mesh is under-resolved at n = {n}: its spacing {span / (n - 1):g} "
+            f"exceeds the Gaussian's width 1/eta = {1.0 / params.eta:g}; use n >= {need}"
+        )
+    return auto
+
+
 def momentum_grid(n: int = DEFAULT_N) -> Grid:
     """Symmetric window for the momentum amplitude.
 
@@ -329,8 +331,11 @@ def coord_matrix(params: AtomPhotonParams, grid: Grid) -> AmplitudeMatrix:
     """Sample the coordinate amplitude on a grid, normalized.
 
     The entries are assembled from ``_gaussian_tables`` where they accept
-    the grid, and are ``coord_amplitude``'s where they refuse.
+    the grid, and are ``coord_amplitude``'s where they refuse.  First
+    ``_coord_route`` refuses a p mesh coarser than 1/eta, and any params
+    that ``coord_grid`` refuses at n = grid.n, whatever the grid.
     """
+    _coord_route(params, grid)
     return _sample(_coord_mesh, params, grid)
 
 
@@ -401,12 +406,11 @@ def coord_decomposition(params: AtomPhotonParams, grid: Grid, opts=Decomposition
     ``_t0_factor``'s, and the q-modes are contracted from the exp tables
     of ``_gaussian_tables``, so no n x n array is formed; the amplitude is
     sampled only where the tables refuse.  Any other grid, such as a
-    ``--window`` whose q range may cut the amplitude, has its p spacing
-    checked (``_check_p_mesh``) and is then sampled and decomposed on the
-    dense route.
+    ``--window`` whose q range may cut the amplitude, is sampled and
+    decomposed on the dense route.  Either way ``_coord_route`` picks the
+    route and refuses a p mesh coarser than 1/eta before anything is sampled.
     """
-    if grid != _coord_window(params, grid.n):
-        _check_p_mesh(params.eta, grid.p_max - grid.p_min, grid.n)
+    if not _coord_route(params, grid):
         return schmidt_decompose(coord_matrix(params, grid), opts)
     tables = _gaussian_tables(params, grid.p_nodes()[:, None], grid.q_nodes()[None, :])
     if tables is None:
@@ -467,9 +471,12 @@ def coord_spectrum(
 ) -> SchmidtResult:
     """Schmidt weights of the coordinate amplitude on the p nodes of ``coord_grid(params, n)``.
 
-    Values only: ``_t0_factor`` at the margin COORD_SIGMA_MARGIN, probed by ``coord_capture_drift``.
+    Values only: ``_t0_factor`` at the margin COORD_SIGMA_MARGIN, probed by
+    ``coord_capture_drift``, once ``_coord_route`` passes the p mesh.
     """
-    return _t0_factor(params, coord_grid(params, n), COORD_SIGMA_MARGIN, opts)
+    grid = coord_grid(params, n)
+    _coord_route(params, grid)
+    return _t0_factor(params, grid, COORD_SIGMA_MARGIN, opts)
 
 
 def coord_thin_grid(params: AtomPhotonParams, grid: Grid, margin: float) -> Grid:
@@ -486,7 +493,9 @@ def coord_thin_grid(params: AtomPhotonParams, grid: Grid, margin: float) -> Grid
     q-sum is then a trapezoid rule for a Gaussian, exact to rounding once
     h_q <= THIN_Q_SPACING / eta (Trefethen and Weideman, SIAM Rev. 56, 385
     (2014)); m = ceil(W eta / THIN_Q_SPACING) + 1 is the smallest count
-    that allows it (28 at ``--fig1``).
+    that allows it (28 at ``--fig1``).  It checks nothing itself: each of
+    its callers first passes the p mesh of ``grid`` through
+    ``_coord_route``, which on the automatic window bounds m by 2 (n - 1) + 26.
     """
     eta = params.eta
     q_lo, q_hi = -grid.p_max - margin / eta, -grid.p_min + margin / eta
@@ -558,7 +567,12 @@ def coord_capture_drift(
     carries the base's q-window and q-mesh error.  The dynamics sweep's
     capture drift, which names the function, is
     ``spectrum_drift(coord_spectrum(params, n), probe)``.
+
+    ``_coord_route`` checks the p mesh of ``grid`` itself before it is
+    grown, so the probe refuses what its base refuses, and its q nodes are
+    bounded by that check, whoever calls it.
     """
+    _coord_route(params, grid)
     big_grid = grown_grid(grid, 2.0 * COORD_PROBE_FACTOR - 1.0)
     return _t0_factor(params, big_grid, COORD_PROBE_FACTOR * COORD_SIGMA_MARGIN, opts)
 

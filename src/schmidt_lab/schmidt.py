@@ -116,12 +116,14 @@ def _xlog2x(w: np.ndarray) -> np.ndarray:
 def _check_weights(lambdas, op: str) -> np.ndarray:
     """``lambdas`` as float weight spectra, one per row along the last axis.
 
-    A scalar is a one-weight spectrum.  Every spectrum must be non-empty
-    and non-negative and sum to 1 within ``WEIGHT_SUM_ATOL``.
+    A scalar is a one-weight spectrum.  Every spectrum must be non-empty,
+    finite and non-negative and sum to 1 within ``WEIGHT_SUM_ATOL``.
     """
     w = np.atleast_1d(np.asarray(lambdas, dtype=float))
     if w.shape[-1] == 0:
         raise ValueError(f"{op}: empty weight vector")
+    if not np.isfinite(w).all():
+        raise ValueError(f"{op}: weights must be finite")
     if (w < 0.0).any():
         raise ValueError(f"{op}: weights must be non-negative, min is {w.min()!r}")
     total = w.sum(axis=-1)

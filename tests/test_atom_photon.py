@@ -45,7 +45,7 @@ from schmidt_lab.schmidt import (
     schmidt_number,
     spectrum_drift,
 )
-from schmidt_lab.tensor_core import AmplitudeMatrix, grown_grid, make_grid, normalize
+from schmidt_lab.tensor_core import AmplitudeMatrix, grown_grid, make_grid, normalize, sample_amplitude
 
 FIG_PARAMS = AtomPhotonParams(xi0=100.0, eta=0.03, tau=10.0)
 
@@ -268,6 +268,23 @@ def test_coord_matrix_raises_the_long_time_advisory_once(monkeypatch, params, ro
         coord_matrix(params, coord_grid(params, 400))
     assert routes == [route]
     assert len(caught) == 1
+
+
+def test_coord_matrix_samples_directly_where_the_tables_would_be_subnormal(monkeypatch):
+    # Far off the ridge the error bound accepts the tables, but their row
+    # table peaks at 4.6e-151, below FACTORED_TABLE_MIN: only that floor
+    # refuses them (without it they are taken, the largest entry 7.4e-145).
+    # The sample is then coord_amplitude's, normalized.
+    grid = make_grid(-30.0, 10.0, 1150.0, 1250.0, 64)
+    p, q = grid.p_nodes()[:, None], grid.q_nodes()[None, :]
+    assert atom_photon._gaussian_tables(FIG_PARAMS, p, q) is None
+    with monkeypatch.context() as m:
+        m.setattr(atom_photon, "FACTORED_TABLE_MIN", 0.0)
+        tables = atom_photon._gaussian_tables(FIG_PARAMS, p, q)
+        largest = np.abs(atom_photon._factored_gaussian(tables, 64, 64)).max()
+        assert largest == pytest.approx(7.444e-145, rel=1e-3)
+    want = sample_amplitude(lambda p, q: coord_amplitude(FIG_PARAMS, p, q), grid).entries
+    assert coord_matrix(FIG_PARAMS, grid).entries.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [64, 401])
@@ -739,8 +756,26 @@ def test_coord_base_at_fig1_allocates_no_n_x_n_array(monkeypatch):
     assert peak <= 800 * 800 * 16 / 4
 
 
+def _every_coord_sampler_refuses(monkeypatch, params, n, match):
+    """Each coordinate sampler refuses ``coord_grid(params, n)`` with ``match``, sampling nothing."""
+    grid = coord_grid(params, n)
+    sampled = []
+    with monkeypatch.context() as m:
+        for name in ("sample_amplitude", "_gaussian_tables"):
+            m.setattr(atom_photon, name, lambda *args, name=name: sampled.append(name))
+        for sampler in (
+            lambda: coord_matrix(params, grid),
+            lambda: coord_decomposition(params, grid),
+            lambda: coord_spectrum(params, n),
+            lambda: coord_capture_drift(params, grid),
+        ):
+            with pytest.raises(ConvergenceError, match=match):
+                sampler()
+    assert sampled == []
+
+
 @pytest.mark.parametrize("eta", [0.03, 0.25, 0.5, 2.0, 10.0])
-def test_coord_grid_refuses_a_p_mesh_coarser_than_the_gaussian(eta):
+def test_coord_grid_refuses_a_p_mesh_coarser_than_the_gaussian(monkeypatch, eta):
     # eta h_p > 1, h_p = 40 / (n - 1), is refused before anything is
     # sampled, naming the smallest adequate n, ceil(40 eta) + 1, where
     # eta h_p = 1 exactly for all but eta 0.03; there the T = 0 factor has
@@ -748,8 +783,8 @@ def test_coord_grid_refuses_a_p_mesh_coarser_than_the_gaussian(eta):
     params = AtomPhotonParams(100.0, eta, 10.0)
     need = math.ceil(COORD_DECAY_SPAN * eta) + 1
     assert (eta * COORD_DECAY_SPAN / (need - 1) == 1.0) == (eta != 0.03)
-    with pytest.raises(ConvergenceError, match=f"under-resolved at n = {need - 1}: .* use n >= {need}$"):
-        coord_grid(params, need - 1)
+    match = f"under-resolved at n = {need - 1}: .* use n >= {need}$"
+    _every_coord_sampler_refuses(monkeypatch, params, need - 1, match)
     for n in (need, need + 1, 2 * need):
         grid = coord_grid(params, n)
         assert eta * grid.dp <= 1.0
@@ -772,6 +807,16 @@ def test_window_mesh_is_checked_on_its_own_p_span(monkeypatch):
     # eta (p_max - p_min) overflows: refused, not an OverflowError.
     with pytest.raises(ConvergenceError, match="use n >= inf$"):
         coord_decomposition(AtomPhotonParams(100.0, 1e10, 10.0), make_grid(-1e300, 1e300, -1.0, 1.0, 16))
+    assert samples == []
+
+
+def test_capture_probe_checks_the_mesh_it_is_given(monkeypatch):
+    # The probe grows its grid before it samples; unchecked, this 16-node
+    # mesh at eta 1e5 would size a 24 x 16,533,371 T = 0 factor (2.96 GiB).
+    samples = []
+    monkeypatch.setattr(atom_photon, "sample_amplitude", lambda *args: samples.append(args))
+    with pytest.raises(ConvergenceError, match="under-resolved at n = 16: .* use n >= 4000001$"):
+        coord_capture_drift(AtomPhotonParams(100.0, 1e5, 10.0), make_grid(-30.0, 10.0, -1.0, 1.0, 16))
     assert samples == []
 
 
@@ -877,7 +922,7 @@ def test_full_dynamics_capture_failure_raises(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("n", [8, 9, 64])
 @pytest.mark.parametrize("eta", [0.03, 0.3, 2.0])
-def test_automatic_window_drifts_by_rounding_at_any_mesh(eta, n):
+def test_automatic_window_drifts_by_rounding_at_any_mesh(monkeypatch, eta, n):
     # The probe sees window error only, and the automatic window holds all
     # but about 1e-17 of the weight, however coarse the mesh.  A mesh with
     # eta h_p > 1 is refused, so the drift is then checked on the two
@@ -886,8 +931,8 @@ def test_automatic_window_drifts_by_rounding_at_any_mesh(eta, n):
     need = math.ceil(COORD_DECAY_SPAN * eta) + 1
     meshes = [n]
     if n < need:
-        with pytest.raises(ConvergenceError, match=f"under-resolved at n = {n}: .* use n >= {need}$"):
-            coord_grid(params, n)
+        match = f"under-resolved at n = {n}: .* use n >= {need}$"
+        _every_coord_sampler_refuses(monkeypatch, params, n, match)
         meshes = [need, need + 1]
     for n in meshes:
         probe = coord_capture_drift(params, coord_grid(params, n))
@@ -951,6 +996,8 @@ def test_full_dynamics_rows_equal_the_scalar_calls_bit_for_bit(eta):
             with pytest.raises(ValueError) as rows:
                 full_dynamics(taus, spectrum)
             assert str(rows.value) == str(scalar.value)
+    with pytest.raises(ValueError, match=r"a number or a 1-D sequence, got shape \(2, 1\)$"):
+        full_dynamics([[0.1], [10.0]], spectrum)
 
 
 def test_coord_matrix_normalized():

@@ -67,6 +67,9 @@ def test_dump_json_is_deterministic_and_standard():
     keys = list(parsed["nested"].keys())
     assert keys == ["z_first", "a_second"]
     assert json.loads(dump_json(True)) is True
+    # empty containers stay on one line, at any depth
+    assert dump_json({"a": {}, "b": []}) == '{\n  "a": {},\n  "b": []\n}\n'
+    assert dump_json({}) == "{}\n"
     with pytest.raises(TypeError):
         dump_json({"bad": object()})
 

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -170,6 +171,17 @@ def test_measures_of_spectra_in_rows_equal_their_one_spectrum_values():
             entanglement_entropy(np.vstack((bad, rows)))
     with pytest.raises(ValueError, match="empty"):
         schmidt_number(np.empty((2, 0)))
+
+
+def test_weight_validation_refuses_non_finite_weights():
+    # NaN passes both the sign and the sum test, and the entropy's 0 log 0
+    # rule would drop it: unchecked, K would be nan and S 1.0 for these.
+    rows = np.array([[0.5, 0.5, 0.0], [0.7, 0.2, 0.1]])
+    nan_row = np.vstack((rows[0], [math.nan, 0.5, 0.5], rows[1]))
+    for measure, op in ((schmidt_number, "schmidt_number"), (entanglement_entropy, "entanglement_entropy")):
+        for bad in ([math.nan, 1.0], [math.nan, 0.5, 0.5], [math.inf, 1.0], nan_row):
+            with pytest.raises(ValueError, match=f"^{op}: weights must be finite$"):
+                measure(bad)
 
 
 def test_options_validation():
